@@ -110,6 +110,8 @@ def _merged_protocol(args, cfg: RunConfig):
         raise ConfigError(f"shots must be non-negative, got {shots}")
     seed = getattr(args, "seed", None)
     seed = cfg.protocol.seed if seed is None else seed
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     mode = getattr(args, "mode", None) or cfg.protocol.mode
     sign_flag = getattr(args, "sign", None)
     sign = _SIGN_FLAGS[sign_flag] if sign_flag else cfg.protocol.sign

@@ -12,7 +12,8 @@ Conventions fixed here and relied on everywhere else:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,12 +108,14 @@ def _parse_sign(sign) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """8x8 complex matrix with hermiticity/unitarity flags fixed at
-    construction (tolerances 1e-12 and 1e-10 in the max-entry norm)."""
+    """Read-only 8x8 complex matrix.
+
+    The hermiticity and unitarity flags (tolerances 1e-12 and 1e-10 in the
+    max-entry norm) are computed on first use and cached; the matrix cannot
+    change, so the cached values stay valid.
+    """
 
     matrix: np.ndarray
-    hermitian: bool = field(init=False)
-    unitary: bool = field(init=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex, copy=True)
@@ -120,29 +123,47 @@ class Operator:
             raise ContractViolationError(f"operator must be {DIM}x{DIM}, got {mat.shape}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        herm = float(np.max(np.abs(mat - mat.conj().T))) < _HERMITIAN_TOL
-        unit = float(np.max(np.abs(mat.conj().T @ mat - np.eye(DIM)))) < _UNITARY_TOL
-        object.__setattr__(self, "hermitian", herm)
-        object.__setattr__(self, "unitary", unit)
+
+    @cached_property
+    def hermitian(self) -> bool:
+        mat = self.matrix
+        return float(np.max(np.abs(mat - mat.conj().T))) < _HERMITIAN_TOL
+
+    @cached_property
+    def unitary(self) -> bool:
+        mat = self.matrix
+        return float(np.max(np.abs(mat.conj().T @ mat - np.eye(DIM)))) < _UNITARY_TOL
 
     def __matmul__(self, other: "Operator") -> "Operator":
         return Operator(self.matrix @ other.matrix)
 
 
-def _embed(single: np.ndarray, qubit: int) -> np.ndarray:
-    """Place a 2x2 matrix on one qubit (1-based, qubit 1 leftmost)."""
+def _check_qubit(qubit) -> None:
     if qubit not in (1, 2, 3):
         raise ContractViolationError(f"qubit index must be 1, 2 or 3, got {qubit}")
+
+
+def _embed(single: np.ndarray, qubit: int) -> np.ndarray:
+    """Place a 2x2 matrix on one qubit (1-based, qubit 1 leftmost)."""
+    _check_qubit(qubit)
     factors = [_I2, _I2, _I2]
     factors[qubit - 1] = single
     return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+
+# The embedded Paulis depend only on (axis, qubit): build them once, read-only.
+_PAULI_8X8 = {(axis, q): _embed(m, q) for axis, m in _PAULI_2X2.items() for q in (1, 2, 3)}
+_ZZ_8X8 = {(a, b): _PAULI_8X8["z", a] @ _PAULI_8X8["z", b] for a, b in ((1, 2), (2, 3), (1, 3))}
+for _m in (*_PAULI_8X8.values(), *_ZZ_8X8.values()):
+    _m.flags.writeable = False
 
 
 def pauli(axis: str, qubit: int) -> Operator:
     """Single-qubit Pauli operator embedded in the 8-dimensional register."""
     if axis not in _PAULI_2X2:
         raise ContractViolationError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    return Operator(_embed(_PAULI_2X2[axis], qubit))
+    _check_qubit(qubit)
+    return Operator(_PAULI_8X8[axis, qubit])
 
 
 def identity_operator() -> Operator:
@@ -171,10 +192,9 @@ def build_hamiltonian(e_c, e_j, k12: float, k23: float, k13: float = 0.0) -> Ope
         raise ContractViolationError("e_c and e_j must each have 3 entries")
     h = np.zeros((DIM, DIM), dtype=complex)
     for j in range(3):
-        h += 0.5 * e_c[j] * _embed(_SIGMA_Z, j + 1)
-        h -= 0.5 * e_j[j] * _embed(_SIGMA_X, j + 1)
-    zz = lambda a, b: _embed(_SIGMA_Z, a) @ _embed(_SIGMA_Z, b)
-    h += k12 * zz(1, 2) + k23 * zz(2, 3) + k13 * zz(1, 3)
+        h += 0.5 * e_c[j] * _PAULI_8X8["z", j + 1]
+        h -= 0.5 * e_j[j] * _PAULI_8X8["x", j + 1]
+    h += k12 * _ZZ_8X8[1, 2] + k23 * _ZZ_8X8[2, 3] + k13 * _ZZ_8X8[1, 3]
     return Operator(h)
 
 
@@ -212,8 +232,7 @@ def project(state: StateVector, qubit: int, outcome: int):
     """
     if outcome not in (0, 1):
         raise ContractViolationError(f"outcome must be 0 or 1, got {outcome}")
-    if qubit not in (1, 2, 3):
-        raise ContractViolationError(f"qubit index must be 1, 2 or 3, got {qubit}")
+    _check_qubit(qubit)
     shift = N_QUBITS - qubit
     indices = np.arange(DIM)
     mask = ((indices >> shift) & 1) == outcome
@@ -259,11 +278,16 @@ def sample(state: StateVector, shots: int, seed: int, basis: str = "zzz") -> Mea
     rot = np.kron(
         np.kron(_ROTATION_2X2[basis[0]], _ROTATION_2X2[basis[1]]), _ROTATION_2X2[basis[2]]
     )
-    probs = np.abs(rot @ amps) ** 2
-    probs = probs / probs.sum()
+    return _sample_probabilities(np.abs(rot @ amps) ** 2, shots, seed, basis)
+
+
+def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
+                          basis: str) -> MeasurementRecord:
+    """The sampling stream of sample(), over probabilities in basis-index
+    order (normalized here): one PCG64 uniform per shot, inverse-CDF lookup."""
     rng = np.random.default_rng(seed)
     draws = rng.random(shots)
-    cumulative = np.cumsum(probs)
+    cumulative = np.cumsum(probs / probs.sum())
     indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), DIM - 1)
     outcomes = tuple(basis_label(int(i)) for i in indices)
     counts = {}

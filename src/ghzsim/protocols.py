@@ -33,6 +33,8 @@ from .core import (
     MeasurementRecord,
     Operator,
     StateVector,
+    _embed,
+    _sample_probabilities,
     apply,
     basis_label,
     build_hamiltonian,
@@ -116,12 +118,7 @@ def basis_rotation(axis: str, qubit: int) -> Operator:
     Applying it before a z readout turns that readout into a sigma_axis
     measurement, outcome bit 0 meaning eigenvalue +1.
     """
-    rot = measurement_rotation(axis)
-    factors = [np.eye(2, dtype=complex)] * 3
-    if qubit not in (1, 2, 3):
-        raise ContractViolationError(f"qubit index must be 1, 2 or 3, got {qubit}")
-    factors[qubit - 1] = rot
-    return Operator(np.kron(np.kron(factors[0], factors[1]), factors[2]))
+    return Operator(_embed(measurement_rotation(axis), qubit))
 
 
 def _ideal_quarter(qubit: int) -> Operator:
@@ -256,15 +253,7 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
     if shots:
         if seed is None:
             raise ContractViolationError("sampling requires a seed when shots > 0")
-        # same stream contract as core.sample, applied to the mixed
-        # distribution: one uniform per shot, inverse-CDF in index order
-        rng = np.random.default_rng(seed)
-        draws = rng.random(shots)
-        cumulative = np.cumsum(full_probs / full_probs.sum())
-        indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), DIM - 1)
-        outcomes = tuple(basis_label(int(i)) for i in indices)
-        histogram = {lab: outcomes.count(lab) for lab in sorted(set(outcomes))}
-        counts = MeasurementRecord(outcomes, histogram, int(seed), "zzz")
+        counts = _sample_probabilities(full_probs, shots, seed, "zzz")
     return ProtocolOutcome(counts, probs, expectations, total_weight, mode)
 
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import ControlSettings, DerivedEnergies, derive_energies
-from .core import StateVector, build_hamiltonian, evolve, fidelity, ghz_state
+from .core import StateVector, _parse_sign, build_hamiltonian, evolve, fidelity, ghz_state
 from .errors import ContractViolationError, InfeasiblePulseError
 
 _RESIDUAL_TOL = 1e-9
@@ -186,11 +186,7 @@ def solve_superposition_pulse(e_j2: float, sign: str = "+") -> float:
     """
     if e_j2 <= 0.0:
         raise ContractViolationError(f"superposition pulse requires e_j2 > 0, got {e_j2}")
-    if sign == "+" or sign in (1, +1):
-        return 0.25 / e_j2
-    if sign == "-" or sign == -1:
-        return 0.75 / e_j2
-    raise ContractViolationError(f"sign must be '+' or '-', got {sign!r}")
+    return 0.25 / e_j2 if _parse_sign(sign) == 1 else 0.75 / e_j2
 
 
 def solve_conditional_flip(k: float, e_j_max: float, max_m: int = 16,
@@ -270,10 +266,7 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     """
     if tuple(flip_order) not in ((1, 3), (3, 1)):
         raise ContractViolationError(f"flip_order must be (1, 3) or (3, 1), got {flip_order}")
-    internal = "-" if sign in ("+", 1, +1) else "+"
-    if sign not in ("+", "-", 1, +1, -1):
-        raise ContractViolationError(f"sign must be '+' or '-', got {sign!r}")
-    sign = "+" if sign in ("+", 1) else "-"
+    sign, internal = ("+", "-") if _parse_sign(sign) == 1 else ("-", "+")
 
     t_sup = solve_superposition_pulse(energies.ej_max[1], internal)
     seg_sup = PulseSegment(

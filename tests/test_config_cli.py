@@ -212,6 +212,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "infeasible pulse" in capsys.readouterr().err
 
 
+def test_cli_rejects_negative_seed_flag(capsys):
+    assert main(["yyy", "--shots", "10", "--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_seed_in_config(tmp_path, capsys):
+    path = tmp_path / "seed.yaml"
+    path.write_text("protocol:\n  shots: 10\n  seed: -1\n")
+    assert main(["yyy", "--config", str(path)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["teleport"])

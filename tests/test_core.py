@@ -20,7 +20,7 @@ from ghzsim import (
     propagator,
     sample,
 )
-from ghzsim.core import measurement_rotation
+from ghzsim.core import _PAULI_2X2, _PAULI_8X8, _ZZ_8X8, _embed, measurement_rotation
 
 
 def taylor_propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -58,6 +58,52 @@ def test_pauli_products_cycle():
         assert np.allclose(lhs, 1j * pauli(c, 1).matrix, atol=1e-15)
     # different qubits commute
     assert commutator_norm(pauli("x", 1), pauli("y", 2)) == 0.0
+
+
+def kron_embed(single: np.ndarray, qubit: int) -> np.ndarray:
+    factors = [np.eye(2, dtype=complex)] * 3
+    factors[qubit - 1] = single
+    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+
+def kron_hamiltonian(e_c, e_j, k12, k23, k13):
+    """The chain Hamiltonian summed from explicit Kronecker products, in the
+    order build_hamiltonian adds its terms."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    h = np.zeros((8, 8), dtype=complex)
+    for j in range(3):
+        h += 0.5 * e_c[j] * kron_embed(sz, j + 1)
+        h -= 0.5 * e_j[j] * kron_embed(sx, j + 1)
+    zz = lambda a, b: kron_embed(sz, a) @ kron_embed(sz, b)
+    h += k12 * zz(1, 2) + k23 * zz(2, 3) + k13 * zz(1, 3)
+    return h
+
+
+def test_hamiltonian_bit_identical_to_kron_sum():
+    rng = np.random.default_rng(20261018)
+    for trial in range(6):
+        e_c = tuple(rng.normal(size=3))
+        e_j = tuple(rng.uniform(0.0, 10.0, size=3))
+        k12, k23, k13 = rng.uniform(0.0, 0.5, size=3)
+        if trial % 2:
+            k13 = 0.0
+        h = build_hamiltonian(e_c, e_j, k12, k23, k13).matrix
+        assert np.array_equal(h, kron_hamiltonian(e_c, e_j, k12, k23, k13))
+
+
+def test_pauli_table_matches_embedding_and_is_read_only():
+    for axis, single in _PAULI_2X2.items():
+        for qubit in (1, 2, 3):
+            assert np.array_equal(pauli(axis, qubit).matrix, _embed(single, qubit))
+    for mat in (*_PAULI_8X8.values(), *_ZZ_8X8.values()):
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+    with pytest.raises(ContractViolationError):
+        pauli("w", 1)
+    with pytest.raises(ContractViolationError):
+        pauli("x", 0)
 
 
 def test_basis_indexing():
