@@ -22,7 +22,7 @@ from .circuit import (
     readout_timing_margin,
     solve_gate_charges,
 )
-from .config import RunConfig, derive_seed, load_config
+from .config import RunConfig, load_config
 from .core import (
     MeasurementRecord,
     Operator,

@@ -12,9 +12,11 @@ Seven subcommands cover the package capabilities:
 
 Every command accepts ``--config`` (YAML, see ghzsim.config; omitted means
 the built-in reference device), ``--format table|csv|structured`` and
-``--output PATH``.  Command output is a pure function of the configuration
-and the flags: identical invocations produce byte-identical bytes, with all
-randomness drawn from the configured seed.
+``--output PATH``.  Each flag overrides its config field: the flags given
+are laid over the file and ghzsim.config validates the merged document once.
+Command output is a pure function of that configuration: identical
+invocations produce byte-identical bytes, with all randomness drawn from the
+configured seed.
 
 Exit codes: 0 success, 2 configuration problem, 3 no feasible pulse within
 the search bounds, 4 violated internal contract.
@@ -30,6 +32,7 @@ from pathlib import Path
 
 from .circuit import (
     CapacitanceNetwork,
+    DerivedEnergies,
     crosstalk_ratio,
     derive_energies,
     effective_capacitances,
@@ -49,7 +52,8 @@ from .protocols import (
 )
 from .pulses import ghz_prepare
 
-_SIGN_FLAGS = {"plus": "+", "minus": "-"}
+_PROTOCOL_FLAGS = ("mode", "shots", "seed", "sign", "include_k13")
+_OUTPUT_FLAGS = ("format", "path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="YAML run configuration (default: built-in device)")
         p.add_argument("--format", choices=("table", "csv", "structured"), default=None,
                        help="output format (default from config)")
-        p.add_argument("--output", metavar="PATH", default=None,
+        p.add_argument("--output", dest="path", metavar="PATH", default=None,
                        help="write output to a file instead of stdout")
 
     p = sub.add_parser("derive", help="derived capacitances, energies and margins")
@@ -73,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="run the entangling pulse sequence")
     common(p)
-    p.add_argument("--sign", choices=tuple(_SIGN_FLAGS), default=None,
+    p.add_argument("--sign", choices=("plus", "minus"), default=None,
                    help="target relative phase (default from config)")
     p.add_argument("--include-k13", action="store_true", default=None,
                    help="keep the next-nearest-neighbour coupling on")
@@ -103,40 +107,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_protocol(args, cfg: RunConfig):
-    shots = getattr(args, "shots", None)
-    shots = cfg.protocol.shots if shots is None else shots
-    if shots < 0:
-        raise ConfigError(f"shots must be non-negative, got {shots}")
-    seed = getattr(args, "seed", None)
-    seed = cfg.protocol.seed if seed is None else seed
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    mode = getattr(args, "mode", None) or cfg.protocol.mode
-    sign_flag = getattr(args, "sign", None)
-    sign = _SIGN_FLAGS[sign_flag] if sign_flag else cfg.protocol.sign
-    k13_flag = getattr(args, "include_k13", None)
-    include_k13 = cfg.protocol.include_k13 if k13_flag is None else True
-    if shots > 0 and seed is None:
-        raise ConfigError("protocol.seed: required whenever shots > 0")
-    return mode, shots, seed, sign, include_k13
+def _overrides(args) -> dict:
+    """The flags the user set, in the config file's schema."""
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    return {
+        "protocol": {key: given[key] for key in _PROTOCOL_FLAGS if key in given},
+        "output": {key: given[key] for key in _OUTPUT_FLAGS if key in given},
+    }
 
 
-def _counts_rows(record):
-    if record is None:
-        return None
-    return [{"outcome": k, "count": v} for k, v in record.counts.items()]
+def _with_counts(doc: dict, record) -> dict:
+    if record is not None:
+        doc["counts"] = [{"outcome": k, "count": v} for k, v in record.counts.items()]
+    return doc
 
 
-def _cmd_derive(cfg: RunConfig, args) -> dict:
-    caps = effective_capacitances(cfg.network)
-    energies = derive_energies(cfg.network, cfg.settings)
-    cross = crosstalk_ratio(energies)
+def _timing_rows(energies: DerivedEnergies, t_measure: float) -> list:
     rows = []
     for name, k in (("k12", energies.k12), ("k23", energies.k23), ("k13", energies.k13)):
         if k <= 0.0:
             continue
-        margin = readout_timing_margin(k, cfg.readout_time)
+        margin = readout_timing_margin(k, t_measure)
         rows.append({
             "coupling": name,
             "k_ghz": k,
@@ -144,6 +135,13 @@ def _cmd_derive(cfg: RunConfig, args) -> dict:
             "margin": margin.margin,
             "acceptable": margin.acceptable,
         })
+    return rows
+
+
+def _cmd_derive(cfg: RunConfig) -> dict:
+    caps = effective_capacitances(cfg.network)
+    energies = derive_energies(cfg.network, cfg.settings)
+    cross = crosstalk_ratio(energies)
     return {
         "command": "derive",
         "source": cfg.source,
@@ -174,15 +172,15 @@ def _cmd_derive(cfg: RunConfig, args) -> dict:
         },
         "readout_timing": {
             "t_measure_ns": cfg.readout_time,
-            "rows": rows,
+            "rows": _timing_rows(energies, cfg.readout_time),
         },
     }
 
 
-def _cmd_prepare(cfg: RunConfig, args) -> dict:
-    _, _, _, sign, include_k13 = _merged_protocol(args, cfg)
+def _cmd_prepare(cfg: RunConfig) -> dict:
     energies = derive_energies(cfg.network, cfg.settings)
-    state, schedule, report = ghz_prepare(energies, sign, include_k13=include_k13)
+    _, schedule, report = ghz_prepare(energies, cfg.protocol.sign,
+                                      include_k13=cfg.protocol.include_k13)
     flip_rows = []
     for seg, sol in zip(schedule.segments[1:], report.flip_solutions):
         flip_rows.append({
@@ -210,30 +208,25 @@ def _cmd_prepare(cfg: RunConfig, args) -> dict:
     }
 
 
-def _cmd_verify(cfg: RunConfig, args) -> dict:
-    mode, shots, seed, _, include_k13 = _merged_protocol(args, cfg)
-    energies = None if mode == "ideal" else derive_energies(cfg.network, cfg.settings)
-    outcome = verify_ghz(energies, mode, shots, seed, include_k13=include_k13)
-    doc = {
+def _cmd_verify(cfg: RunConfig) -> dict:
+    p = cfg.protocol
+    energies = None if p.mode == "ideal" else derive_energies(cfg.network, cfg.settings)
+    outcome = verify_ghz(energies, p.mode, p.shots, p.seed, include_k13=p.include_k13)
+    return _with_counts({
         "command": "verify",
         "source": cfg.source,
         "mode": outcome.mode,
         "postselect_probability": outcome.postselect_probability,
         "probabilities": {k: outcome.probabilities[k] for k in sorted(outcome.probabilities)},
         "expectations": dict(outcome.expectations),
-        "shots": shots,
-        "seed": seed if shots else None,
-    }
-    rows = _counts_rows(outcome.counts)
-    if rows is not None:
-        doc["counts"] = rows
-    return doc
+        "shots": p.shots,
+        "seed": p.seed if p.shots else None,
+    }, outcome.counts)
 
 
-def _cmd_mermin(cfg: RunConfig, args) -> dict:
-    _, _, _, _, include_k13 = _merged_protocol(args, cfg)
+def _cmd_mermin(cfg: RunConfig) -> dict:
     energies = derive_energies(cfg.network, cfg.settings)
-    state, _, report = ghz_prepare(energies, "+", include_k13=include_k13)
+    state, _, report = ghz_prepare(energies, "+", include_k13=cfg.protocol.include_k13)
     values = mermin_expectations(state)
     product = (mermin_operator("yxx") @ mermin_operator("xyx") @ mermin_operator("xxy")).matrix
     identity_residual = float(abs(product + mermin_operator("yyy").matrix).max())
@@ -262,31 +255,25 @@ def _cmd_mermin(cfg: RunConfig, args) -> dict:
     }
 
 
-def _cmd_yyy(cfg: RunConfig, args) -> dict:
-    _, shots, seed, _, _ = _merged_protocol(args, cfg)
-    outcome = yyy_experiment(ghz_state("+"), shots, seed)
-    even_count = 0
-    if outcome.counts is not None:
-        even_count = sum(
-            c for lab, c in outcome.counts.counts.items() if lab.count("1") % 2 == 0
-        )
-    doc = {
+def _cmd_yyy(cfg: RunConfig) -> dict:
+    p = cfg.protocol
+    outcome = yyy_experiment(ghz_state("+"), p.shots, p.seed)
+    even_count = None
+    if p.shots:
+        even_count = sum(c for lab, c in outcome.counts.counts.items() if lab.count("1") % 2 == 0)
+    return _with_counts({
         "command": "yyy",
         "source": cfg.source,
-        "shots": shots,
-        "seed": seed if shots else None,
+        "shots": p.shots,
+        "seed": p.seed if p.shots else None,
         "probabilities": {k: outcome.probabilities[k] for k in sorted(outcome.probabilities)},
-        "even_parity_count": even_count if shots else None,
+        "even_parity_count": even_count,
         "even_parity_fraction": outcome.expectations["even_parity_fraction"],
         "yyy_expectation": outcome.expectations["yyy_expectation"],
-    }
-    rows = _counts_rows(outcome.counts)
-    if rows is not None:
-        doc["counts"] = rows
-    return doc
+    }, outcome.counts)
 
 
-def _cmd_scan(cfg: RunConfig, args) -> dict:
+def _cmd_scan(cfg: RunConfig) -> dict:
     scan = cfg.scan
     if scan.parameter == "zeta":
         table = effective_error_scan(scan.values, scan.target)
@@ -323,25 +310,13 @@ def _cmd_scan(cfg: RunConfig, args) -> dict:
     }
 
 
-def _cmd_timing(cfg: RunConfig, args) -> dict:
+def _cmd_timing(cfg: RunConfig) -> dict:
     energies = derive_energies(cfg.network, cfg.settings)
-    rows = []
-    for name, k in (("k12", energies.k12), ("k23", energies.k23), ("k13", energies.k13)):
-        if k <= 0.0:
-            continue
-        margin = readout_timing_margin(k, cfg.readout_time)
-        rows.append({
-            "coupling": name,
-            "k_ghz": k,
-            "t_c_ns": margin.t_c,
-            "margin": margin.margin,
-            "acceptable": margin.acceptable,
-        })
     return {
         "command": "timing",
         "source": cfg.source,
         "t_measure_ns": cfg.readout_time,
-        "rows": rows,
+        "rows": _timing_rows(energies, cfg.readout_time),
     }
 
 
@@ -469,13 +444,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        doc = _COMMANDS[args.command](cfg, args)
-        fmt = args.format or cfg.output.format
-        text = _RENDERERS[fmt](doc)
-        path = args.output or cfg.output.path
-        if path:
-            Path(path).write_text(text, encoding="utf-8")
+        cfg = load_config(args.config, _overrides(args))
+        text = _RENDERERS[cfg.output.format](_COMMANDS[args.command](cfg))
+        if cfg.output.path:
+            Path(cfg.output.path).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
         return 0

@@ -7,17 +7,18 @@ charge-degeneracy point with flux half a quantum so all qubits idle), so a
 missing file section, or no file at all, still yields a complete
 configuration.
 
-Determinism contract: all randomness in a run flows from ``protocol.seed``.
-A single protocol run consumes the seed directly; grid runs derive one child
-seed per grid point as SeedSequence([seed, index]).  The seed is required
-whenever shots > 0.
+Settings are resolved in layers: the file is laid over the defaults and the
+caller's overrides (the command-line flags) over the file, and only the merged
+document is validated.
+
+Determinism contract: all randomness in a run flows from ``protocol.seed``,
+which must be non-negative and is required whenever shots > 0.
 """
 
 import copy
 import math
 from dataclasses import dataclass
 
-import numpy as np
 import yaml
 
 from .circuit import CapacitanceNetwork, ControlSettings
@@ -93,11 +94,6 @@ class RunConfig:
     source: str
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Child seed for grid point ``index`` of a run seeded with ``seed``."""
-    return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1)[0])
-
-
 def _merge(base: dict, override: dict, path: str) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -136,15 +132,16 @@ def _choice(raw, field, allowed):
     return raw
 
 
-def load_config(path: str = None) -> RunConfig:
+def load_config(path: str = None, overrides: dict = None) -> RunConfig:
     """Load and validate a run configuration.
 
-    ``path`` of None selects the built-in reference device.  Malformed YAML,
-    unknown keys, wrong shapes, and physically inconsistent values all raise
-    ConfigError naming the offending field.
+    ``path`` of None selects the built-in reference device.  ``overrides``
+    follows the file's schema and is laid over the file before validation.
+    Malformed YAML, unknown keys, wrong shapes, and physically inconsistent
+    values all raise ConfigError naming the offending field.
     """
     if path is None:
-        merged = copy.deepcopy(DEFAULT_CONFIG)
+        loaded = {}
         source = "builtin reference device"
     else:
         try:
@@ -158,8 +155,8 @@ def load_config(path: str = None) -> RunConfig:
             loaded = {}
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        merged = _merge(DEFAULT_CONFIG, loaded, "")
         source = str(path)
+    merged = _merge(_merge(DEFAULT_CONFIG, loaded, ""), overrides or {}, "")
     return _build(merged, source)
 
 
@@ -191,6 +188,8 @@ def _build(raw: dict, source: str) -> RunConfig:
     seed = proto_raw["seed"]
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError(f"protocol.seed: expected an integer or null, got {seed!r}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"protocol.seed must be non-negative, got {seed}")
     if shots > 0 and seed is None:
         raise ConfigError("protocol.seed: required whenever protocol.shots > 0")
     sign = _SIGNS[_choice(proto_raw["sign"], "protocol.sign", tuple(_SIGNS))]

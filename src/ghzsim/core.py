@@ -268,7 +268,8 @@ def sample(state: StateVector, shots: int, seed: int, basis: str = "zzz") -> Mea
     ``seed``, exactly ``shots`` uniforms are drawn in one vectorized call,
     and each uniform is converted to an outcome by inverse-CDF lookup over
     the cumulative Born probabilities in basis-index order.  Identical
-    (state, shots, seed, basis) therefore reproduce identical records.
+    (state, shots, seed, basis) therefore reproduce identical records.  A
+    seed of None raises ContractViolationError.
     """
     if shots < 0:
         raise ContractViolationError(f"shots must be non-negative, got {shots}")
@@ -285,6 +286,8 @@ def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
                           basis: str) -> MeasurementRecord:
     """The sampling stream of sample(), over probabilities in basis-index
     order (normalized here): one PCG64 uniform per shot, inverse-CDF lookup."""
+    if seed is None:
+        raise ContractViolationError("sampling requires a seed")
     rng = np.random.default_rng(seed)
     draws = rng.random(shots)
     cumulative = np.cumsum(probs / probs.sum())

@@ -190,6 +190,11 @@ def _outer_pair_probabilities(state: StateVector) -> dict:
     return probs
 
 
+def _pair_sums(probs: dict) -> dict:
+    """Weight of the correlated (00, 11) and anticorrelated (01, 10) outcomes."""
+    return {"p00_plus_p11": probs["00"] + probs["11"], "p01_plus_p10": probs["01"] + probs["10"]}
+
+
 def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int = 0,
                seed: int = None, include_k13: bool = False) -> ProtocolOutcome:
     """Interference test of the prepared entangled state.
@@ -208,16 +213,10 @@ def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int
         state0, _, _ = ghz_prepare(energies, "+", include_k13=include_k13)
     final, p_post = _interference_run(state0, mode, energies, include_k13)
     probs = _outer_pair_probabilities(final)
-    expectations = {
-        "p00_plus_p11": probs["00"] + probs["11"],
-        "p01_plus_p10": probs["01"] + probs["10"],
-    }
     counts = None
     if shots:
-        if seed is None:
-            raise ContractViolationError("sampling requires a seed when shots > 0")
         counts = sample(final, shots, seed)
-    return ProtocolOutcome(counts, probs, expectations, p_post, mode)
+    return ProtocolOutcome(counts, probs, _pair_sums(probs), p_post, mode)
 
 
 def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal",
@@ -245,16 +244,10 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
         for key, val in _outer_pair_probabilities(final).items():
             probs[key] += share * val
         full_probs += share * final.probabilities()
-    expectations = {
-        "p00_plus_p11": probs["00"] + probs["11"],
-        "p01_plus_p10": probs["01"] + probs["10"],
-    }
     counts = None
     if shots:
-        if seed is None:
-            raise ContractViolationError("sampling requires a seed when shots > 0")
         counts = _sample_probabilities(full_probs, shots, seed, "zzz")
-    return ProtocolOutcome(counts, probs, expectations, total_weight, mode)
+    return ProtocolOutcome(counts, probs, _pair_sums(probs), total_weight, mode)
 
 
 def mermin_operator(pattern: str) -> Operator:
@@ -278,6 +271,16 @@ def mermin_expectations(state: StateVector) -> dict:
     return values
 
 
+def _certain_products(values) -> tuple:
+    """y1*x2*x3, x1*y2*x3 and x1*x2*y3: each +1 with certainty on the
+    entangled state."""
+    return (
+        values["y1"] * values["x2"] * values["x3"],
+        values["x1"] * values["y2"] * values["x3"],
+        values["x1"] * values["x2"] * values["y3"],
+    )
+
+
 def lhv_prediction(assignments) -> int:
     """Value of the y1*y2*y3 product forced by a local assignment.
 
@@ -298,11 +301,7 @@ def lhv_prediction(assignments) -> int:
             if v not in (+1, -1):
                 raise ContractViolationError(f"assignment {key} must be +1 or -1, got {v}")
             values[key] = v
-    constraints = (
-        values["y1"] * values["x2"] * values["x3"],
-        values["x1"] * values["y2"] * values["x3"],
-        values["x1"] * values["x2"] * values["y3"],
-    )
+    constraints = _certain_products(values)
     if constraints != (1, 1, 1):
         raise ContractViolationError(
             f"assignment violates the certain constraints: {constraints}"
@@ -318,15 +317,9 @@ def enumerate_lhv_assignments() -> tuple:
     predict y1*y2*y3 = +1.
     """
     keys = [f"{axis}{qubit}" for axis in "xyz" for qubit in (1, 2, 3)]
-    survivors = []
-    for combo in itertools.product((+1, -1), repeat=len(keys)):
-        assignment = dict(zip(keys, combo))
-        try:
-            lhv_prediction(assignment)
-        except ContractViolationError:
-            continue
-        survivors.append(assignment)
-    return tuple(survivors)
+    candidates = (dict(zip(keys, combo))
+                  for combo in itertools.product((+1, -1), repeat=len(keys)))
+    return tuple(a for a in candidates if _certain_products(a) == (1, 1, 1))
 
 
 def yyy_experiment(state: StateVector, shots: int = 0, seed: int = None) -> ProtocolOutcome:
@@ -346,8 +339,6 @@ def yyy_experiment(state: StateVector, shots: int = 0, seed: int = None) -> Prot
     )
     counts = None
     if shots:
-        if seed is None:
-            raise ContractViolationError("sampling requires a seed when shots > 0")
         counts = sample(state, shots, seed, basis="yyy")
         even = sum(c for lab, c in counts.counts.items() if lab.count("1") % 2 == 0)
         even_fraction = even / shots

@@ -235,11 +235,14 @@ def _flip_segment(energies: DerivedEnergies, qubit: int, first: bool):
     agree on that coupling's energy, so the second flip needs no bias.
     """
     if qubit == 1:
-        k_target, k_spectator = energies.k12, energies.k23
+        name, k_target, k_spectator = "k12", energies.k12, energies.k23
     elif qubit == 3:
-        k_target, k_spectator = energies.k23, energies.k12
+        name, k_target, k_spectator = "k23", energies.k23, energies.k12
     else:
         raise ContractViolationError(f"conditional flip acts on qubit 1 or 3, got {qubit}")
+    if k_target <= 0.0:
+        raise InfeasiblePulseError(f"conditional flip of qubit {qubit} needs coupling {name} "
+                                   f"to the middle qubit, but {name} = {k_target} GHz")
     sol = solve_conditional_flip(k_target, energies.ej_max[qubit - 1])
     e_c = [0.0, (-2.0 * k_spectator) if first else 0.0, 0.0]
     e_c[qubit - 1] = 2.0 * k_target

@@ -3,10 +3,9 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from ghzsim import ConfigError, derive_seed, load_config
+from ghzsim import ConfigError, load_config
 from ghzsim.cli import main
 
 REFERENCE_YAML = Path(__file__).resolve().parents[1] / "configs" / "reference_device.yaml"
@@ -56,6 +55,7 @@ def test_partial_override(tmp_path):
     ("protocol:\n  mode: exactish\n", "protocol.mode"),
     ("protocol:\n  shots: 100\n", "protocol.seed"),
     ("protocol:\n  shots: -3\n  seed: 1\n", "protocol.shots"),
+    ("protocol:\n  seed: -1\n", "seed must be non-negative"),
     ("protocol:\n  include_k13: 1\n", "protocol.include_k13"),
     ("scan:\n  values: [0.6]\n", "scan.values[0]"),
     ("scan:\n  parameter: coupler\n  values: [0.0]\n", "scan.values[0]"),
@@ -87,11 +87,16 @@ def test_config_file_problems(tmp_path):
     assert cfg.network.c_junction == (600.0, 600.0, 600.0)
 
 
-def test_derive_seed_contract():
-    expected = int(np.random.SeedSequence([42, 3]).generate_state(1)[0])
-    assert derive_seed(42, 3) == expected
-    assert derive_seed(42, 0) != derive_seed(42, 1)
-    assert derive_seed(42, 0) == derive_seed(42, 0)
+def test_overrides_layer_over_the_file(tmp_path):
+    path = tmp_path / "shots.yaml"
+    path.write_text("protocol:\n  shots: 100\n  mode: full\n")
+    cfg = load_config(str(path), {"protocol": {"seed": 5, "sign": "minus"},
+                                  "output": {"format": "csv"}})
+    assert (cfg.protocol.mode, cfg.protocol.shots, cfg.protocol.seed) == ("full", 100, 5)
+    assert cfg.protocol.sign == "-"
+    assert cfg.output.format == "csv"
+    with pytest.raises(ConfigError, match="protocol.banana"):
+        load_config(overrides={"protocol": {"banana": 1}})
 
 
 def test_cli_derive_runs_and_repeats(capsys):
@@ -222,6 +227,43 @@ def test_cli_rejects_negative_seed_in_config(tmp_path, capsys):
     path.write_text("protocol:\n  shots: 10\n  seed: -1\n")
     assert main(["yyy", "--config", str(path)]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_cli_flags_complete_the_file_before_validation(tmp_path, capsys):
+    path = tmp_path / "shots.yaml"
+    path.write_text("protocol:\n  shots: 100\n")
+    assert main(["verify", "--config", str(path), "--seed", "5"]) == 0
+    merged = capsys.readouterr().out
+    assert main(["verify", "--shots", "100", "--seed", "5"]) == 0
+    flags_only = capsys.readouterr().out
+    assert merged == flags_only.replace("source: builtin reference device",
+                                        f"source: {path}")
+    assert main(["verify", "--config", str(path), "--shots", "0"]) == 0
+    assert "shots: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["derive", "timing", "scan"])
+def test_cli_rejects_negative_seed_without_sampling(tmp_path, capsys, command):
+    path = tmp_path / "seed.yaml"
+    path.write_text("protocol:\n  seed: -1\n")
+    assert main([command, "--config", str(path)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, qubit, coupling", [
+    (["prepare"], 1, "k12"),
+    (["verify", "--mode", "effective"], 1, "k12"),
+    (["verify", "--mode", "full"], 3, "k23"),
+    (["mermin"], 3, "k23"),
+])
+def test_cli_zero_coupler_is_infeasible(tmp_path, capsys, command, qubit, coupling):
+    couplers = "[0.0, 30.0]" if qubit == 1 else "[30.0, 0.0]"
+    path = tmp_path / "zero.yaml"
+    path.write_text(f"device:\n  coupler_capacitance_af: {couplers}\n")
+    assert main(command + ["--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"conditional flip of qubit {qubit}" in err
+    assert f"{coupling} = 0.0 GHz" in err
 
 
 def test_cli_rejects_unknown_command():

@@ -270,6 +270,12 @@ def test_sample_rotated_basis():
         sample(ghz_state("+"), -1, 1)
 
 
+def test_sample_requires_a_seed():
+    for basis in ("zzz", "yyy"):
+        with pytest.raises(ContractViolationError, match="seed"):
+            sample(ghz_state("+"), 10, None, basis=basis)
+
+
 def test_measurement_rotations_diagonalize_their_pauli():
     for axis in "xyz":
         s = measurement_rotation(axis)
