@@ -35,7 +35,6 @@ from .core import (
     expectation,
     fidelity,
     ghz_state,
-    identity_operator,
     measurement_rotation,
     pauli,
     project,
@@ -81,7 +80,6 @@ from .pulses import (
     PulseSegment,
     Schedule,
     ghz_prepare,
-    idle_segment,
     run_schedule,
     solve_conditional_flip,
     solve_superposition_pulse,

@@ -17,6 +17,7 @@ which must be non-negative and is required whenever shots > 0.
 
 import copy
 import math
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -51,6 +52,16 @@ DEFAULT_CONFIG = {
         "path": None,
     },
 }
+
+
+class _Loader(yaml.SafeLoader):
+    """Safe loader that also reads exponent forms such as 1e-1, 1e6 and
+    -2E+3 as floats (the YAML 1.1 float pattern wants a dot and a signed
+    exponent); the standard resolvers still run first."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 _MODES = ("ideal", "effective", "full")
 _SIGNS = {"plus": "+", "minus": "-"}
@@ -146,7 +157,7 @@ def load_config(path: str = None, overrides: dict = None) -> RunConfig:
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh)
+                loaded = yaml.load(fh, Loader=_Loader)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except yaml.YAMLError as exc:

@@ -166,10 +166,6 @@ def pauli(axis: str, qubit: int) -> Operator:
     return Operator(_PAULI_8X8[axis, qubit])
 
 
-def identity_operator() -> Operator:
-    return Operator(np.eye(DIM, dtype=complex))
-
-
 def measurement_rotation(axis: str) -> np.ndarray:
     """2x2 basis change S_a mapping sigma_a eigenstates onto |0>, |1>."""
     if axis not in _ROTATION_2X2:

@@ -54,19 +54,29 @@ class PerturbationParams:
             object.__setattr__(self, name, z)
 
     @classmethod
+    def _for_device(cls, eps: tuple, **zetas) -> "PerturbationParams":
+        """Built from a device, a ratio >= 1 leaves no second-order pulse
+        timing: an infeasible pulse, not a broken contract."""
+        for name, z in zetas.items():
+            if z >= 1.0:
+                raise InfeasiblePulseError(f"the second-order pulse timing needs {name} < 1, "
+                                           f"but the device gives {name} = {z}")
+        return cls(eps, **zetas)
+
+    @classmethod
     def middle_qubit(cls, energies: DerivedEnergies) -> "PerturbationParams":
         """Ratios for the middle-qubit drive: both referred to eps_j2."""
         eps = tuple(e / 2.0 for e in energies.ej_max)
-        return cls(eps, zeta12=energies.k12 / (2.0 * eps[1]),
-                   zeta23=energies.k23 / (2.0 * eps[1]))
+        return cls._for_device(eps, zeta12=energies.k12 / (2.0 * eps[1]),
+                               zeta23=energies.k23 / (2.0 * eps[1]))
 
     @classmethod
     def outer_pair(cls, energies: DerivedEnergies) -> "PerturbationParams":
         """Ratios for the simultaneous outer drive: each referred to its own
         junction energy."""
         eps = tuple(e / 2.0 for e in energies.ej_max)
-        return cls(eps, zeta12=energies.k12 / (2.0 * eps[0]),
-                   zeta32=energies.k23 / (2.0 * eps[2]))
+        return cls._for_device(eps, zeta12=energies.k12 / (2.0 * eps[0]),
+                               zeta32=energies.k23 / (2.0 * eps[2]))
 
 
 def h_eff_qubit2(params: PerturbationParams) -> Operator:

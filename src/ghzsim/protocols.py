@@ -135,48 +135,33 @@ def _check_mode(mode: str, energies) -> None:
         raise ContractViolationError(f"mode {mode!r} needs device energies")
 
 
-def _u2_operator(mode: str, energies: DerivedEnergies, include_k13: bool) -> Operator:
+def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool) -> tuple:
+    """The quarter rotations (u2, u13) of qubit 2 and of the outer pair; a
+    protocol call builds them once for all its runs."""
     if mode == "ideal":
-        return _ideal_quarter(2)
-    params = PerturbationParams.middle_qubit(energies)
-    t = tau2(params)
+        return _ideal_quarter(2), _ideal_quarter(1) @ _ideal_quarter(3)
+    middle = PerturbationParams.middle_qubit(energies)
+    outer = PerturbationParams.outer_pair(energies)
+    t2 = tau2(middle)
+    t13, _ = tau13(outer)
+    matched = matched_outer_params(outer)
     if mode == "effective":
-        return propagator(h_eff_qubit2(params), t)
-    h = build_hamiltonian(
-        (0.0, 0.0, 0.0),
-        (0.0, energies.ej_max[1], 0.0),
-        energies.k12,
-        energies.k23,
-        energies.k13 if include_k13 else 0.0,
-    )
-    return propagator(h, t)
+        return propagator(h_eff_qubit2(middle), t2), propagator(h_eff_qubits13(matched, +1), t13)
+    couplings = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
+    h2 = build_hamiltonian((0.0, 0.0, 0.0), (0.0, energies.ej_max[1], 0.0), *couplings)
+    h13 = build_hamiltonian((0.0, 0.0, 0.0),
+                            (2.0 * matched.epsilon_j[0], 0.0, 2.0 * matched.epsilon_j[2]),
+                            *couplings)
+    return propagator(h2, t2), propagator(h13, t13)
 
 
-def _u13_operator(mode: str, energies: DerivedEnergies, include_k13: bool) -> Operator:
-    if mode == "ideal":
-        return _ideal_quarter(1) @ _ideal_quarter(3)
-    params = PerturbationParams.outer_pair(energies)
-    t, matching = tau13(params)
-    matched = matched_outer_params(params)
-    if mode == "effective":
-        return propagator(h_eff_qubits13(matched, +1), t)
-    h = build_hamiltonian(
-        (0.0, 0.0, 0.0),
-        (2.0 * matched.epsilon_j[0], 0.0, 2.0 * matched.epsilon_j[2]),
-        energies.k12,
-        energies.k23,
-        energies.k13 if include_k13 else 0.0,
-    )
-    return propagator(h, t)
-
-
-def _interference_run(state: StateVector, mode: str, energies, include_k13: bool):
+def _interference_run(state: StateVector, u2: Operator, u13: Operator):
     """Quarter-rotate qubit 2, postselect it excited, reset it, rotate the
     outer pair.  Returns (final state, postselect probability)."""
-    psi = apply(_u2_operator(mode, energies, include_k13), state)
+    psi = apply(u2, state)
     psi, p_post = project(psi, 2, 1)
     psi = apply(pauli("x", 2), psi)
-    psi = apply(_u13_operator(mode, energies, include_k13), psi)
+    psi = apply(u13, psi)
     return psi, p_post
 
 
@@ -211,7 +196,7 @@ def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int
         state0 = ghz_state("+")
     else:
         state0, _, _ = ghz_prepare(energies, "+", include_k13=include_k13)
-    final, p_post = _interference_run(state0, mode, energies, include_k13)
+    final, p_post = _interference_run(state0, *_interference_pulses(mode, energies, include_k13))
     probs = _outer_pair_probabilities(final)
     counts = None
     if shots:
@@ -231,10 +216,10 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
     pair uniformly, so p00 + p11 = 1/2 where the entangled state gives 0.
     """
     _check_mode(mode, energies)
+    u2, u13 = _interference_pulses(mode, energies, include_k13)
     weighted = []
     for label in ("000", "111"):
-        final, p_post = _interference_run(StateVector.basis(label), mode, energies,
-                                          include_k13)
+        final, p_post = _interference_run(StateVector.basis(label), u2, u13)
         weighted.append((0.5 * p_post, final))
     total_weight = sum(w for w, _ in weighted)
     probs = {key: 0.0 for key in ("00", "01", "10", "11")}

@@ -11,13 +11,13 @@ a chain of three charge qubits:
 
 1. a half/three-quarter rotation of the middle qubit splits |000> into a
    superposition of |000> and |010>;
-2. a conditional flip of one outer qubit, timed so the branch with the middle
-   qubit excited performs an odd half-rotation while the other branch closes
-   an integer number of full rotations;
-3. the same conditional flip on the remaining outer qubit.
+2. a conditional flip of qubit 1, timed so the branch with the middle qubit
+   excited performs an odd half-rotation while the other branch closes an
+   integer number of full rotations;
+3. the same conditional flip on qubit 3.
 
 Each conditional flip imprints a phase +i on the flipped branch, and the
-charging energy of the middle qubit is biased during the first flip to cancel
+charging energy of the middle qubit is biased during qubit 1's flip to cancel
 the spectator coupling phase between the two branches; both details are
 handled internally so only the requested target sign matters to callers.
 """
@@ -26,7 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .circuit import ControlSettings, DerivedEnergies, derive_energies
+from .circuit import DerivedEnergies
 from .core import StateVector, _parse_sign, build_hamiltonian, evolve, fidelity, ghz_state
 from .errors import ContractViolationError, InfeasiblePulseError
 
@@ -35,18 +35,13 @@ _RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PulseSegment:
-    """One piecewise-constant slice of a schedule.
-
-    Energies are given either directly (``e_c``/``e_j`` in GHz, both
-    required) or through a ``ControlSettings`` to be resolved against a
-    capacitance network at run time; exactly one of the two styles must be
-    used.  ``duration`` is in ns.
+    """One piecewise-constant slice of a schedule: charging and Josephson
+    energies ``e_c``/``e_j`` (GHz, 3 entries each) held for ``duration`` ns.
     """
 
     duration: float
-    e_c: tuple = None
-    e_j: tuple = None
-    settings: ControlSettings = None
+    e_c: tuple
+    e_j: tuple
     label: str = ""
 
     def __post_init__(self):
@@ -54,36 +49,23 @@ class PulseSegment:
         if not math.isfinite(d) or d < 0.0:
             raise ContractViolationError(f"segment duration must be finite and >= 0, got {d}")
         object.__setattr__(self, "duration", d)
-        direct = self.e_c is not None or self.e_j is not None
-        if self.settings is not None and direct:
-            raise ContractViolationError(
-                "segment takes either explicit energies or settings, not both"
-            )
-        if self.settings is None:
-            if self.e_c is None or self.e_j is None:
-                raise ContractViolationError(
-                    "segment without settings needs both e_c and e_j"
-                )
-            e_c = tuple(float(v) for v in self.e_c)
-            e_j = tuple(float(v) for v in self.e_j)
-            if len(e_c) != 3 or len(e_j) != 3:
-                raise ContractViolationError("e_c and e_j must each have 3 entries")
-            object.__setattr__(self, "e_c", e_c)
-            object.__setattr__(self, "e_j", e_j)
+        e_c = tuple(float(v) for v in self.e_c)
+        e_j = tuple(float(v) for v in self.e_j)
+        if len(e_c) != 3 or len(e_j) != 3:
+            raise ContractViolationError("e_c and e_j must each have 3 entries")
+        object.__setattr__(self, "e_c", e_c)
+        object.__setattr__(self, "e_j", e_j)
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Ordered pulse segments plus the coupling energies held for the run.
-
-    A coupling left as None is inherited from the baseline energies passed
-    to run_schedule.
-    """
+    """Ordered pulse segments plus the coupling energies (GHz) held for the
+    whole run."""
 
     segments: tuple
-    k12: float = None
-    k23: float = None
-    k13: float = None
+    k12: float
+    k23: float
+    k13: float
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -142,36 +124,15 @@ class PreparationReport:
     k13_included: bool
 
 
-def idle_segment(duration: float, label: str = "idle") -> PulseSegment:
-    """Segment with every controllable energy at zero: only couplings act."""
-    return PulseSegment(duration, e_c=(0.0, 0.0, 0.0), e_j=(0.0, 0.0, 0.0), label=label)
-
-
-def run_schedule(energies_base: DerivedEnergies, schedule: Schedule, initial: StateVector,
-                 network=None):
+def run_schedule(schedule: Schedule, initial: StateVector):
     """Evolve a state through every segment of a schedule.
 
-    Segments carrying ControlSettings are resolved against ``network``;
-    passing such a segment without a network is an error.  Couplings default
-    to the baseline energies.  Returns (final state, list of states after
-    each segment).
+    Returns (final state, list of states after each segment).
     """
-    k12 = energies_base.k12 if schedule.k12 is None else float(schedule.k12)
-    k23 = energies_base.k23 if schedule.k23 is None else float(schedule.k23)
-    k13 = energies_base.k13 if schedule.k13 is None else float(schedule.k13)
     state = initial
     trajectory = []
     for seg in schedule.segments:
-        if seg.settings is not None:
-            if network is None:
-                raise ContractViolationError(
-                    f"segment {seg.label!r} carries settings but no network was given"
-                )
-            seg_energies = derive_energies(network, seg.settings)
-            e_c, e_j = seg_energies.e_c, seg_energies.e_j
-        else:
-            e_c, e_j = seg.e_c, seg.e_j
-        h = build_hamiltonian(e_c, e_j, k12, k23, k13)
+        h = build_hamiltonian(seg.e_c, seg.e_j, schedule.k12, schedule.k23, schedule.k13)
         state = evolve(h, seg.duration, state)
         trajectory.append(state)
     return state, trajectory
@@ -224,27 +185,26 @@ def solve_conditional_flip(k: float, e_j_max: float, max_m: int = 16,
     )
 
 
-def _flip_segment(energies: DerivedEnergies, qubit: int, first: bool):
-    """Assemble one conditional-flip segment plus its closed-form timing.
+def _flip_segment(energies: DerivedEnergies, qubit: int):
+    """Assemble the conditional-flip segment of qubit 1 or 3 plus its
+    closed-form timing.
 
     The flipped qubit's charging energy is biased to 2*K (K = its coupling to
-    the middle qubit) so the driven branch rotates resonantly.  During the
-    first flip the middle qubit's charging energy is biased to -2*K_spectator
-    to cancel the relative phase the untouched outer coupling would imprint
-    between the two branches; after the first flip the occupied branches
-    agree on that coupling's energy, so the second flip needs no bias.
+    the middle qubit) so the driven branch rotates resonantly.  Qubit 1 flips
+    first, and during its flip the middle qubit's charging energy is biased
+    to -2*K23 to cancel the relative phase the untouched coupling K23 would
+    imprint between the two branches; after that flip the occupied branches
+    agree on K23's energy, so qubit 3's flip needs no bias.
     """
     if qubit == 1:
-        name, k_target, k_spectator = "k12", energies.k12, energies.k23
-    elif qubit == 3:
-        name, k_target, k_spectator = "k23", energies.k23, energies.k12
+        name, k_target, middle_bias = "k12", energies.k12, -2.0 * energies.k23
     else:
-        raise ContractViolationError(f"conditional flip acts on qubit 1 or 3, got {qubit}")
+        name, k_target, middle_bias = "k23", energies.k23, 0.0
     if k_target <= 0.0:
         raise InfeasiblePulseError(f"conditional flip of qubit {qubit} needs coupling {name} "
                                    f"to the middle qubit, but {name} = {k_target} GHz")
     sol = solve_conditional_flip(k_target, energies.ej_max[qubit - 1])
-    e_c = [0.0, (-2.0 * k_spectator) if first else 0.0, 0.0]
+    e_c = [0.0, middle_bias, 0.0]
     e_c[qubit - 1] = 2.0 * k_target
     e_j = [0.0, 0.0, 0.0]
     e_j[qubit - 1] = sol.e_j
@@ -253,22 +213,20 @@ def _flip_segment(energies: DerivedEnergies, qubit: int, first: bool):
     return seg, sol
 
 
-def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = False,
-                flip_order: tuple = (1, 3)):
-    """Run the three-step entangling sequence from |000>.
+def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = False):
+    """Run the three-step entangling sequence from |000>: the superposition
+    pulse on qubit 2, then the conditional flips of qubit 1 and qubit 3.
 
     Returns (final state, schedule, report).  ``sign`` selects the target
     (|000> + sign * i |111>) / sqrt(2).  ``include_k13`` keeps the residual
     next-nearest-neighbour coupling switched on during the run (the timings
     still neglect it, so the report shows the resulting fidelity deficit).
-    ``flip_order`` fixes which outer qubit flips first.
+    run_schedule(schedule, |000>) replays the run to the same final state.
 
     The two conditional flips each multiply the flipped branch by +i, so the
     superposition step internally uses the opposite-sign branch; the report
     records the realized relative phase.
     """
-    if tuple(flip_order) not in ((1, 3), (3, 1)):
-        raise ContractViolationError(f"flip_order must be (1, 3) or (3, 1), got {flip_order}")
     sign, internal = ("+", "-") if _parse_sign(sign) == 1 else ("-", "+")
 
     t_sup = solve_superposition_pulse(energies.ej_max[1], internal)
@@ -278,16 +236,15 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
         e_j=(0.0, energies.ej_max[1], 0.0),
         label="superposition",
     )
-    first, second = tuple(flip_order)
-    seg_f1, sol1 = _flip_segment(energies, first, first=True)
-    seg_f2, sol2 = _flip_segment(energies, second, first=False)
+    seg_f1, sol1 = _flip_segment(energies, 1)
+    seg_f2, sol2 = _flip_segment(energies, 3)
     schedule = Schedule(
         (seg_sup, seg_f1, seg_f2),
         k12=energies.k12,
         k23=energies.k23,
         k13=energies.k13 if include_k13 else 0.0,
     )
-    final, trajectory = run_schedule(energies, schedule, StateVector.basis("000"))
+    final, trajectory = run_schedule(schedule, StateVector.basis("000"))
 
     s_int = 1.0 if internal == "+" else -1.0
     inv = 1.0 / math.sqrt(2.0)
@@ -297,7 +254,7 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     target_sup = StateVector(amps_sup)
     amps_flip1 = [0.0j] * 8
     amps_flip1[0b000] = inv
-    amps_flip1[0b110 if first == 1 else 0b011] = -s_int * inv
+    amps_flip1[0b110] = -s_int * inv
     target_flip1 = StateVector(amps_flip1)
     target_final = ghz_state(sign)
 

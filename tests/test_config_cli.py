@@ -55,6 +55,7 @@ def test_partial_override(tmp_path):
     ("protocol:\n  mode: exactish\n", "protocol.mode"),
     ("protocol:\n  shots: 100\n", "protocol.seed"),
     ("protocol:\n  shots: -3\n  seed: 1\n", "protocol.shots"),
+    ("protocol:\n  shots: 1e6\n  seed: 1\n", "expected a non-negative integer"),
     ("protocol:\n  seed: -1\n", "seed must be non-negative"),
     ("protocol:\n  include_k13: 1\n", "protocol.include_k13"),
     ("scan:\n  values: [0.6]\n", "scan.values[0]"),
@@ -68,6 +69,17 @@ def test_config_validation_errors(tmp_path, text, fragment):
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text, values", [
+    ("scan:\n  values: [1e-1]\n", (0.1,)),
+    ("scan:\n  values: [5e-2, 1.0e-1, .5e-1]\n", (0.05, 0.1, 0.05)),
+    ("scan:\n  parameter: coupler\n  values: [2E+1, 3e1, 1_0e0]\n", (20.0, 30.0, 10.0)),
+])
+def test_config_reads_exponent_notation(tmp_path, text, values):
+    path = tmp_path / "exponent.yaml"
+    path.write_text(text)
+    assert load_config(str(path)).scan.values == values
 
 
 def test_config_file_problems(tmp_path):
@@ -264,6 +276,19 @@ def test_cli_zero_coupler_is_infeasible(tmp_path, capsys, command, qubit, coupli
     err = capsys.readouterr().err
     assert f"conditional flip of qubit {qubit}" in err
     assert f"{coupling} = 0.0 GHz" in err
+
+
+@pytest.mark.parametrize("command, code", [
+    (["verify", "--mode", "effective"], 3),
+    (["verify", "--mode", "full"], 3),
+    (["prepare"], 0),
+])
+def test_cli_strong_coupler_is_infeasible(tmp_path, capsys, command, code):
+    path = tmp_path / "strong.yaml"
+    path.write_text("device:\n  coupler_capacitance_af: [300.0, 300.0]\n")
+    assert main(command + ["--config", str(path)]) == code
+    if code:
+        assert "zeta12" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_command():
