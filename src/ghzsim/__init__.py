@@ -35,14 +35,12 @@ from .core import (
     expectation,
     fidelity,
     ghz_state,
-    measurement_rotation,
     pauli,
     project,
     propagator,
     sample,
 )
 from .effective import (
-    EpsilonMatching,
     PerturbationParams,
     effective_error_scan,
     fitted_loglog_slope,
@@ -64,7 +62,6 @@ from .errors import (
 from .protocols import (
     DephasingReport,
     ProtocolOutcome,
-    basis_rotation,
     dephasing_commutation_check,
     enumerate_lhv_assignments,
     lhv_prediction,

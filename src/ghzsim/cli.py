@@ -447,7 +447,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, _overrides(args))
         text = _RENDERERS[cfg.output.format](_COMMANDS[args.command](cfg))
         if cfg.output.path:
-            Path(cfg.output.path).write_text(text, encoding="utf-8")
+            try:
+                Path(cfg.output.path).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"output.path: cannot write {cfg.output.path}: {exc}") from exc
         else:
             sys.stdout.write(text)
         return 0

@@ -68,6 +68,8 @@ _SIGNS = {"plus": "+", "minus": "-"}
 _FORMATS = ("table", "csv", "structured")
 _SCAN_PARAMETERS = ("zeta", "coupler")
 _SCAN_TARGETS = ("middle", "outer")
+# Sampling keeps every outcome in memory, about 90 MB per million shots.
+_MAX_SHOTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,8 @@ def _build(raw: dict, source: str) -> RunConfig:
     shots = proto_raw["shots"]
     if isinstance(shots, bool) or not isinstance(shots, int) or shots < 0:
         raise ConfigError(f"protocol.shots: expected a non-negative integer, got {shots!r}")
+    if shots > _MAX_SHOTS:
+        raise ConfigError(f"protocol.shots: at most {_MAX_SHOTS} shots, got {shots}")
     seed = proto_raw["seed"]
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError(f"protocol.seed: expected an integer or null, got {seed!r}")

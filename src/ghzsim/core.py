@@ -166,13 +166,6 @@ def pauli(axis: str, qubit: int) -> Operator:
     return Operator(_PAULI_8X8[axis, qubit])
 
 
-def measurement_rotation(axis: str) -> np.ndarray:
-    """2x2 basis change S_a mapping sigma_a eigenstates onto |0>, |1>."""
-    if axis not in _ROTATION_2X2:
-        raise ContractViolationError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    return _ROTATION_2X2[axis].copy()
-
-
 def build_hamiltonian(e_c, e_j, k12: float, k23: float, k13: float = 0.0) -> Operator:
     """Three-qubit chain Hamiltonian in GHz.
 
@@ -267,21 +260,26 @@ def sample(state: StateVector, shots: int, seed: int, basis: str = "zzz") -> Mea
     (state, shots, seed, basis) therefore reproduce identical records.  A
     seed of None raises ContractViolationError.
     """
-    if shots < 0:
-        raise ContractViolationError(f"shots must be non-negative, got {shots}")
     if len(basis) != N_QUBITS or any(ch not in "xyz" for ch in basis):
         raise ContractViolationError(f"basis must be 3 characters from 'xyz', got {basis!r}")
-    amps = state.amplitudes
+    return _sample_probabilities(_readout_probabilities(state, basis), shots, seed, basis)
+
+
+def _readout_probabilities(state: StateVector, basis: str) -> np.ndarray:
+    """Born probabilities, in basis-index order, of a z readout after the
+    basis change S_a on each qubit (basis[0] on qubit 1)."""
     rot = np.kron(
         np.kron(_ROTATION_2X2[basis[0]], _ROTATION_2X2[basis[1]]), _ROTATION_2X2[basis[2]]
     )
-    return _sample_probabilities(np.abs(rot @ amps) ** 2, shots, seed, basis)
+    return np.abs(rot @ state.amplitudes) ** 2
 
 
 def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
                           basis: str) -> MeasurementRecord:
     """The sampling stream of sample(), over probabilities in basis-index
     order (normalized here): one PCG64 uniform per shot, inverse-CDF lookup."""
+    if shots < 0:
+        raise ContractViolationError(f"shots must be non-negative, got {shots}")
     if seed is None:
         raise ContractViolationError("sampling requires a seed")
     rng = np.random.default_rng(seed)

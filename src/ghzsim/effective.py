@@ -133,52 +133,26 @@ def _h_eff_outer_operator(params: PerturbationParams) -> Operator:
     return Operator(h)
 
 
-@dataclass(frozen=True)
-class EpsilonMatching:
-    """Result of balancing the two outer rotation rates.
-
-    When the bare rates eps_j * (1 + 2*zeta_j2^2) differ, qubit 3's junction
-    energy is rescaled (holding zeta32 fixed) so both qubits complete the
-    quarter rotation together; ``adjusted_epsilon3`` is None when the rates
-    already match.
-    """
-
-    matched: bool
-    adjusted_epsilon3: float
-    residual: float
-
-
-def tau13(params: PerturbationParams, epsilon3_max: float = None):
+def tau13(params: PerturbationParams) -> float:
     """Common quarter-rotation time of the outer pair on sigma_z2 = +1.
 
-    Returns (tau, EpsilonMatching).  If an adjustment of eps_j3 is needed and
-    ``epsilon3_max`` is given, exceeding it raises InfeasiblePulseError.
+    Qubit 1's rate eps_j1 * (1 + 2*zeta12^2) sets the time;
+    matched_outer_params gives qubit 3 the same rate.
     """
-    eps1, _, eps3 = params.epsilon_j
-    rate1 = eps1 * (1.0 + 2.0 * params.zeta12**2)
-    rate3 = eps3 * (1.0 + 2.0 * params.zeta32**2)
-    residual = abs(rate1 - rate3)
-    if residual <= 1e-12 * max(rate1, rate3):
-        matching = EpsilonMatching(True, None, residual)
-    else:
-        adjusted = rate1 / (1.0 + 2.0 * params.zeta32**2)
-        if epsilon3_max is not None and adjusted > epsilon3_max * (1.0 + 1e-12):
-            raise InfeasiblePulseError(
-                f"matching the outer rotation rates needs eps_j3 = {adjusted} GHz, "
-                f"above the available {epsilon3_max} GHz"
-            )
-        matching = EpsilonMatching(False, adjusted, residual)
-    return 1.0 / (8.0 * rate1), matching
+    rate1 = params.epsilon_j[0] * (1.0 + 2.0 * params.zeta12**2)
+    return 1.0 / (8.0 * rate1)
 
 
 def matched_outer_params(params: PerturbationParams) -> PerturbationParams:
-    """Params with eps_j3 replaced by its rate-matched value (zeta32 fixed)."""
-    _, matching = tau13(params)
-    if matching.matched:
+    """Params with eps_j3 rescaled (zeta32 held fixed) so that qubit 3's rate
+    eps_j3 * (1 + 2*zeta32^2) equals qubit 1's and both qubits complete the
+    quarter rotation together; params whose rates already agree pass through."""
+    eps1, eps2, eps3 = params.epsilon_j
+    rate1 = eps1 * (1.0 + 2.0 * params.zeta12**2)
+    rate3 = eps3 * (1.0 + 2.0 * params.zeta32**2)
+    if abs(rate1 - rate3) <= 1e-12 * max(rate1, rate3):
         return params
-    eps = list(params.epsilon_j)
-    eps[2] = matching.adjusted_epsilon3
-    return replace(params, epsilon_j=tuple(eps))
+    return replace(params, epsilon_j=(eps1, eps2, rate1 / (1.0 + 2.0 * params.zeta32**2)))
 
 
 def _phase_minimized_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -242,7 +216,7 @@ def effective_error_scan(zeta_values, which: str = "middle"):
             h_full = build_hamiltonian((0.0, 0.0, 0.0), (2.0, 0.0, 2.0),
                                        k12=2.0 * z, k23=2.0 * z)
             h_eff = _h_eff_outer_operator(params)
-            t, _ = tau13(params)
+            t = tau13(params)
         u_full = propagator(h_full, t)
         u_eff = propagator(h_eff, t)
         table.append((z, _phase_minimized_distance(u_full.matrix, u_eff.matrix)))

@@ -33,7 +33,7 @@ from .core import (
     MeasurementRecord,
     Operator,
     StateVector,
-    _embed,
+    _readout_probabilities,
     _sample_probabilities,
     apply,
     basis_label,
@@ -43,11 +43,9 @@ from .core import (
     expectation,
     fidelity,
     ghz_state,
-    measurement_rotation,
     pauli,
     project,
     propagator,
-    sample,
 )
 from .effective import (
     PerturbationParams,
@@ -112,15 +110,6 @@ class DephasingReport:
     durations: tuple
 
 
-def basis_rotation(axis: str, qubit: int) -> Operator:
-    """Single-qubit basis change S_axis embedded in the register.
-
-    Applying it before a z readout turns that readout into a sigma_axis
-    measurement, outcome bit 0 meaning eigenvalue +1.
-    """
-    return Operator(_embed(measurement_rotation(axis), qubit))
-
-
 def _ideal_quarter(qubit: int) -> Operator:
     """exp(i * pi * sigma_x / 4) on one qubit: |0> -> (|0> + i|1>)/sqrt(2)."""
     c = math.cos(math.pi / 4.0)
@@ -143,7 +132,7 @@ def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool
     middle = PerturbationParams.middle_qubit(energies)
     outer = PerturbationParams.outer_pair(energies)
     t2 = tau2(middle)
-    t13, _ = tau13(outer)
+    t13 = tau13(outer)
     matched = matched_outer_params(outer)
     if mode == "effective":
         return propagator(h_eff_qubit2(middle), t2), propagator(h_eff_qubits13(matched, +1), t13)
@@ -180,6 +169,30 @@ def _pair_sums(probs: dict) -> dict:
     return {"p00_plus_p11": probs["00"] + probs["11"], "p01_plus_p10": probs["01"] + probs["10"]}
 
 
+def _interference_outcome(mode: str, energies: DerivedEnergies, include_k13: bool,
+                          components, shots: int, seed: int) -> ProtocolOutcome:
+    """Run each (weight, state) component through the interference sequence
+    and combine the conditional outcome distributions, each weighted by its
+    share of the postselected weight; shots sample the combined z readout."""
+    u2, u13 = _interference_pulses(mode, energies, include_k13)
+    weighted = []
+    for weight, state in components:
+        final, p_post = _interference_run(state, u2, u13)
+        weighted.append((weight * p_post, final))
+    total_weight = sum(w for w, _ in weighted)
+    probs = {key: 0.0 for key in ("00", "01", "10", "11")}
+    full_probs = np.zeros(DIM)
+    for w, final in weighted:
+        share = w / total_weight
+        for key, val in _outer_pair_probabilities(final).items():
+            probs[key] += share * val
+        full_probs += share * final.probabilities()
+    counts = None
+    if shots:
+        counts = _sample_probabilities(full_probs, shots, seed, "zzz")
+    return ProtocolOutcome(counts, probs, _pair_sums(probs), total_weight, mode)
+
+
 def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int = 0,
                seed: int = None, include_k13: bool = False) -> ProtocolOutcome:
     """Interference test of the prepared entangled state.
@@ -196,12 +209,7 @@ def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int
         state0 = ghz_state("+")
     else:
         state0, _, _ = ghz_prepare(energies, "+", include_k13=include_k13)
-    final, p_post = _interference_run(state0, *_interference_pulses(mode, energies, include_k13))
-    probs = _outer_pair_probabilities(final)
-    counts = None
-    if shots:
-        counts = sample(final, shots, seed)
-    return ProtocolOutcome(counts, probs, _pair_sums(probs), p_post, mode)
+    return _interference_outcome(mode, energies, include_k13, ((1.0, state0),), shots, seed)
 
 
 def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal",
@@ -216,23 +224,8 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
     pair uniformly, so p00 + p11 = 1/2 where the entangled state gives 0.
     """
     _check_mode(mode, energies)
-    u2, u13 = _interference_pulses(mode, energies, include_k13)
-    weighted = []
-    for label in ("000", "111"):
-        final, p_post = _interference_run(StateVector.basis(label), u2, u13)
-        weighted.append((0.5 * p_post, final))
-    total_weight = sum(w for w, _ in weighted)
-    probs = {key: 0.0 for key in ("00", "01", "10", "11")}
-    full_probs = np.zeros(DIM)
-    for w, final in weighted:
-        share = w / total_weight
-        for key, val in _outer_pair_probabilities(final).items():
-            probs[key] += share * val
-        full_probs += share * final.probabilities()
-    counts = None
-    if shots:
-        counts = _sample_probabilities(full_probs, shots, seed, "zzz")
-    return ProtocolOutcome(counts, probs, _pair_sums(probs), total_weight, mode)
+    components = tuple((0.5, StateVector.basis(label)) for label in ("000", "111"))
+    return _interference_outcome(mode, energies, include_k13, components, shots, seed)
 
 
 def mermin_operator(pattern: str) -> Operator:
@@ -315,16 +308,14 @@ def yyy_experiment(state: StateVector, shots: int = 0, seed: int = None) -> Prot
     and the exact three-spin expectation are reported alongside the full
     outcome distribution.
     """
-    rot = basis_rotation("y", 1) @ basis_rotation("y", 2) @ basis_rotation("y", 3)
-    rotated = apply(rot, state)
-    p = rotated.probabilities()
+    p = _readout_probabilities(state, "yyy")
     probs = {basis_label(i): float(p[i]) for i in range(DIM)}
     yyy_exact = sum(
         prob * (-1.0) ** label.count("1") for label, prob in probs.items()
     )
     counts = None
     if shots:
-        counts = sample(state, shots, seed, basis="yyy")
+        counts = _sample_probabilities(p, shots, seed, "yyy")
         even = sum(c for lab, c in counts.counts.items() if lab.count("1") % 2 == 0)
         even_fraction = even / shots
     else:

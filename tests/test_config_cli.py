@@ -56,6 +56,7 @@ def test_partial_override(tmp_path):
     ("protocol:\n  shots: 100\n", "protocol.seed"),
     ("protocol:\n  shots: -3\n  seed: 1\n", "protocol.shots"),
     ("protocol:\n  shots: 1e6\n  seed: 1\n", "expected a non-negative integer"),
+    ("protocol:\n  shots: 100000000000\n  seed: 1\n", "protocol.shots: at most 10000000"),
     ("protocol:\n  seed: -1\n", "seed must be non-negative"),
     ("protocol:\n  include_k13: 1\n", "protocol.include_k13"),
     ("scan:\n  values: [0.6]\n", "scan.values[0]"),
@@ -209,6 +210,14 @@ def test_cli_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(["derive"]) == 0
     assert target.read_text() == capsys.readouterr().out
+
+
+def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    assert main(["derive", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: output.path: cannot write {target}" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -20,7 +20,14 @@ from ghzsim import (
     propagator,
     sample,
 )
-from ghzsim.core import _PAULI_2X2, _PAULI_8X8, _ZZ_8X8, _embed, measurement_rotation
+from ghzsim.core import (
+    _PAULI_2X2,
+    _PAULI_8X8,
+    _ROTATION_2X2,
+    _ZZ_8X8,
+    _embed,
+    _readout_probabilities,
+)
 
 
 def taylor_propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -276,11 +283,25 @@ def test_sample_requires_a_seed():
             sample(ghz_state("+"), 10, None, basis=basis)
 
 
-def test_measurement_rotations_diagonalize_their_pauli():
-    for axis in "xyz":
-        s = measurement_rotation(axis)
+def test_readout_rotations_diagonalize_their_pauli():
+    # S_a sigma_a S_a^dag = sigma_z: a z readout after S_a measures sigma_a
+    for axis, s in _ROTATION_2X2.items():
         assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-14
-        conj = s @ {"x": pauli("x", 1), "y": pauli("y", 1), "z": pauli("z", 1)}[
-            axis
-        ].matrix[np.ix_([0, 4], [0, 4])] @ s.conj().T
-        assert np.max(np.abs(conj - np.diag([1.0, -1.0]))) < 1e-14
+        conj = s @ _PAULI_2X2[axis] @ s.conj().T
+        assert np.max(np.abs(conj - _PAULI_2X2["z"])) < 1e-14
+
+
+def test_readout_probabilities_place_each_axis_on_its_qubit():
+    # the sigma_a eigenstate on one qubit (|0> elsewhere) reads bit 0 for
+    # eigenvalue +1 and bit 1 for -1, at that qubit's position
+    zero = np.array([1.0, 0.0], dtype=complex)
+    for axis in "xyz":
+        values, vectors = np.linalg.eigh(_PAULI_2X2[axis])
+        for qubit in (1, 2, 3):
+            basis = "".join(axis if q == qubit else "z" for q in (1, 2, 3))
+            for value, vec in zip(values, vectors.T):
+                factors = [vec if q == qubit else zero for q in (1, 2, 3)]
+                state = StateVector(np.kron(np.kron(factors[0], factors[1]), factors[2]))
+                probs = _readout_probabilities(state, basis)
+                index = 0 if value > 0 else 1 << (3 - qubit)
+                assert probs[index] == pytest.approx(1.0, abs=1e-14)

@@ -7,7 +7,6 @@ import pytest
 
 from ghzsim import (
     ContractViolationError,
-    InfeasiblePulseError,
     PerturbationParams,
     StateVector,
     commutator_norm,
@@ -105,34 +104,25 @@ def test_outer_pair_model_structure():
 
 def test_outer_pair_rate_matching():
     p = PerturbationParams(UNIT, zeta12=0.2, zeta32=0.1)
-    tau, matching = tau13(p)
-    # qubit 3 must be retuned so both rotations complete together
-    assert matching.matched is False
-    assert matching.adjusted_epsilon3 == pytest.approx(1.08 / 1.02, rel=1e-14)
-    assert matching.residual == pytest.approx(0.06, abs=1e-14)
-    assert tau == pytest.approx(1.0 / 8.64, rel=1e-13)
-
-
-def test_outer_pair_matching_respects_drive_limit():
-    p = PerturbationParams(UNIT, zeta12=0.09)
-    with pytest.raises(InfeasiblePulseError):
-        tau13(p, epsilon3_max=1.0)
-    _, matching = tau13(p, epsilon3_max=2.0)
-    assert matching.adjusted_epsilon3 > 1.0
+    # qubit 1's rate 1.08 sets the common quarter-rotation time
+    assert tau13(p) == pytest.approx(1.0 / 8.64, rel=1e-13)
+    # qubit 3 (rate 1.02) must be retuned so both rotations complete together
+    m = matched_outer_params(p)
+    assert m.epsilon_j[2] == pytest.approx(1.08 / 1.02, rel=1e-14)
+    assert m.epsilon_j[:2] == p.epsilon_j[:2]
+    assert (m.zeta12, m.zeta32) == (p.zeta12, p.zeta32)
+    assert tau13(m) == tau13(p)
 
 
 def test_matched_outer_params(energies):
     # symmetric reference device: rates already equal, params unchanged
     q = PerturbationParams.outer_pair(energies)
-    assert matched_outer_params(q).epsilon_j == q.epsilon_j
-    _, matching = tau13(q)
-    assert matching.matched is True
-    # asymmetric ratios: junction 3 gets rescaled and the rates then agree
-    p = PerturbationParams(UNIT, zeta12=0.2, zeta32=0.1)
-    m = matched_outer_params(p)
-    assert m.epsilon_j[2] == pytest.approx(1.08 / 1.02, rel=1e-14)
-    _, rematched = tau13(m)
-    assert rematched.matched is True
+    assert matched_outer_params(q) is q
+    # asymmetric ratios: once junction 3 is rescaled the rates agree, so
+    # matching again changes nothing
+    m = matched_outer_params(PerturbationParams(UNIT, zeta12=0.2, zeta32=0.1))
+    assert m.epsilon_j[2] != 1.0
+    assert matched_outer_params(m) is m
 
 
 def test_error_scan_zero_coupling_is_exact():

@@ -11,7 +11,6 @@ from ghzsim import (
     ProtocolOutcome,
     StateVector,
     apply,
-    basis_rotation,
     dephasing_commutation_check,
     enumerate_lhv_assignments,
     evolve,
@@ -22,7 +21,6 @@ from ghzsim import (
     lhv_prediction,
     mermin_expectations,
     mermin_operator,
-    pauli,
     verify_ghz,
     verify_mixture_control,
     yyy_experiment,
@@ -86,6 +84,8 @@ def test_verify_sampling_contract():
     assert out.counts.outcomes == again.counts.outcomes
     with pytest.raises(ContractViolationError):
         verify_ghz(shots=10)
+    with pytest.raises(ContractViolationError, match="shots"):
+        verify_ghz(shots=-1, seed=7)
     with pytest.raises(ContractViolationError):
         verify_ghz(None, mode="full")
     with pytest.raises(ContractViolationError):
@@ -99,6 +99,8 @@ def test_mixture_sampling_deterministic():
     assert sum(a.counts.counts.values()) == 300
     with pytest.raises(ContractViolationError):
         verify_mixture_control(shots=5)
+    with pytest.raises(ContractViolationError, match="shots"):
+        verify_mixture_control(shots=-1, seed=21)
 
 
 def test_protocol_outcome_validation():
@@ -186,6 +188,24 @@ def test_yyy_experiment_sampled():
     assert out.counts.outcomes == again.counts.outcomes
     with pytest.raises(ContractViolationError):
         yyy_experiment(ghz_state("+"), shots=10)
+    with pytest.raises(ContractViolationError, match="shots"):
+        yyy_experiment(ghz_state("+"), shots=-1, seed=31)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("seed", [0, 31, 2**40 + 7])
+def test_yyy_counts_follow_the_documented_stream(sign, seed):
+    # one PCG64 uniform per shot, inverse-CDF over the exact y-basis
+    # probabilities in basis-index order
+    shots = 1500
+    out = yyy_experiment(ghz_state(sign), shots, seed)
+    exact = np.array([out.probabilities[format(i, "03b")] for i in range(8)])
+    cumulative = np.cumsum(exact / exact.sum())
+    draws = np.random.default_rng(seed).random(shots)
+    indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), 7)
+    expected = tuple(format(int(i), "03b") for i in indices)
+    assert out.counts.outcomes == expected
+    assert out.counts.counts == {label: expected.count(label) for label in sorted(set(expected))}
 
 
 def test_yyy_minus_state_has_odd_parity_zero():
@@ -194,17 +214,6 @@ def test_yyy_minus_state_has_odd_parity_zero():
     for label in even:
         assert out.probabilities[label] == pytest.approx(0.25, abs=1e-12)
     assert out.expectations["yyy_expectation"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_basis_rotation_conjugation():
-    for axis in ("x", "y", "z"):
-        for qubit in (1, 2, 3):
-            rot = basis_rotation(axis, qubit)
-            assert rot.unitary
-            conj = rot.matrix @ pauli(axis, qubit).matrix @ rot.matrix.conj().T
-            assert np.max(np.abs(conj - pauli("z", qubit).matrix)) < 1e-14
-    with pytest.raises(ContractViolationError):
-        basis_rotation("x", 0)
 
 
 def test_dephasing_report(energies):
