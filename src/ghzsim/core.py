@@ -26,6 +26,10 @@ _NORM_TOL = 1e-12
 _HERMITIAN_TOL = 1e-12
 _UNITARY_TOL = 1e-10
 _PROJECT_TOL = 1e-12
+# Shots are drawn this many at a time, so sampling memory stays flat in the
+# shot count.  Chunks of 2**12 to 2**18 timed alike on 10**6 shots; 2**16
+# keeps each chunk's arrays at 0.5 MB.
+_SHOT_CHUNK = 65536
 
 _I2 = np.eye(2, dtype=complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -237,28 +241,41 @@ def project(state: StateVector, qubit: int, outcome: int):
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Outcome list and histogram of a sampled measurement.
+    """Histogram of a sampled measurement, with its shots replayable in order.
 
-    ``outcomes`` preserves shot order; ``counts`` maps each observed 3-bit
-    string to its multiplicity, keys sorted; ``seed`` and ``basis`` make the
-    record reproducible.
+    ``counts`` maps each observed 3-bit string to its multiplicity, keys
+    sorted.  ``seed``, ``basis``, ``shots`` and ``cumulative`` (the
+    normalized cumulative probabilities in basis-index order) reproduce the
+    record.  ``outcomes`` lists the shots in order; it is not stored but
+    replayed from the same stream on first access, then cached.
     """
 
-    outcomes: tuple
     counts: dict
     seed: int
     basis: str
+    shots: int
+    cumulative: tuple
+
+    @cached_property
+    def outcomes(self) -> tuple:
+        labels = [basis_label(i) for i in range(DIM)]
+        return tuple(labels[i] for chunk in _index_stream(self.cumulative, self.shots, self.seed)
+                     for i in chunk.tolist())
 
 
 def sample(state: StateVector, shots: int, seed: int, basis: str = "zzz") -> MeasurementRecord:
     """Draw measurement outcomes in a per-qubit Pauli basis.
 
     Randomness contract: a fresh numpy default_rng (PCG64) is created from
-    ``seed``, exactly ``shots`` uniforms are drawn in one vectorized call,
-    and each uniform is converted to an outcome by inverse-CDF lookup over
-    the cumulative Born probabilities in basis-index order.  Identical
-    (state, shots, seed, basis) therefore reproduce identical records.  A
-    seed of None raises ContractViolationError.
+    ``seed``, one uniform is drawn per shot, and each uniform is converted
+    to an outcome by inverse-CDF lookup over the cumulative Born
+    probabilities in basis-index order.  The uniforms are drawn in chunks,
+    which reproduces the stream of a single ``random(shots)`` call bit for
+    bit, and only the histogram is kept; ``outcomes`` is replayed from the
+    same stream when first read.  Identical (state, shots, seed, basis)
+    therefore reproduce identical records.  ``shots`` and ``seed`` must be
+    non-negative integers (not bools); anything else, a seed of None
+    included, raises ContractViolationError.
     """
     if len(basis) != N_QUBITS or any(ch not in "xyz" for ch in basis):
         raise ContractViolationError(f"basis must be 3 characters from 'xyz', got {basis!r}")
@@ -274,23 +291,33 @@ def _readout_probabilities(state: StateVector, basis: str) -> np.ndarray:
     return np.abs(rot @ state.amplitudes) ** 2
 
 
+def _index_stream(cumulative: tuple, shots: int, seed: int):
+    """Outcome indices of the sampling stream, _SHOT_CHUNK shots at a time."""
+    rng = np.random.default_rng(seed)
+    cumulative = np.asarray(cumulative)
+    for start in range(0, shots, _SHOT_CHUNK):
+        draws = rng.random(min(_SHOT_CHUNK, shots - start))
+        yield np.minimum(np.searchsorted(cumulative, draws, side="right"), DIM - 1)
+
+
 def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
                           basis: str) -> MeasurementRecord:
     """The sampling stream of sample(), over probabilities in basis-index
     order (normalized here): one PCG64 uniform per shot, inverse-CDF lookup."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ContractViolationError(f"shots must be an integer, got {shots!r}")
     if shots < 0:
         raise ContractViolationError(f"shots must be non-negative, got {shots}")
     if seed is None:
         raise ContractViolationError("sampling requires a seed")
-    rng = np.random.default_rng(seed)
-    draws = rng.random(shots)
-    cumulative = np.cumsum(probs / probs.sum())
-    indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), DIM - 1)
-    outcomes = tuple(basis_label(int(i)) for i in indices)
-    counts = {}
-    for label in sorted(set(outcomes)):
-        counts[label] = outcomes.count(label)
-    return MeasurementRecord(outcomes, counts, int(seed), basis)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ContractViolationError(f"seed must be a non-negative integer, got {seed!r}")
+    cumulative = tuple(np.cumsum(probs / probs.sum()).tolist())
+    totals = np.zeros(DIM, dtype=np.int64)
+    for indices in _index_stream(cumulative, shots, seed):
+        totals += np.bincount(indices, minlength=DIM)
+    counts = {basis_label(i): int(n) for i, n in enumerate(totals) if n}
+    return MeasurementRecord(counts, int(seed), basis, int(shots), cumulative)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -169,6 +169,13 @@ def test_cli_yyy(capsys):
     assert float(line.split(":")[1]) == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_cli_shot_cap_boundary(capsys):
+    assert main(["yyy", "--shots", "10000000", "--seed", "1"]) == 0
+    assert "shots: 10000000" in capsys.readouterr().out
+    assert main(["yyy", "--shots", "10000001", "--seed", "1"]) == 2
+    assert "at most 10000000" in capsys.readouterr().err
+
+
 def test_cli_scan_csv(capsys):
     assert main(["scan", "--format", "csv"]) == 0
     out = capsys.readouterr().out

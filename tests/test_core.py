@@ -1,6 +1,7 @@
 """State-vector algebra: conventions, evolution, measurement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from ghzsim import (
     project,
     propagator,
     sample,
+    verify_ghz,
 )
 from ghzsim.core import (
     _PAULI_2X2,
     _PAULI_8X8,
     _ROTATION_2X2,
+    _SHOT_CHUNK,
     _ZZ_8X8,
     _embed,
     _readout_probabilities,
@@ -281,6 +284,57 @@ def test_sample_requires_a_seed():
     for basis in ("zzz", "yyy"):
         with pytest.raises(ContractViolationError, match="seed"):
             sample(ghz_state("+"), 10, None, basis=basis)
+
+
+@pytest.mark.parametrize("shots, seed", [
+    (2.5, 1), (True, 1), ("10", 1), (10, 1.5), (10, True), (10, -3),
+])
+def test_sample_rejects_non_integer_shots_and_bad_seeds(shots, seed):
+    with pytest.raises(ContractViolationError):
+        sample(ghz_state("+"), shots, seed)
+
+
+def test_sample_accepts_numpy_integers():
+    assert sample(ghz_state("+"), np.int64(50), np.uint32(4)) == sample(ghz_state("+"), 50, 4)
+
+
+@pytest.mark.parametrize("shots", [
+    0, _SHOT_CHUNK - 1, _SHOT_CHUNK, _SHOT_CHUNK + 1, 2 * _SHOT_CHUNK + 3,
+])
+def test_sample_chunks_reproduce_one_call_stream(shots):
+    # a state with a different weight on each of the eight outcomes
+    amps = np.sqrt(np.arange(1.0, 9.0)) * np.exp(1j * np.arange(8.0))
+    state = StateVector(amps / np.linalg.norm(amps))
+    seed = 2024
+    rec = sample(state, shots, seed, basis="xyz")
+    probs = _readout_probabilities(state, "xyz")
+    draws = np.random.default_rng(seed).random(shots)
+    indices = np.minimum(np.searchsorted(np.cumsum(probs / probs.sum()), draws, side="right"), 7)
+    expected = np.bincount(indices, minlength=8)
+    assert rec.counts == {format(i, "03b"): int(n) for i, n in enumerate(expected) if n}
+    assert list(rec.counts) == sorted(rec.counts)
+    assert rec.outcomes == tuple(format(int(i), "03b") for i in indices)
+    if shots > _SHOT_CHUNK:
+        assert len(rec.counts) == 8
+
+
+def test_sample_memory_is_flat_in_the_shot_count():
+    tracemalloc.start()
+    try:
+        rec = sample(ghz_state("+"), 10**6, 12)
+        counts = rec.counts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 10**6
+    assert peak < 8e6
+    # the record holds no array field, so records still compare with ==,
+    # also after one of them has replayed its outcomes
+    a = verify_ghz(shots=100, seed=1)
+    b = verify_ghz(shots=100, seed=1)
+    assert a == b
+    assert len(a.counts.outcomes) == 100
+    assert a == b
 
 
 def test_readout_rotations_diagonalize_their_pauli():
