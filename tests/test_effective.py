@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzsim import (
     ContractViolationError,
@@ -21,6 +23,7 @@ from ghzsim import (
     tau13,
     tau2,
 )
+from ghzsim.effective import _phase_minimized_distance
 
 UNIT = (1.0, 1.0, 1.0)
 
@@ -50,6 +53,12 @@ def test_params_validation():
         PerturbationParams((0.0, 1.0, 1.0))
     with pytest.raises(ContractViolationError):
         PerturbationParams((1.0, 1.0))
+    # NaN compares False with everything, so a bare `<= 0` check lets it in
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractViolationError):
+            PerturbationParams((bad, 1.0, 1.0))
+        with pytest.raises(ContractViolationError):
+            PerturbationParams((1.0, 1.0, bad))
 
 
 def test_middle_qubit_model_coefficients():
@@ -128,7 +137,8 @@ def test_matched_outer_params(energies):
 def test_error_scan_zero_coupling_is_exact():
     for which in ("middle", "outer"):
         table = effective_error_scan((0.0,), which=which)
-        assert table[0] == (0.0, 0.0)
+        # repr, not ==: an np.float64 zero compares equal but prints differently
+        assert repr(table) == "((0.0, 0.0),)"
 
 
 def test_error_scan_monotone_and_deterministic():
@@ -147,6 +157,55 @@ def test_error_scan_validation():
         effective_error_scan((0.6,), which="middle")
     with pytest.raises(ContractViolationError):
         effective_error_scan((0.1,), which="sideways")
+    for bad in ("0.1", b"\x00", 0.1, None, (False, 0.1), (0.1, True), (0.1, "0.2"),
+                (0.1j,), (None,), (math.nan,), (np.bool_(False),), np.array(0.1)):
+        with pytest.raises(ContractViolationError):
+            effective_error_scan(bad)
+
+
+def test_error_scan_accepts_real_number_types():
+    reference = effective_error_scan((0.0, 0.1))
+    assert effective_error_scan([0, 0.1]) == reference
+    assert effective_error_scan(np.array([0.0, 0.1])) == reference
+    assert effective_error_scan(z for z in (np.int64(0), np.float64(0.1))) == reference
+
+
+# The CLI prints scan errors with repr, so a faster minimizer must reproduce
+# these tables to the last bit.
+_SCAN_PINS = {
+    "middle": "((0.02, 0.056388162206330056), (0.05, 0.1386541494005219), "
+              "(0.1, 0.26205004933976583), (0.2, 0.431567604742439), "
+              "(0.45, 0.5174410993591327))",
+    "outer": "((0.02, 0.04002078740220756), (0.05, 0.10031792934309251), "
+             "(0.1, 0.20235364630708338), (0.2, 0.4135049066613628), "
+             "(0.45, 0.8770446661268183))",
+}
+
+
+@pytest.mark.parametrize("which", sorted(_SCAN_PINS))
+def test_error_scan_repr_is_pinned(which):
+    table = effective_error_scan((0.02, 0.05, 0.1, 0.2, 0.45), which)
+    assert repr(table) == _SCAN_PINS[which]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+       delta=st.floats(0.0, 1e-2))
+def test_phase_minimized_distance_bounds(seed, theta, delta):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    n = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rot = np.exp(1j * theta)
+    b = rot * (a + delta * n)
+    result = _phase_minimized_distance(a, b)
+    assert type(result) is float
+    assert _phase_minimized_distance(a, rot * a) <= 1e-12
+    assert result <= float(np.abs(a - b).max()) + 1e-12
+    # a 28x denser grid than the minimizer's own, with no refinement
+    phases = np.exp(1j * np.linspace(-math.pi, math.pi, 20001))[:, None, None]
+    dense = float(np.abs(a - phases * b).max(axis=(1, 2)).min())
+    assert result <= dense + 1e-12
 
 
 def test_fitted_slope_basics():
