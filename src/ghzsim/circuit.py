@@ -37,10 +37,10 @@ _E2_PER_AF_GHZ = ELEMENTARY_CHARGE**2 / 1e-18 / (PLANCK_CONSTANT * 1e9)
 _COND_LIMIT = 1e12
 
 
-def _as_triple(values, name):
+def _as_entries(values, name, length):
     vals = tuple(float(v) for v in values)
-    if len(vals) != 3:
-        raise UnphysicalNetworkError(f"{name} must have exactly 3 entries, got {len(vals)}")
+    if len(vals) != length:
+        raise UnphysicalNetworkError(f"{name} must have exactly {length} entries, got {len(vals)}")
     if not all(math.isfinite(v) for v in vals):
         raise UnphysicalNetworkError(f"{name} entries must be finite, got {vals}")
     return vals
@@ -60,20 +60,13 @@ class CapacitanceNetwork:
     c_coupler: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "c_junction", _as_triple(self.c_junction, "c_junction"))
-        object.__setattr__(self, "c_gate", _as_triple(self.c_gate, "c_gate"))
-        coupler = tuple(float(v) for v in self.c_coupler)
-        if len(coupler) != 2:
-            raise UnphysicalNetworkError(
-                f"c_coupler must have exactly 2 entries, got {len(coupler)}"
-            )
-        if not all(math.isfinite(v) for v in coupler):
-            raise UnphysicalNetworkError(f"c_coupler entries must be finite, got {coupler}")
-        object.__setattr__(self, "c_coupler", coupler)
+        object.__setattr__(self, "c_junction", _as_entries(self.c_junction, "c_junction", 3))
+        object.__setattr__(self, "c_gate", _as_entries(self.c_gate, "c_gate", 3))
+        object.__setattr__(self, "c_coupler", _as_entries(self.c_coupler, "c_coupler", 2))
         for name in ("c_junction", "c_gate"):
             if min(getattr(self, name)) <= 0.0:
                 raise UnphysicalNetworkError(f"{name} entries must be strictly positive")
-        if min(coupler) < 0.0:
+        if min(self.c_coupler) < 0.0:
             raise UnphysicalNetworkError("c_coupler entries must be non-negative")
 
 
@@ -108,9 +101,9 @@ class ControlSettings:
     epsilon_j: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "gate_charge", _as_triple(self.gate_charge, "gate_charge"))
-        object.__setattr__(self, "flux", _as_triple(self.flux, "flux"))
-        object.__setattr__(self, "epsilon_j", _as_triple(self.epsilon_j, "epsilon_j"))
+        object.__setattr__(self, "gate_charge", _as_entries(self.gate_charge, "gate_charge", 3))
+        object.__setattr__(self, "flux", _as_entries(self.flux, "flux", 3))
+        object.__setattr__(self, "epsilon_j", _as_entries(self.epsilon_j, "epsilon_j", 3))
         for n in self.gate_charge:
             if not 0.0 <= n <= 1.0:
                 raise UnphysicalNetworkError(f"gate_charge entries must lie in [0, 1], got {n}")

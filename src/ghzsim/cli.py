@@ -12,8 +12,10 @@ Seven subcommands cover the package capabilities:
 
 Every command accepts ``--config`` (YAML, see ghzsim.config; omitted means
 the built-in reference device), ``--format table|csv|structured`` and
-``--output PATH``.  Each flag overrides its config field: the flags given
-are laid over the file and ghzsim.config validates the merged document once.
+``--output PATH``.  Each flag is declared once and sets the config field of
+the same name (``--output`` sets ``output.path``); the config schema says
+which section that field lives in.  The flags given are laid over the file
+and ghzsim.config validates the merged document once.
 Command output is a pure function of that configuration: identical
 invocations produce byte-identical bytes, with all randomness drawn from the
 configured seed.
@@ -28,6 +30,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .circuit import (
@@ -38,7 +41,7 @@ from .circuit import (
     effective_capacitances,
     readout_timing_margin,
 )
-from .config import RunConfig, load_config
+from .config import DEFAULT_CONFIG, RunConfig, load_config
 from .core import ghz_state
 from .effective import effective_error_scan, fitted_loglog_slope
 from .errors import ConfigError, ContractViolationError, InfeasiblePulseError, SimulationError
@@ -52,8 +55,15 @@ from .protocols import (
 )
 from .pulses import ghz_prepare
 
-_PROTOCOL_FLAGS = ("mode", "shots", "seed", "sign", "include_k13")
-_OUTPUT_FLAGS = ("format", "path")
+# Each flag sets the config field of its own name; _overrides finds the section.
+_FLAGS = {
+    "mode": {"choices": ("ideal", "effective", "full")},
+    "shots": {"type": int},
+    "seed": {"type": int},
+    "sign": {"choices": ("plus", "minus"), "help": "target relative phase (default from config)"},
+    "include_k13": {"action": "store_true",
+                    "help": "keep the next-nearest-neighbour coupling on"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,57 +73,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "three capacitively coupled charge qubits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="YAML run configuration (default: built-in device)")
         p.add_argument("--format", choices=("table", "csv", "structured"), default=None,
                        help="output format (default from config)")
         p.add_argument("--output", dest="path", metavar="PATH", default=None,
                        help="write output to a file instead of stdout")
-
-    p = sub.add_parser("derive", help="derived capacitances, energies and margins")
-    common(p)
-
-    p = sub.add_parser("prepare", help="run the entangling pulse sequence")
-    common(p)
-    p.add_argument("--sign", choices=("plus", "minus"), default=None,
-                   help="target relative phase (default from config)")
-    p.add_argument("--include-k13", action="store_true", default=None,
-                   help="keep the next-nearest-neighbour coupling on")
-
-    p = sub.add_parser("verify", help="interference test of the prepared state")
-    common(p)
-    p.add_argument("--mode", choices=("ideal", "effective", "full"), default=None)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--include-k13", action="store_true", default=None)
-
-    p = sub.add_parser("mermin", help="certainty correlations vs the local bound")
-    common(p)
-    p.add_argument("--include-k13", action="store_true", default=None)
-
-    p = sub.add_parser("yyy", help="sample all qubits in the y basis")
-    common(p)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("scan", help="error scan over zeta or coupler strength")
-    common(p)
-
-    p = sub.add_parser("timing", help="readout timing margins")
-    common(p)
-
+        for name in flags:
+            p.add_argument("--" + name.replace("_", "-"), default=None, **_FLAGS[name])
     return parser
 
 
 def _overrides(args) -> dict:
-    """The flags the user set, in the config file's schema."""
+    """The flags the user set, each in the config section with a field of its name."""
     given = {key: value for key, value in vars(args).items() if value is not None}
-    return {
-        "protocol": {key: given[key] for key in _PROTOCOL_FLAGS if key in given},
-        "output": {key: given[key] for key in _OUTPUT_FLAGS if key in given},
-    }
+    return {section: {key: value for key, value in given.items() if key in fields}
+            for section, fields in DEFAULT_CONFIG.items()}
 
 
 def _with_counts(doc: dict, record) -> dict:
@@ -122,9 +99,10 @@ def _with_counts(doc: dict, record) -> dict:
     return doc
 
 
-def _timing_rows(energies: DerivedEnergies, t_measure: float) -> list:
+def _timing(energies: DerivedEnergies, t_measure: float) -> dict:
     rows = []
-    for name, k in (("k12", energies.k12), ("k23", energies.k23), ("k13", energies.k13)):
+    for name in ("k12", "k23", "k13"):
+        k = getattr(energies, name)
         if k <= 0.0:
             continue
         margin = readout_timing_margin(k, t_measure)
@@ -135,34 +113,17 @@ def _timing_rows(energies: DerivedEnergies, t_measure: float) -> list:
             "margin": margin.margin,
             "acceptable": margin.acceptable,
         })
-    return rows
+    return {"t_measure_ns": t_measure, "rows": rows}
 
 
 def _cmd_derive(cfg: RunConfig) -> dict:
-    caps = effective_capacitances(cfg.network)
     energies = derive_energies(cfg.network, cfg.settings)
     cross = crosstalk_ratio(energies)
     return {
         "command": "derive",
         "source": cfg.source,
-        "capacitance_af": {
-            "c_sigma": list(caps.c_sigma),
-            "c_det": caps.c_det,
-            "c_sigma_eff": list(caps.c_sigma_eff),
-            "c_pair_12": caps.c_pair_12,
-            "c_pair_23": caps.c_pair_23,
-            "c_pair_13": caps.c_pair_13,
-        },
-        "energies_ghz": {
-            "e_c": list(energies.e_c),
-            "e_j": list(energies.e_j),
-            "ej_max": list(energies.ej_max),
-            "k12": energies.k12,
-            "k23": energies.k23,
-            "k13": energies.k13,
-            "zeta12": energies.zeta12,
-            "zeta23": energies.zeta23,
-        },
+        "capacitance_af": asdict(effective_capacitances(cfg.network)),
+        "energies_ghz": asdict(energies),
         "crosstalk": {
             "ratio_13_over_12": cross.ratio_12,
             "ratio_13_over_23": cross.ratio_23,
@@ -170,10 +131,7 @@ def _cmd_derive(cfg: RunConfig) -> dict:
             "neglect_justified": cross.neglect_justified,
             "uncoupled": cross.uncoupled,
         },
-        "readout_timing": {
-            "t_measure_ns": cfg.readout_time,
-            "rows": _timing_rows(energies, cfg.readout_time),
-        },
+        "readout_timing": _timing(energies, cfg.readout_time),
     }
 
 
@@ -315,19 +273,20 @@ def _cmd_timing(cfg: RunConfig) -> dict:
     return {
         "command": "timing",
         "source": cfg.source,
-        "t_measure_ns": cfg.readout_time,
-        "rows": _timing_rows(energies, cfg.readout_time),
+        **_timing(energies, cfg.readout_time),
     }
 
 
-_COMMANDS = {
-    "derive": _cmd_derive,
-    "prepare": _cmd_prepare,
-    "verify": _cmd_verify,
-    "mermin": _cmd_mermin,
-    "yyy": _cmd_yyy,
-    "scan": _cmd_scan,
-    "timing": _cmd_timing,
+# command -> (handler, help text, flags from _FLAGS in --help order)
+_SUBCOMMANDS = {
+    "derive": (_cmd_derive, "derived capacitances, energies and margins", ()),
+    "prepare": (_cmd_prepare, "run the entangling pulse sequence", ("sign", "include_k13")),
+    "verify": (_cmd_verify, "interference test of the prepared state",
+               ("mode", "shots", "seed", "include_k13")),
+    "mermin": (_cmd_mermin, "certainty correlations vs the local bound", ("include_k13",)),
+    "yyy": (_cmd_yyy, "sample all qubits in the y basis", ("shots", "seed")),
+    "scan": (_cmd_scan, "error scan over zeta or coupler strength", ()),
+    "timing": (_cmd_timing, "readout timing margins", ()),
 }
 
 
@@ -350,72 +309,64 @@ def _is_record_list(value) -> bool:
             and all(isinstance(item, dict) for item in value))
 
 
-def _record_table(rows, indent):
-    cols = list(rows[0].keys())
-    cells = [[_format_scalar(r.get(c)) for c in cols] for r in rows]
-    widths = [len(c) for c in cols]
-    for row in cells:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    pad = "  " * indent
-    lines = [(pad + "  ".join(c.ljust(w) for c, w in zip(cols, widths))).rstrip()]
-    for row in cells:
-        lines.append((pad + "  ".join(cell.ljust(w) for cell, w in zip(row, widths))).rstrip())
-    return lines
+def _cells(rows) -> tuple:
+    """Column names (the first row's keys) and formatted cells of a record list."""
+    columns = list(rows[0])
+    return columns, [[_format_scalar(row.get(c)) for c in columns] for row in rows]
 
 
-def _emit_mapping(mapping, indent, lines):
-    pad = "  " * indent
+def _walk(mapping, path=()):
+    """Yield (key path, value) for each entry in document order.  The value
+    is None for a nested mapping (its entries follow), the rows of a record
+    list, or otherwise the formatted scalar or space-joined list."""
     for key, value in mapping.items():
+        here = (*path, key)
         if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            _emit_mapping(value, indent + 1, lines)
+            yield here, None
+            yield from _walk(value, here)
         elif _is_record_list(value):
-            lines.append(f"{pad}{key}:")
-            lines.extend(_record_table(value, indent + 1))
+            yield here, value
         elif isinstance(value, (list, tuple)):
-            lines.append(f"{pad}{key}: {' '.join(_format_scalar(v) for v in value)}")
+            yield here, " ".join(_format_scalar(v) for v in value)
         else:
-            lines.append(f"{pad}{key}: {_format_scalar(value)}")
+            yield here, _format_scalar(value)
 
 
 def _render_table(doc: dict) -> str:
     lines = []
-    _emit_mapping(doc, 0, lines)
+    for path, value in _walk(doc):
+        pad = "  " * (len(path) - 1)
+        if isinstance(value, str):
+            lines.append(f"{pad}{path[-1]}: {value}")
+            continue
+        lines.append(f"{pad}{path[-1]}:")
+        if value is not None:
+            columns, cells = _cells(value)
+            widths = [max(map(len, column)) for column in zip(columns, *cells)]
+            lines.extend((pad + "  " + "  ".join(c.ljust(w) for c, w in zip(row, widths))).rstrip()
+                         for row in (columns, *cells))
     return "\n".join(lines) + "\n"
-
-
-def _flatten(prefix, value, out):
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
-    elif _is_record_list(value):
-        for i, row in enumerate(value):
-            _flatten(f"{prefix}.{i}", row, out)
-    elif isinstance(value, (list, tuple)):
-        out.append((prefix, " ".join(_format_scalar(v) for v in value)))
-    else:
-        out.append((prefix, _format_scalar(value)))
 
 
 def _render_csv(doc: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    rows = doc.get("rows")
-    if _is_record_list(rows):
-        cols = list(rows[0].keys())
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_format_scalar(row.get(c)) for c in cols])
-        for key, value in doc.items():
-            if key == "rows" or isinstance(value, (dict, list, tuple)):
-                continue
-            buf.write(f"# {key} = {_format_scalar(value)}\n")
-    else:
-        writer.writerow(["key", "value"])
-        pairs = []
-        _flatten("", doc, pairs)
-        for key, value in pairs:
+    if _is_record_list(doc.get("rows")):
+        columns, cells = _cells(doc["rows"])
+        writer.writerows([columns, *cells])
+        for path, value in _walk(doc):
+            if len(path) == 1 and isinstance(value, str):
+                buf.write(f"# {path[0]} = {value}\n")
+        return buf.getvalue()
+    writer.writerow(["key", "value"])
+    for path, value in _walk(doc):
+        key = ".".join(path)
+        if isinstance(value, str):
             writer.writerow([key, value])
+        elif value is not None:
+            columns, cells = _cells(value)
+            writer.writerows([f"{key}.{i}.{c}", cell]
+                             for i, row in enumerate(cells) for c, cell in zip(columns, row))
     return buf.getvalue()
 
 
@@ -445,7 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
-        text = _RENDERERS[cfg.output.format](_COMMANDS[args.command](cfg))
+        text = _RENDERERS[cfg.output.format](_SUBCOMMANDS[args.command][0](cfg))
         if cfg.output.path:
             try:
                 Path(cfg.output.path).write_text(text, encoding="utf-8")

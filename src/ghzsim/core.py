@@ -147,12 +147,17 @@ def _check_qubit(qubit) -> None:
         raise ContractViolationError(f"qubit index must be 1, 2 or 3, got {qubit}")
 
 
+def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a (x) b (x) c: a acts on qubit 1, the leftmost."""
+    return np.kron(np.kron(a, b), c)
+
+
 def _embed(single: np.ndarray, qubit: int) -> np.ndarray:
     """Place a 2x2 matrix on one qubit (1-based, qubit 1 leftmost)."""
     _check_qubit(qubit)
     factors = [_I2, _I2, _I2]
     factors[qubit - 1] = single
-    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+    return _kron3(*factors)
 
 
 # The embedded Paulis depend only on (axis, qubit): build them once, read-only.
@@ -285,9 +290,7 @@ def sample(state: StateVector, shots: int, seed: int, basis: str = "zzz") -> Mea
 def _readout_probabilities(state: StateVector, basis: str) -> np.ndarray:
     """Born probabilities, in basis-index order, of a z readout after the
     basis change S_a on each qubit (basis[0] on qubit 1)."""
-    rot = np.kron(
-        np.kron(_ROTATION_2X2[basis[0]], _ROTATION_2X2[basis[1]]), _ROTATION_2X2[basis[2]]
-    )
+    rot = _kron3(*(_ROTATION_2X2[axis] for axis in basis))
     return np.abs(rot @ state.amplitudes) ** 2
 
 

@@ -28,6 +28,14 @@ from .errors import ContractViolationError, InfeasiblePulseError
 _SCAN_ZETA_LIMIT = 0.5
 
 
+def _real(value, requirement: str) -> float:
+    """``value`` as a float; bools and non-numbers break the contract, and
+    the error states ``requirement``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ContractViolationError(f"{requirement}, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PerturbationParams:
     """Perturbation ratios and junction energies for one pulse context.
@@ -43,13 +51,13 @@ class PerturbationParams:
     zeta32: float = 0.0
 
     def __post_init__(self):
-        eps = tuple(float(v) for v in self.epsilon_j)
+        eps = tuple(_real(v, "epsilon_j entries must be real numbers") for v in self.epsilon_j)
         if len(eps) != 3 or not all(math.isfinite(e) and e > 0.0 for e in eps):
             raise ContractViolationError(f"epsilon_j must be 3 finite positive energies, "
                                          f"got {eps}")
         object.__setattr__(self, "epsilon_j", eps)
         for name in ("zeta12", "zeta23", "zeta32"):
-            z = float(getattr(self, name))
+            z = _real(getattr(self, name), f"{name} must be a real number")
             if not 0.0 <= z < 1.0:
                 raise ContractViolationError(f"{name} must satisfy 0 <= zeta < 1, got {z}")
             object.__setattr__(self, name, z)
@@ -211,9 +219,7 @@ def effective_error_scan(zeta_values, which: str = "middle"):
         raise ContractViolationError(f"zeta_values must be an iterable of numbers, "
                                      f"got {zeta_values!r}")
     for z in zetas:
-        if isinstance(z, bool) or not isinstance(z, (int, float, np.integer, np.floating)):
-            raise ContractViolationError(f"scan zeta values must be real numbers, got {z!r}")
-        if not 0.0 <= z < _SCAN_ZETA_LIMIT:
+        if not 0.0 <= _real(z, "scan zeta values must be real numbers") < _SCAN_ZETA_LIMIT:
             raise ContractViolationError(
                 f"scan zeta values must satisfy 0 <= zeta < {_SCAN_ZETA_LIMIT}, got {float(z)}"
             )

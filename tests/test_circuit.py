@@ -201,6 +201,7 @@ def test_readout_timing_margin(energies):
         ((600.0,) * 3, (0.6,) * 3, (-1.0, 30.0)),
         ((600.0, 600.0), (0.6,) * 3, (30.0, 30.0)),
         ((600.0,) * 3, (0.6,) * 3, (30.0, 30.0, 30.0)),
+        ((600.0,) * 3, (0.6,) * 3, (math.nan, 30.0)),
     ],
 )
 def test_network_validation(junction, gate, coupler):

@@ -1,12 +1,14 @@
 """Configuration loading, validation, and the command-line surface."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from ghzsim import ConfigError, load_config
-from ghzsim.cli import main
+from ghzsim.cli import build_parser, main
+from ghzsim.config import DEFAULT_CONFIG
 
 REFERENCE_YAML = Path(__file__).resolve().parents[1] / "configs" / "reference_device.yaml"
 
@@ -312,3 +314,15 @@ def test_cli_rejects_unknown_command():
         main(["teleport"])
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_every_cli_flag_names_a_config_field():
+    # main routes each flag by its name alone, so a flag without a
+    # protocol/output field of that name would be dropped without a word
+    fields = set(DEFAULT_CONFIG["protocol"]) | set(DEFAULT_CONFIG["output"])
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert len(subparsers.choices) == 7
+    for command, parser in subparsers.choices.items():
+        dests = {action.dest for action in parser._actions} - {"help", "config", "command"}
+        assert dests <= fields, (command, dests - fields)

@@ -59,6 +59,12 @@ def test_params_validation():
             PerturbationParams((bad, 1.0, 1.0))
         with pytest.raises(ContractViolationError):
             PerturbationParams((1.0, 1.0, bad))
+    # float() would turn a numeric string or a bool into a plausible number
+    for bad in ("1", True):
+        with pytest.raises(ContractViolationError, match="epsilon_j entries must be real"):
+            PerturbationParams((bad, 1.0, 1.0))
+        with pytest.raises(ContractViolationError, match="zeta12 must be a real number"):
+            PerturbationParams(UNIT, zeta12=bad)
 
 
 def test_middle_qubit_model_coefficients():
