@@ -41,7 +41,7 @@ from .circuit import (
     effective_capacitances,
     readout_timing_margin,
 )
-from .config import DEFAULT_CONFIG, RunConfig, load_config
+from .config import _FORMATS, _MODES, _SIGNS, DEFAULT_CONFIG, RunConfig, load_config
 from .core import ghz_state
 from .effective import effective_error_scan, fitted_loglog_slope
 from .errors import ConfigError, ContractViolationError, InfeasiblePulseError, SimulationError
@@ -57,10 +57,10 @@ from .pulses import ghz_prepare
 
 # Each flag sets the config field of its own name; _overrides finds the section.
 _FLAGS = {
-    "mode": {"choices": ("ideal", "effective", "full")},
+    "mode": {"choices": _MODES},
     "shots": {"type": int},
     "seed": {"type": int},
-    "sign": {"choices": ("plus", "minus"), "help": "target relative phase (default from config)"},
+    "sign": {"choices": tuple(_SIGNS), "help": "target relative phase (default from config)"},
     "include_k13": {"action": "store_true",
                     "help": "keep the next-nearest-neighbour coupling on"},
 }
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="YAML run configuration (default: built-in device)")
-        p.add_argument("--format", choices=("table", "csv", "structured"), default=None,
+        p.add_argument("--format", choices=_FORMATS, default=None,
                        help="output format (default from config)")
         p.add_argument("--output", dest="path", metavar="PATH", default=None,
                        help="write output to a file instead of stdout")

@@ -24,6 +24,7 @@ import yaml
 
 from .circuit import CapacitanceNetwork, ControlSettings
 from .errors import ConfigError
+from .protocols import _MODES
 
 DEFAULT_CONFIG = {
     "device": {
@@ -63,7 +64,6 @@ class _Loader(yaml.SafeLoader):
 _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
     r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
-_MODES = ("ideal", "effective", "full")
 _SIGNS = {"plus": "+", "minus": "-"}
 _FORMATS = ("table", "csv", "structured")
 _SCAN_PARAMETERS = ("zeta", "coupler")

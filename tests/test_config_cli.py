@@ -187,6 +187,25 @@ def test_cli_scan_csv(capsys):
     assert any(l.startswith("# fitted_log_log_slope = ") for l in lines)
 
 
+def test_cli_scan_over_one_distinct_zeta_has_no_slope(tmp_path, capsys):
+    path = tmp_path / "repeat.yaml"
+    path.write_text("scan:\n  values: [0.1, 0.1]\n")
+    assert main(["scan", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "command: scan\n"
+        f"source: {path}\n"
+        "parameter: zeta\n"
+        "target: middle\n"
+        "rows:\n"
+        "  zeta  error\n"
+        "  0.1   0.26205004933976583\n"
+        "  0.1   0.26205004933976583\n"
+        "fitted_log_log_slope: -\n"
+    )
+    assert captured.err == ""
+
+
 def test_cli_coupler_scan(tmp_path, capsys):
     path = tmp_path / "scan.yaml"
     path.write_text("scan:\n  parameter: coupler\n  values: [10.0, 30.0, 60.0]\n")
@@ -326,3 +345,18 @@ def test_every_cli_flag_names_a_config_field():
     for command, parser in subparsers.choices.items():
         dests = {action.dest for action in parser._actions} - {"help", "config", "command"}
         assert dests <= fields, (command, dests - fields)
+
+
+def test_cli_choices_are_the_config_lists():
+    # argparse offers exactly the values config validation accepts
+    from ghzsim import config
+    accepted = {"mode": config._MODES, "sign": tuple(config._SIGNS), "format": config._FORMATS}
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    seen = set()
+    for parser in subparsers.choices.values():
+        for action in parser._actions:
+            if action.choices is not None:
+                assert tuple(action.choices) == accepted[action.dest]
+                seen.add(action.dest)
+    assert seen == set(accepted)

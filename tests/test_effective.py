@@ -1,5 +1,6 @@
 """Reduced single-qubit models and their accuracy against the full dynamics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -188,10 +189,20 @@ _SCAN_PINS = {
 }
 
 
+# sha256 of the repr over 64 seeded zetas in [0, 0.45), per target.
+_SCAN_SHA256 = {
+    "middle": "651149f44ce4503913f1a6392e2b29ba0366b05317c2a8f3e681a7744c1b8d91",
+    "outer": "8448fd91b3fed7fc923ff09b05a10fb8717eb9a58b76ce7cc6e4a8cd9e70a9a0",
+}
+
+
 @pytest.mark.parametrize("which", sorted(_SCAN_PINS))
 def test_error_scan_repr_is_pinned(which):
     table = effective_error_scan((0.02, 0.05, 0.1, 0.2, 0.45), which)
     assert repr(table) == _SCAN_PINS[which]
+    zetas = np.random.default_rng(20261018).uniform(0.0, 0.45, 64).tolist()
+    digest = hashlib.sha256(repr(effective_error_scan(zetas, which)).encode()).hexdigest()
+    assert digest == _SCAN_SHA256[which]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -214,6 +225,67 @@ def test_phase_minimized_distance_bounds(seed, theta, delta):
     assert result <= dense + 1e-12
 
 
+_ORACLE_GRID = np.linspace(-math.pi, math.pi, 721)
+_ORACLE_PHASES = np.exp(1j * _ORACLE_GRID)[:, None, None]
+
+
+def _dense_phase_minimized_distance(a, b):
+    """The search over all 64 entries, as it ran before zero entries were
+    dropped; the masked search must reproduce it bit for bit."""
+
+    def dist(phi):
+        return float(np.abs(a - np.exp(1j * phi) * b).max())
+
+    values = np.abs(a - _ORACLE_PHASES * b).max(axis=(1, 2))
+    k = int(np.argmin(values))
+    lo = _ORACLE_GRID[max(k - 1, 0)]
+    hi = _ORACLE_GRID[min(k + 1, len(_ORACLE_GRID) - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - g * (hi - lo)
+    d = lo + g * (hi - lo)
+    fc, fd = dist(c), dist(d)
+    for _ in range(70):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = dist(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = dist(d)
+    return min(float(values[k]), dist(0.5 * (lo + hi)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       labels=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+       theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+       delta=st.floats(0.0, 1e-1),
+       one_sided=st.integers(0, 6))
+def test_masked_phase_search_matches_dense_oracle(seed, labels, theta, delta, one_sided):
+    # block-diagonal pair, as a propagator conserving sigma_z on some qubits
+    rng = np.random.default_rng(seed)
+    block = np.equal.outer(labels, labels)
+    a = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) * block
+    n = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    b = np.exp(1j * theta) * (a + delta * n) * block
+    # entries zero in one matrix only
+    for _ in range(one_sided):
+        i, j = rng.integers(0, 8, size=2)
+        (a if rng.integers(2) else b)[i, j] = 0.0
+    result = _phase_minimized_distance(a, b)
+    assert type(result) is float
+    assert result == _dense_phase_minimized_distance(a, b)
+
+
+def test_masked_phase_search_zero_pair():
+    zero = np.zeros((8, 8), dtype=complex)
+    for a, b in ((zero, zero), (-zero, zero), (zero, -1.0 * zero)):
+        result = _phase_minimized_distance(a, b)
+        assert type(result) is float
+        assert repr(result) == repr(_dense_phase_minimized_distance(a, b)) == "0.0"
+
+
 def test_fitted_slope_basics():
     zetas = [0.05, 0.1, 0.2]
     cubic = [(z, z ** 3) for z in zetas]
@@ -222,3 +294,9 @@ def test_fitted_slope_basics():
         fitted_loglog_slope([(0.1, 0.01)])
     # zero-error points are excluded from the fit rather than crashing it
     assert fitted_loglog_slope([(0.0, 0.0)] + cubic) == pytest.approx(3.0, abs=1e-9)
+    # a line through points at one zeta has no slope, whatever their errors
+    for table in ([(0.1, 0.26), (0.1, 0.26)], [(0.1, 0.26), (0.1, 0.3)],
+                  [(0.0, 0.0), (0.1, 0.26), (0.1, 0.26)], [(0.05, 0.0), (0.1, 0.2), (0.1, 0.2)]):
+        with pytest.raises(ContractViolationError, match="two or more distinct"):
+            fitted_loglog_slope(table)
+    assert fitted_loglog_slope([(0.05, 0.1), (0.1, 0.2), (0.1, 0.2)]) == pytest.approx(1.0)
