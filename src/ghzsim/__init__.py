@@ -60,9 +60,7 @@ from .errors import (
     UnphysicalNetworkError,
 )
 from .protocols import (
-    DephasingReport,
     ProtocolOutcome,
-    dephasing_commutation_check,
     enumerate_lhv_assignments,
     lhv_prediction,
     mermin_expectations,

@@ -27,8 +27,9 @@ _HERMITIAN_TOL = 1e-12
 _UNITARY_TOL = 1e-10
 _PROJECT_TOL = 1e-12
 # Shots are drawn this many at a time, so sampling memory stays flat in the
-# shot count.  Chunks of 2**12 to 2**18 timed alike on 10**6 shots; 2**16
-# keeps each chunk's arrays at 0.5 MB.
+# shot count.  On 10**6 shots (2-CPU machine), chunks of 2**15 to 2**17
+# timed alike at 5-7 ms; 2**12 took about 9-13 ms in per-chunk overhead and
+# 2**18 about 8-10 ms.  2**16 keeps each chunk's draws at 0.5 MB.
 _SHOT_CHUNK = 65536
 
 _I2 = np.eye(2, dtype=complex)
@@ -249,10 +250,12 @@ class MeasurementRecord:
     """Histogram of a sampled measurement, with its shots replayable in order.
 
     ``counts`` maps each observed 3-bit string to its multiplicity, keys
-    sorted.  ``seed``, ``basis``, ``shots`` and ``cumulative`` (the
-    normalized cumulative probabilities in basis-index order) reproduce the
-    record.  ``outcomes`` lists the shots in order; it is not stored but
-    replayed from the same stream on first access, then cached.
+    sorted; it is tallied against the cumulative edges, which gives the
+    histogram of the inverse-CDF lookup that ``outcomes`` replays.
+    ``seed``, ``basis``, ``shots`` and ``cumulative`` (the normalized
+    cumulative probabilities in basis-index order) reproduce the record.
+    ``outcomes`` lists the shots in order; it is not stored but replayed
+    from the same stream on first access, then cached.
     """
 
     counts: dict
@@ -276,8 +279,10 @@ def sample(state: StateVector, shots: int, seed: int, basis: str = "zzz") -> Mea
     to an outcome by inverse-CDF lookup over the cumulative Born
     probabilities in basis-index order.  The uniforms are drawn in chunks,
     which reproduces the stream of a single ``random(shots)`` call bit for
-    bit, and only the histogram is kept; ``outcomes`` is replayed from the
-    same stream when first read.  Identical (state, shots, seed, basis)
+    bit, and only the histogram is kept: each chunk is tallied by counting
+    the draws below each cumulative edge, which gives the same histogram as
+    the inverse-CDF lookup.  ``outcomes`` replays that lookup from the same
+    stream when first read.  Identical (state, shots, seed, basis)
     therefore reproduce identical records.  ``shots`` and ``seed`` must be
     non-negative integers (not bools); anything else, a seed of None
     included, raises ContractViolationError.
@@ -294,19 +299,36 @@ def _readout_probabilities(state: StateVector, basis: str) -> np.ndarray:
     return np.abs(rot @ state.amplitudes) ** 2
 
 
-def _index_stream(cumulative: tuple, shots: int, seed: int):
-    """Outcome indices of the sampling stream, _SHOT_CHUNK shots at a time."""
+def _draw_stream(shots: int, seed: int):
+    """The uniforms of the sampling stream, _SHOT_CHUNK shots at a time."""
     rng = np.random.default_rng(seed)
-    cumulative = np.asarray(cumulative)
     for start in range(0, shots, _SHOT_CHUNK):
-        draws = rng.random(min(_SHOT_CHUNK, shots - start))
-        yield np.minimum(np.searchsorted(cumulative, draws, side="right"), DIM - 1)
+        yield rng.random(min(_SHOT_CHUNK, shots - start))
+
+
+def _index_stream(cumulative: tuple, shots: int, seed: int):
+    """Outcome indices of the sampling stream, one array per chunk: the
+    inverse-CDF lookup, with draws at or past the last edge on DIM - 1."""
+    edges = np.asarray(cumulative)
+    for draws in _draw_stream(shots, seed):
+        yield np.minimum(np.searchsorted(edges, draws, side="right"), DIM - 1)
+
+
+def _tally(draws: np.ndarray, cumulative: tuple) -> np.ndarray:
+    """Outcome counts of one chunk, equal to the bincount of its
+    _index_stream indices.  For non-decreasing edges, index <= k < DIM - 1
+    exactly when draw < cumulative[k], so each count is a difference of
+    how many draws fall below consecutive edges; index DIM - 1 takes the
+    rest, past-the-end draws included."""
+    below = [np.count_nonzero(draws < edge) for edge in cumulative[:DIM - 1]]
+    return np.diff([0, *below, draws.size])
 
 
 def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
                           basis: str) -> MeasurementRecord:
     """The sampling stream of sample(), over probabilities in basis-index
-    order (normalized here): one PCG64 uniform per shot, inverse-CDF lookup."""
+    order (normalized here): one PCG64 uniform per shot, tallied against
+    the cumulative edges."""
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ContractViolationError(f"shots must be an integer, got {shots!r}")
     if shots < 0:
@@ -317,8 +339,8 @@ def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
         raise ContractViolationError(f"seed must be a non-negative integer, got {seed!r}")
     cumulative = tuple(np.cumsum(probs / probs.sum()).tolist())
     totals = np.zeros(DIM, dtype=np.int64)
-    for indices in _index_stream(cumulative, shots, seed):
-        totals += np.bincount(indices, minlength=DIM)
+    for draws in _draw_stream(shots, seed):
+        totals += _tally(draws, cumulative)
     counts = {basis_label(i): int(n) for i, n in enumerate(totals) if n}
     return MeasurementRecord(counts, int(seed), basis, int(shots), cumulative)
 

@@ -74,10 +74,10 @@ class PerturbationParams:
 
     @classmethod
     def middle_qubit(cls, energies: DerivedEnergies) -> "PerturbationParams":
-        """Ratios for the middle-qubit drive: both referred to eps_j2."""
+        """Ratios for the middle-qubit drive: both referred to eps_j2, as
+        the device's own zeta12/zeta23 are."""
         eps = tuple(e / 2.0 for e in energies.ej_max)
-        return cls._for_device(eps, zeta12=energies.k12 / (2.0 * eps[1]),
-                               zeta23=energies.k23 / (2.0 * eps[1]))
+        return cls._for_device(eps, zeta12=energies.zeta12, zeta23=energies.zeta23)
 
     @classmethod
     def outer_pair(cls, energies: DerivedEnergies) -> "PerturbationParams":

@@ -38,10 +38,7 @@ from .core import (
     apply,
     basis_label,
     build_hamiltonian,
-    commutator_norm,
-    evolve,
     expectation,
-    fidelity,
     ghz_state,
     pauli,
     project,
@@ -60,6 +57,9 @@ from .pulses import ghz_prepare
 
 _MODES = ("ideal", "effective", "full")
 _PROB_SUM_TOL = 1e-9
+# sigma_x on qubit 2 resets the postselected middle qubit; one Operator, so
+# its unitarity is checked once per process.
+_RESET_2 = pauli("x", 2)
 
 
 @dataclass(frozen=True)
@@ -92,22 +92,6 @@ class ProtocolOutcome:
                 raise ContractViolationError(
                     f"expectation {name} = {value} falls outside [-1, 1]"
                 )
-
-
-@dataclass(frozen=True)
-class DephasingReport:
-    """Effect of the always-on couplings on an idle register.
-
-    The coupling Hamiltonian commutes with every sigma_z, so z-basis
-    populations are stationary while relative phases still wind; the report
-    carries the commutator norms, the largest population drift seen, and the
-    worst-case overlap with the initial state.
-    """
-
-    commutator_norms: tuple
-    max_population_drift: float
-    min_fidelity: float
-    durations: tuple
 
 
 def _ideal_quarter(qubit: int) -> Operator:
@@ -149,7 +133,7 @@ def _interference_run(state: StateVector, u2: Operator, u13: Operator):
     outer pair.  Returns (final state, postselect probability)."""
     psi = apply(u2, state)
     psi, p_post = project(psi, 2, 1)
-    psi = apply(pauli("x", 2), psi)
+    psi = apply(_RESET_2, psi)
     psi = apply(u13, psi)
     return psi, p_post
 
@@ -325,27 +309,3 @@ def yyy_experiment(state: StateVector, shots: int = 0, seed: int = None) -> Prot
         "yyy_expectation": float(yyy_exact),
     }
     return ProtocolOutcome(counts, probs, expectations, 1.0, "ideal")
-
-
-def dephasing_commutation_check(energies: DerivedEnergies, n_durations: int = 8,
-                                max_duration: float = 100.0, seed: int = 0) -> DephasingReport:
-    """Idle the register under the bare coupling Hamiltonian.
-
-    H0 = k12 sigma_z1 sigma_z2 + k23 sigma_z2 sigma_z3 commutes with every
-    sigma_z, so z populations cannot move; the entangled state still picks up
-    relative phases, so its self-overlap generally drops below 1.  Durations
-    are drawn uniformly in [0, max_duration] ns from the given seed.
-    """
-    h0 = build_hamiltonian((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), energies.k12, energies.k23)
-    norms = tuple(commutator_norm(h0, pauli("z", q)) for q in (1, 2, 3))
-    rng = np.random.default_rng(seed)
-    durations = tuple(float(t) for t in rng.random(n_durations) * max_duration)
-    start = ghz_state("+")
-    p0 = start.probabilities()
-    max_drift = 0.0
-    min_fid = 1.0
-    for t in durations:
-        evolved = evolve(h0, t, start)
-        max_drift = max(max_drift, float(np.max(np.abs(evolved.probabilities() - p0))))
-        min_fid = min(min_fid, fidelity(start, evolved))
-    return DephasingReport(norms, max_drift, min_fid, durations)

@@ -2,9 +2,12 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzsim import (
     ContractViolationError,
@@ -30,6 +33,7 @@ from ghzsim.core import (
     _ZZ_8X8,
     _embed,
     _readout_probabilities,
+    _tally,
 )
 
 
@@ -316,6 +320,61 @@ def test_sample_chunks_reproduce_one_call_stream(shots):
     assert rec.outcomes == tuple(format(int(i), "03b") for i in indices)
     if shots > _SHOT_CHUNK:
         assert len(rec.counts) == 8
+
+
+def _lookup_counts(draws, cumulative):
+    # the inverse-CDF lookup the tally must reproduce, clamp included
+    indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), 7)
+    return np.bincount(indices, minlength=8)
+
+
+def test_tally_sends_a_draw_on_an_edge_up():
+    cumulative = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
+    draws = np.array(cumulative[:7] + (0.0,))
+    assert _tally(draws, cumulative).tolist() == [1, 1, 1, 1, 1, 1, 1, 1]
+    assert _tally(np.nextafter(draws, 0.0), cumulative).tolist() == [2, 1, 1, 1, 1, 1, 1, 0]
+
+
+def test_tally_puts_draws_past_the_last_edge_on_index_7():
+    # rounding can leave the last cumulative entry just below 1.0
+    last = np.nextafter(1.0, 0.0)
+    cumulative = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, np.nextafter(last, 0.0))
+    draws = np.array([0.05, 0.75, last, 1.0])
+    assert _tally(draws, cumulative).tolist() == [1, 0, 0, 0, 0, 0, 0, 3]
+    assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
+
+
+def test_tally_skips_zero_probability_outcomes():
+    # zero weights on 001, 010, 101 and 111 give duplicate edges
+    cumulative = (0.25, 0.25, 0.25, 0.5, 0.75, 0.75, 1.0, 1.0)
+    draws = np.array([0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 0.25])
+    assert _tally(draws, cumulative).tolist() == [1, 0, 0, 3, 2, 0, 2, 0]
+    assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
+
+
+def test_tally_with_an_edge_at_one():
+    # a cumulative table that reaches 1.0 before its last entry
+    cumulative = (0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    draws = np.array([0.5, np.nextafter(1.0, 0.0), 0.0, 1.0])
+    assert _tally(draws, cumulative).tolist() == [1, 2, 0, 0, 0, 0, 0, 1]
+    assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
+    assert _tally(np.array([]), cumulative).tolist() == [0] * 8
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=8, max_size=8)
+       .filter(lambda w: sum(w) > 0.0),
+       shots=st.integers(_SHOT_CHUNK - 3, 2 * _SHOT_CHUNK + 3),
+       seed=st.integers(0, 2**63 - 1))
+def test_sample_counts_match_the_inverse_cdf_lookup(weights, shots, seed):
+    amps = np.sqrt(np.array(weights))
+    state = StateVector(amps / np.linalg.norm(amps))
+    rec = sample(state, shots, seed)
+    probs = _readout_probabilities(state, "zzz")
+    draws = np.random.default_rng(seed).random(shots)
+    expected = _lookup_counts(draws, np.cumsum(probs / probs.sum()))
+    assert rec.counts == {format(i, "03b"): int(n) for i, n in enumerate(expected) if n}
+    assert Counter(rec.outcomes) == rec.counts
 
 
 def test_sample_memory_is_flat_in_the_shot_count():

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsim import (
+    CapacitanceNetwork,
     ContractViolationError,
+    ControlSettings,
     PerturbationParams,
     StateVector,
     commutator_norm,
+    derive_energies,
     effective_error_scan,
     evolve,
     fidelity,
@@ -66,6 +69,26 @@ def test_params_validation():
             PerturbationParams((bad, 1.0, 1.0))
         with pytest.raises(ContractViolationError, match="zeta12 must be a real number"):
             PerturbationParams(UNIT, zeta12=bad)
+
+
+def test_middle_qubit_ratios_are_the_device_zetas():
+    # k / (2 * (ej_max / 2)) and the device's k / ej_max agree bit for bit:
+    # halving and doubling are exact
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    while checked < 50:
+        network = CapacitanceNetwork(tuple(rng.uniform(400.0, 800.0, 3)), (0.6, 0.6, 0.6),
+                                     tuple(rng.uniform(10.0, 60.0, 2)))
+        settings = ControlSettings((0.5, 0.5, 0.5), (0.5, 0.5, 0.5),
+                                   tuple(rng.uniform(4.0, 8.0, 3)))
+        energies = derive_energies(network, settings)
+        if max(energies.zeta12, energies.zeta23) >= 1.0:
+            continue
+        p = PerturbationParams.middle_qubit(energies)
+        eps2 = energies.ej_max[1] / 2.0
+        assert p.zeta12 == energies.zeta12 == energies.k12 / (2.0 * eps2)
+        assert p.zeta23 == energies.zeta23 == energies.k23 / (2.0 * eps2)
+        checked += 1
 
 
 def test_middle_qubit_model_coefficients():

@@ -11,7 +11,6 @@ from ghzsim import (
     ProtocolOutcome,
     StateVector,
     apply,
-    dephasing_commutation_check,
     enumerate_lhv_assignments,
     evolve,
     expectation,
@@ -214,17 +213,6 @@ def test_yyy_minus_state_has_odd_parity_zero():
     for label in even:
         assert out.probabilities[label] == pytest.approx(0.25, abs=1e-12)
     assert out.expectations["yyy_expectation"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_dephasing_report(energies):
-    report = dephasing_commutation_check(energies)
-    assert report.commutator_norms == (0.0, 0.0, 0.0)
-    assert report.max_population_drift < 1e-14
-    # the entangled state's two components share the same coupling energy,
-    # so even its phase is untouched
-    assert report.min_fidelity > 1.0 - 1e-12
-    assert len(report.durations) == 8
-    assert all(0.0 <= t <= 100.0 for t in report.durations)
 
 
 def test_dephasing_moves_unbalanced_superpositions(energies):
