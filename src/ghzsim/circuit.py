@@ -120,6 +120,10 @@ class DerivedEnergies:
     the flux-off maxima 2*eps_j, ``k12``/``k23``/``k13`` the ZZ coupling
     strengths, and ``zeta12``/``zeta23`` the perturbation ratios K/(2*eps_j)
     referred to the middle qubit's junction energy.
+
+    Every field is stored as a float (the triples as tuples of floats) with
+    -0.0 stored as 0.0, so a device is hashable, and two devices that compare
+    equal hold the same bits.
     """
 
     e_c: tuple
@@ -130,6 +134,12 @@ class DerivedEnergies:
     k13: float
     zeta12: float
     zeta23: float
+
+    def __post_init__(self):
+        for name in ("e_c", "e_j", "ej_max"):
+            object.__setattr__(self, name, tuple(float(v) + 0.0 for v in getattr(self, name)))
+        for name in ("k12", "k23", "k13", "zeta12", "zeta23"):
+            object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ _PROJECT_TOL = 1e-12
 _SHOT_CHUNK = 65536
 
 _I2 = np.eye(2, dtype=complex)
+_EYE = np.eye(DIM)
+_EYE.flags.writeable = False
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SIGMA_Y = 1j * _SIGMA_X @ _SIGMA_Z
@@ -63,7 +65,7 @@ class StateVector:
         arr = np.array(self.amplitudes, dtype=complex, copy=True).reshape(-1)
         if arr.shape != (DIM,):
             raise ContractViolationError(f"state must have {DIM} amplitudes, got {arr.shape}")
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
+        norm_sq = float((np.abs(arr) ** 2).sum())
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ContractViolationError(f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
         arr.flags.writeable = False
@@ -104,10 +106,12 @@ def ghz_state(sign: str = "+") -> StateVector:
 
 
 def _parse_sign(sign) -> int:
-    if sign in ("+", 1, +1):
-        return 1
-    if sign in ("-", -1):
-        return -1
+    """+1 or -1 from '+'/'-' or the integers 1/-1; a bool is not a sign."""
+    if not isinstance(sign, (bool, np.bool_)):
+        if sign in ("+", 1):
+            return 1
+        if sign in ("-", -1):
+            return -1
     raise ContractViolationError(f"sign must be '+' or '-', got {sign!r}")
 
 
@@ -132,12 +136,12 @@ class Operator:
     @cached_property
     def hermitian(self) -> bool:
         mat = self.matrix
-        return float(np.max(np.abs(mat - mat.conj().T))) < _HERMITIAN_TOL
+        return float(np.abs(mat - mat.conj().T).max()) < _HERMITIAN_TOL
 
     @cached_property
     def unitary(self) -> bool:
         mat = self.matrix
-        return float(np.max(np.abs(mat.conj().T @ mat - np.eye(DIM)))) < _UNITARY_TOL
+        return float(np.abs(mat.conj().T @ mat - _EYE).max()) < _UNITARY_TOL
 
     def __matmul__(self, other: "Operator") -> "Operator":
         return Operator(self.matrix @ other.matrix)
@@ -236,7 +240,7 @@ def project(state: StateVector, qubit: int, outcome: int):
     indices = np.arange(DIM)
     mask = ((indices >> shift) & 1) == outcome
     amps = np.where(mask, state.amplitudes, 0.0)
-    prob = float(np.sum(np.abs(amps) ** 2))
+    prob = float((np.abs(amps) ** 2).sum())
     if prob < _PROJECT_TOL:
         raise ContractViolationError(
             f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}; "
@@ -354,10 +358,10 @@ def expectation(op: Operator, state: StateVector) -> float:
     """Real expectation value of a Hermitian operator."""
     if not op.hermitian:
         raise ContractViolationError("expectation requires a Hermitian operator")
-    return float(np.real(np.vdot(state.amplitudes, op.matrix @ state.amplitudes)))
+    return float(np.vdot(state.amplitudes, op.matrix @ state.amplitudes).real)
 
 
 def commutator_norm(a: Operator, b: Operator) -> float:
     """Max-entry norm of the commutator [A, B]."""
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return float(np.max(np.abs(comm)))
+    return float(np.abs(comm).max())

@@ -23,6 +23,7 @@ handled internally so only the requested target sign matters to callers.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -226,8 +227,19 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     The two conditional flips each multiply the flipped branch by +i, so the
     superposition step internally uses the opposite-sign branch; the report
     records the realized relative phase.
+
+    The last result is kept: a repeat call on the same device (equal
+    energies, sign and ``include_k13``) returns it again instead of rerunning
+    the sequence.  The state, schedule and report are immutable, so the
+    objects are shared between such calls.
     """
-    sign, internal = ("+", "-") if _parse_sign(sign) == 1 else ("-", "+")
+    return _prepare(energies, _parse_sign(sign), bool(include_k13))
+
+
+@functools.lru_cache(maxsize=1)
+def _prepare(energies: DerivedEnergies, parsed_sign: int, include_k13: bool):
+    """ghz_prepare for a parsed sign (+1 or -1), one device remembered."""
+    sign, internal = ("+", "-") if parsed_sign == 1 else ("-", "+")
 
     t_sup = solve_superposition_pulse(energies.ej_max[1], internal)
     seg_sup = PulseSegment(
@@ -273,6 +285,6 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
         superposition_time=t_sup,
         flip_solutions=(sol1, sol2),
         total_duration=schedule.total_duration(),
-        k13_included=bool(include_k13),
+        k13_included=include_k13,
     )
     return final, schedule, report

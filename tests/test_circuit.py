@@ -15,6 +15,7 @@ import pytest
 from ghzsim import (
     CapacitanceNetwork,
     ControlSettings,
+    DerivedEnergies,
     GateChargeRangeWarning,
     UnphysicalNetworkError,
     crosstalk_ratio,
@@ -145,6 +146,20 @@ def test_mirror_symmetry():
     assert a.k12 == pytest.approx(b.k23, rel=1e-14)
     assert a.k13 == pytest.approx(b.k13, rel=1e-14)
     assert a.e_c == pytest.approx(tuple(reversed(b.e_c)), rel=1e-12)
+
+
+def test_derived_energies_store_floats_and_compare_by_value(energies):
+    raw = DerivedEnergies([0, -0.0, np.float64(0.5)], np.zeros(3), [11, 11.2, 12],
+                          np.float64(0.3), 1, -0.0, 0.25, 0.0)
+    assert raw.e_c == (0.0, 0.0, 0.5) and raw.e_j == (0.0, 0.0, 0.0)
+    assert raw.ej_max == (11.0, 11.2, 12.0)
+    assert [type(v) for v in (raw.k12, raw.k23, raw.k13, *raw.e_c)] == [float] * 6
+    # -0.0 is stored as 0.0, so equal devices also print alike
+    assert math.copysign(1.0, raw.k13) == 1.0 and math.copysign(1.0, raw.e_c[1]) == 1.0
+    again = DerivedEnergies((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), (11.0, 11.2, 12.0),
+                            0.3, 1.0, 0.0, 0.25, 0.0)
+    assert raw == again and hash(raw) == hash(again) and repr(raw) == repr(again)
+    assert DerivedEnergies(*vars(energies).values()) == energies
 
 
 def test_crosstalk_reference_ratio(energies):

@@ -154,6 +154,17 @@ def test_ghz_state_amplitudes():
     assert fidelity(plus, minus) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("sign", [True, False, np.True_, np.False_])
+def test_ghz_state_rejects_bool_signs(sign):
+    with pytest.raises(ContractViolationError, match="sign must be"):
+        ghz_state(sign)
+
+
+def test_ghz_state_accepts_integer_signs():
+    assert np.array_equal(ghz_state(1).amplitudes, ghz_state("+").amplitudes)
+    assert np.array_equal(ghz_state(-1).amplitudes, ghz_state("-").amplitudes)
+
+
 def test_hamiltonian_diagonal_structure():
     e_c = (0.4, -0.7, 1.1)
     k12, k23, k13 = 0.3, 0.2, 0.05
@@ -220,6 +231,22 @@ def test_norm_preserved_through_long_evolution():
     assert float(np.sum(np.abs(state.amplitudes) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(1e2, 1e5))
+def test_random_device_hamiltonians_propagate_unitarily(seed, t):
+    # energies in the range the pulse schedules use: biases up to a few GHz,
+    # drives up to twice the largest single-junction energy, couplings < 2 GHz
+    rng = np.random.default_rng(seed)
+    h = build_hamiltonian(rng.uniform(-4.0, 4.0, 3), rng.uniform(0.0, 16.0, 3),
+                          *rng.uniform(0.0, 2.0, 3))
+    assert propagator(h, t).unitary
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = StateVector(amps / np.linalg.norm(amps))
+    for _ in range(20):
+        state = evolve(h, t, state)  # each StateVector re-checks the norm to 1e-12
+    assert abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0) <= 1e-12
+
+
 def test_operator_flags():
     assert pauli("x", 1).hermitian
     assert pauli("x", 1).unitary
@@ -236,6 +263,52 @@ def test_project_branches():
     assert abs(post.amplitudes[7]) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ContractViolationError):
         project(StateVector.basis("000"), 1, 1)
+
+
+# Each check accepts a deviation of half its tolerance and rejects twice it.
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_state_norm_tolerance_boundary(direction):
+    def state(dev):
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = math.sqrt(1.0 + direction * dev)
+        return StateVector(amps)
+
+    state(0.5e-12)
+    with pytest.raises(ContractViolationError, match="norm"):
+        state(2e-12)
+
+
+def test_hermitian_tolerance_boundary():
+    def operator(dev):
+        mat = np.zeros((8, 8), dtype=complex)
+        mat[0, 1] = dev  # |mat - mat^dag| peaks at dev
+        return Operator(mat)
+
+    assert operator(0.5e-12).hermitian
+    assert not operator(2e-12).hermitian
+
+
+def test_unitary_tolerance_boundary():
+    def operator(dev):
+        mat = np.eye(8, dtype=complex)
+        mat[0, 0] = math.sqrt(1.0 + dev)  # mat^dag mat - I peaks at dev
+        return Operator(mat)
+
+    assert operator(0.5e-10).unitary
+    assert not operator(2e-10).unitary
+
+
+def test_project_probability_floor_boundary():
+    def state(prob):
+        amps = np.zeros(8, dtype=complex)
+        amps[0], amps[4] = math.sqrt(1.0 - prob), math.sqrt(prob)
+        return StateVector(amps)
+
+    post, prob = project(state(2e-12), 1, 1)
+    assert prob == pytest.approx(2e-12, rel=1e-9)
+    assert abs(post.amplitudes[4]) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ContractViolationError, match="impossible branch"):
+        project(state(0.5e-12), 1, 1)
 
 
 def test_expectation_requires_hermitian():

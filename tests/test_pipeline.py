@@ -1,0 +1,149 @@
+"""The device-design pipeline: preparation, verification and the parity
+correlations on drawn devices, pinned byte for byte."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ghzsim import (
+    CapacitanceNetwork,
+    ControlSettings,
+    InfeasiblePulseError,
+    derive_energies,
+    ghz_prepare,
+    mermin_expectations,
+    mermin_operator,
+    verify_ghz,
+    verify_mixture_control,
+)
+from ghzsim.protocols import _IDEAL_PULSES, _MERMIN_OPERATORS, _interference_pulses
+from ghzsim.pulses import _prepare
+
+_MODES = ("ideal", "effective", "full")
+
+
+def _devices(n, seed):
+    """``n`` seeded devices inside the range the benchmark sweeps: junctions
+    400-800 aF, couplers 10-60 aF, single-junction energies 4-8 GHz, each
+    chain coupling below every junction's maximum Josephson energy."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < n:
+        network = CapacitanceNetwork(tuple(rng.uniform(400.0, 800.0, 3)), (0.6, 0.6, 0.6),
+                                     tuple(rng.uniform(10.0, 60.0, 2)))
+        settings = ControlSettings((0.5, 0.5, 0.5), (0.5, 0.5, 0.5),
+                                   tuple(rng.uniform(4.0, 8.0, 3)))
+        energies = derive_energies(network, settings)
+        if max(energies.k12, energies.k23) < min(energies.ej_max):
+            found.append(energies)
+    return found
+
+
+def _pipeline(energies):
+    """Everything the pipeline returns for one device, as one repr."""
+    parts = []
+    for sign in ("+", "-"):
+        for k13 in (False, True):
+            state, schedule, report = ghz_prepare(energies, sign, include_k13=k13)
+            parts += [report, schedule, state.amplitudes.tobytes(), mermin_expectations(state)]
+    for mode in _MODES:
+        for k13 in (False, True):
+            parts += [verify_ghz(energies, mode, include_k13=k13),
+                      verify_mixture_control(energies, mode, include_k13=k13)]
+    return repr(parts)
+
+
+# sha256 over 24 seeded devices, captured before the preparation and the
+# interference pulses were memoized.
+_PIPELINE_SHA256 = "fd5e6dc420f538520c8a50ed544db82181bab753c0873c9a51967e1f75e08e1e"
+
+
+def test_pipeline_repr_is_pinned():
+    digest = hashlib.sha256()
+    for energies in _devices(24, 20261018):
+        digest.update(_pipeline(energies).encode())
+    assert digest.hexdigest() == _PIPELINE_SHA256
+
+
+# Consecutive entries differ in one part of a memo key, so a memo that left
+# that part out would hand back the previous entry's result.
+_SIGN_K13_ORDER = (("+", False), ("-", False), ("-", True), ("+", True))
+_MODE_K13_ORDER = (("effective", False), ("full", False), ("full", True), ("effective", True))
+
+
+def _clear():
+    _prepare.cache_clear()
+    _interference_pulses.cache_clear()
+
+
+def _fresh(fn, *args, **kwargs):
+    """``fn`` called with both one-entry memos emptied first."""
+    _clear()
+    return fn(*args, **kwargs)
+
+
+def test_repeated_preparation_equals_a_fresh_one():
+    a, b = _devices(2, 7)
+    fresh = {(dev, sign, k13): _fresh(ghz_prepare, dev, sign, include_k13=k13)
+             for dev in (a, b) for sign, k13 in _SIGN_K13_ORDER}
+    _clear()
+    for dev in (a, b, a):
+        for sign, k13 in _SIGN_K13_ORDER:
+            want = fresh[dev, sign, k13]
+            for _ in range(2):  # the repeat is served from the memo
+                state, schedule, report = ghz_prepare(dev, sign, include_k13=k13)
+                assert np.array_equal(state.amplitudes, want[0].amplitudes)
+                assert schedule == want[1] and report == want[2]
+    # an integer sign and a truthy k13 share the entry of "-" and True
+    assert ghz_prepare(a, "-", include_k13=True)[2] == fresh[a, "-", True][2]
+    assert ghz_prepare(a, -1, include_k13=1)[2] == fresh[a, "-", True][2]
+
+
+def test_repeated_verification_equals_a_fresh_one():
+    a, b = _devices(2, 8)
+    protocols = (verify_ghz, verify_mixture_control)
+    fresh = {(fn, dev, mode, k13): _fresh(fn, dev, mode, include_k13=k13)
+             for fn in protocols for dev in (a, b) for mode, k13 in _MODE_K13_ORDER}
+    _clear()
+    for dev in (a, b, a):
+        for mode, k13 in _MODE_K13_ORDER:
+            for fn in protocols + protocols:
+                assert fn(dev, mode, include_k13=k13) == fresh[fn, dev, mode, k13]
+            # a preparation for another sign and k13 in between changes nothing
+            ghz_prepare(dev, "-", include_k13=not k13)
+            assert verify_ghz(dev, mode, include_k13=k13) == fresh[verify_ghz, dev, mode, k13]
+
+
+def test_infeasible_device_raises_on_every_call():
+    network = CapacitanceNetwork((600.0, 600.0, 600.0), (0.6, 0.6, 0.6), (0.0, 30.0))
+    settings = ControlSettings((0.5, 0.5, 0.5), (0.5, 0.5, 0.5), (5.6, 5.6, 5.6))
+    energies = derive_energies(network, settings)
+    for _ in range(3):
+        with pytest.raises(InfeasiblePulseError, match="k12"):
+            ghz_prepare(energies, "+")
+        with pytest.raises(InfeasiblePulseError, match="k12"):
+            verify_ghz(energies, "full")
+
+
+def test_shared_results_are_read_only():
+    (dev,) = _devices(1, 10)
+    state, schedule, report = ghz_prepare(dev, "+")
+    assert ghz_prepare(dev, "+")[0] is state
+    matrices = [op.matrix for op in _interference_pulses("full", dev, False)]
+    matrices += [op.matrix for op in _IDEAL_PULSES]
+    matrices += [op.matrix for op in _MERMIN_OPERATORS.values()]
+    for arr in [state.amplitudes, *matrices]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(AttributeError):
+        report.fidelity = 0.0
+    assert isinstance(schedule.segments, tuple) and isinstance(report.flip_solutions, tuple)
+
+
+def test_mermin_operator_returns_a_fresh_operator():
+    for pattern, op in _MERMIN_OPERATORS.items():
+        fresh = mermin_operator(pattern)
+        assert fresh is not op
+        assert np.array_equal(fresh.matrix, op.matrix)

@@ -36,6 +36,14 @@ def test_superposition_pulse_durations():
         solve_superposition_pulse(5.0, "x")
 
 
+@pytest.mark.parametrize("sign", [True, False])
+def test_bool_signs_are_rejected(sign, energies):
+    with pytest.raises(ContractViolationError, match="sign must be"):
+        solve_superposition_pulse(1.0, sign)
+    with pytest.raises(ContractViolationError, match="sign must be"):
+        ghz_prepare(energies, sign)
+
+
 def test_conditional_flip_reference_solution(energies):
     sol = solve_conditional_flip(energies.k12, energies.ej_max[0])
     assert (sol.m, sol.n) == (0, 1)
