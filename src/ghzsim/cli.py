@@ -120,8 +120,6 @@ def _cmd_derive(cfg: RunConfig) -> dict:
     energies = derive_energies(cfg.network, cfg.settings)
     cross = crosstalk_ratio(energies)
     return {
-        "command": "derive",
-        "source": cfg.source,
         "capacitance_af": asdict(effective_capacitances(cfg.network)),
         "energies_ghz": asdict(energies),
         "crosstalk": {
@@ -151,8 +149,6 @@ def _cmd_prepare(cfg: RunConfig) -> dict:
             "residual_closure": sol.residuals[1],
         })
     return {
-        "command": "prepare",
-        "source": cfg.source,
         "sign": report.sign,
         "fidelity": report.fidelity,
         "fidelity_deficit": 1.0 - report.fidelity,
@@ -171,8 +167,6 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     energies = None if p.mode == "ideal" else derive_energies(cfg.network, cfg.settings)
     outcome = verify_ghz(energies, p.mode, p.shots, p.seed, include_k13=p.include_k13)
     return _with_counts({
-        "command": "verify",
-        "source": cfg.source,
         "mode": outcome.mode,
         "postselect_probability": outcome.postselect_probability,
         "probabilities": {k: outcome.probabilities[k] for k in sorted(outcome.probabilities)},
@@ -194,8 +188,6 @@ def _cmd_mermin(cfg: RunConfig) -> dict:
     rows = [{"observable": obs, "quantum": val} for obs, val in values.items()]
     contradiction = quantum_yyy < 0.0 < lhv_value
     return {
-        "command": "mermin",
-        "source": cfg.source,
         "preparation_fidelity": report.fidelity,
         "expectations": rows,
         "operator_identity_residual": identity_residual,
@@ -220,8 +212,6 @@ def _cmd_yyy(cfg: RunConfig) -> dict:
     if p.shots:
         even_count = sum(c for lab, c in outcome.counts.counts.items() if lab.count("1") % 2 == 0)
     return _with_counts({
-        "command": "yyy",
-        "source": cfg.source,
         "shots": p.shots,
         "seed": p.seed if p.shots else None,
         "probabilities": {k: outcome.probabilities[k] for k in sorted(outcome.probabilities)},
@@ -241,8 +231,6 @@ def _cmd_scan(cfg: RunConfig) -> dict:
         except ContractViolationError:
             slope = None
         return {
-            "command": "scan",
-            "source": cfg.source,
             "parameter": "zeta",
             "target": scan.target,
             "rows": rows,
@@ -261,20 +249,13 @@ def _cmd_scan(cfg: RunConfig) -> dict:
             "fidelity_deficit": 1.0 - report.fidelity,
         })
     return {
-        "command": "scan",
-        "source": cfg.source,
         "parameter": "coupler",
         "rows": rows,
     }
 
 
 def _cmd_timing(cfg: RunConfig) -> dict:
-    energies = derive_energies(cfg.network, cfg.settings)
-    return {
-        "command": "timing",
-        "source": cfg.source,
-        **_timing(energies, cfg.readout_time),
-    }
+    return _timing(derive_energies(cfg.network, cfg.settings), cfg.readout_time)
 
 
 # command -> (handler, help text, flags from _FLAGS in --help order)
@@ -396,7 +377,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
-        text = _RENDERERS[cfg.output.format](_SUBCOMMANDS[args.command][0](cfg))
+        handler = _SUBCOMMANDS[args.command][0]
+        doc = {"command": args.command, "source": cfg.source, **handler(cfg)}
+        text = _RENDERERS[cfg.output.format](doc)
         if cfg.output.path:
             try:
                 Path(cfg.output.path).write_text(text, encoding="utf-8")

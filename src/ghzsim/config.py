@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import yaml
 
 from .circuit import CapacitanceNetwork, ControlSettings
+from .effective import _SCAN_TARGETS, _SCAN_ZETA_LIMIT
 from .errors import ConfigError
 from .protocols import _MODES
 
@@ -67,7 +68,6 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
 _SIGNS = {"plus": "+", "minus": "-"}
 _FORMATS = ("table", "csv", "structured")
 _SCAN_PARAMETERS = ("zeta", "coupler")
-_SCAN_TARGETS = ("middle", "outer")
 # Bounds run time only: sampling memory is flat in the shot count, and
 # 10**7 shots take about 0.3 s on a 2-CPU machine.
 _MAX_SHOTS = 10**7
@@ -223,8 +223,9 @@ def _build(raw: dict, source: str) -> RunConfig:
     values = tuple(_number(v, f"scan.values[{i}]") for i, v in enumerate(values_raw))
     if parameter == "zeta":
         for i, v in enumerate(values):
-            if not 0.0 <= v < 0.5:
-                raise ConfigError(f"scan.values[{i}]: zeta must lie in [0, 0.5), got {v}")
+            if not 0.0 <= v < _SCAN_ZETA_LIMIT:
+                raise ConfigError(f"scan.values[{i}]: zeta must lie in "
+                                  f"[0, {_SCAN_ZETA_LIMIT}), got {v}")
     else:
         for i, v in enumerate(values):
             if v <= 0.0:

@@ -26,6 +26,7 @@ from .core import Operator, build_hamiltonian, pauli, propagator
 from .errors import ContractViolationError, InfeasiblePulseError
 
 _SCAN_ZETA_LIMIT = 0.5
+_SCAN_TARGETS = ("middle", "outer")
 
 
 def _real(value, requirement: str) -> float:
@@ -117,29 +118,24 @@ def tau2(params: PerturbationParams) -> float:
     return 1.0 / (8.0 * eps2 * rate)
 
 
+def _outer_rates(params: PerturbationParams, qubit2_z: int = +1) -> tuple:
+    """Rotation rates eps_j * (1 + 2 * zeta_j2^2 * z) of qubits 1 and 3 on the
+    sigma_z2 = z sector."""
+    if qubit2_z not in (+1, -1):
+        raise ContractViolationError(f"qubit2_z must be +1 or -1, got {qubit2_z}")
+    eps1, _, eps3 = params.epsilon_j
+    return (eps1 * (1.0 + 2.0 * params.zeta12**2 * qubit2_z),
+            eps3 * (1.0 + 2.0 * params.zeta32**2 * qubit2_z))
+
+
 def h_eff_qubits13(params: PerturbationParams, qubit2_z: int = +1) -> Operator:
     """Effective generator of the simultaneous outer rotations, resolved on
     a sigma_z2 eigenvalue.
 
     -sum_j eps_j * (1 + 2 * zeta_j2^2 * z) * sigma_xj   for j in {1, 3}
     """
-    if qubit2_z not in (+1, -1):
-        raise ContractViolationError(f"qubit2_z must be +1 or -1, got {qubit2_z}")
-    eps1, _, eps3 = params.epsilon_j
-    h = -(eps1 * (1.0 + 2.0 * params.zeta12**2 * qubit2_z) * pauli("x", 1).matrix
-          + eps3 * (1.0 + 2.0 * params.zeta32**2 * qubit2_z) * pauli("x", 3).matrix)
-    return Operator(h)
-
-
-def _h_eff_outer_operator(params: PerturbationParams) -> Operator:
-    """Operator form of the outer-pair generator with sigma_z2 kept as an
-    operator instead of a number."""
-    eps1, _, eps3 = params.epsilon_j
-    sx1, sx3 = pauli("x", 1).matrix, pauli("x", 3).matrix
-    sz2 = pauli("z", 2).matrix
-    h = -(eps1 * (sx1 + 2.0 * params.zeta12**2 * (sz2 @ sx1))
-          + eps3 * (sx3 + 2.0 * params.zeta32**2 * (sz2 @ sx3)))
-    return Operator(h)
+    rate1, rate3 = _outer_rates(params, qubit2_z)
+    return Operator(-(rate1 * pauli("x", 1).matrix + rate3 * pauli("x", 3).matrix))
 
 
 def tau13(params: PerturbationParams) -> float:
@@ -148,24 +144,25 @@ def tau13(params: PerturbationParams) -> float:
     Qubit 1's rate eps_j1 * (1 + 2*zeta12^2) sets the time;
     matched_outer_params gives qubit 3 the same rate.
     """
-    rate1 = params.epsilon_j[0] * (1.0 + 2.0 * params.zeta12**2)
-    return 1.0 / (8.0 * rate1)
+    return 1.0 / (8.0 * _outer_rates(params)[0])
 
 
 def matched_outer_params(params: PerturbationParams) -> PerturbationParams:
     """Params with eps_j3 rescaled (zeta32 held fixed) so that qubit 3's rate
     eps_j3 * (1 + 2*zeta32^2) equals qubit 1's and both qubits complete the
     quarter rotation together; params whose rates already agree pass through."""
-    eps1, eps2, eps3 = params.epsilon_j
-    rate1 = eps1 * (1.0 + 2.0 * params.zeta12**2)
-    rate3 = eps3 * (1.0 + 2.0 * params.zeta32**2)
+    rate1, rate3 = _outer_rates(params)
     if abs(rate1 - rate3) <= 1e-12 * max(rate1, rate3):
         return params
+    eps1, eps2, _ = params.epsilon_j
     return replace(params, epsilon_j=(eps1, eps2, rate1 / (1.0 + 2.0 * params.zeta32**2)))
 
 
 _GRID = np.linspace(-math.pi, math.pi, 721)
 _PHASES = np.exp(1j * _GRID)[:, None]
+# Rows with sigma_z2 = +1: the scan's outer generator takes each row from the
+# h_eff_qubits13 sector of that row's sigma_z2.
+_QUBIT2_UP = (pauli("z", 2).matrix.diagonal().real > 0)[:, None]
 
 
 def _phase_minimized_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -219,7 +216,7 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     of (zeta, error) pairs.  ``zeta_values`` is an iterable (not a string) of
     real, non-bool numbers.
     """
-    if which not in ("middle", "outer"):
+    if which not in _SCAN_TARGETS:
         raise ContractViolationError(f"which must be 'middle' or 'outer', got {which!r}")
     try:
         zetas = None if isinstance(zeta_values, (str, bytes)) else tuple(zeta_values)
@@ -246,7 +243,8 @@ def effective_error_scan(zeta_values, which: str = "middle"):
             params = PerturbationParams((1.0, 1.0, 1.0), zeta12=z, zeta32=z)
             h_full = build_hamiltonian((0.0, 0.0, 0.0), (2.0, 0.0, 2.0),
                                        k12=2.0 * z, k23=2.0 * z)
-            h_eff = _h_eff_outer_operator(params)
+            h_eff = Operator(np.where(_QUBIT2_UP, h_eff_qubits13(params, +1).matrix,
+                                      h_eff_qubits13(params, -1).matrix))
             t = tau13(params)
         u_full = propagator(h_full, t)
         u_eff = propagator(h_eff, t)

@@ -236,12 +236,19 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     return _prepare(energies, _parse_sign(sign), bool(include_k13))
 
 
-@functools.lru_cache(maxsize=1)
-def _prepare(energies: DerivedEnergies, parsed_sign: int, include_k13: bool):
-    """ghz_prepare for a parsed sign (+1 or -1), one device remembered."""
-    sign, internal = ("+", "-") if parsed_sign == 1 else ("-", "+")
+def _pair_state(index: int, coefficient: complex) -> StateVector:
+    """(|000> + coefficient * |index>) / sqrt(2)."""
+    inv = 1.0 / math.sqrt(2.0)
+    amps = [0.0j] * 8
+    amps[0b000] = inv
+    amps[index] = coefficient * inv
+    return StateVector(amps)
 
-    t_sup = solve_superposition_pulse(energies.ej_max[1], internal)
+
+@functools.lru_cache(maxsize=1)
+def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
+    """ghz_prepare for a parsed sign s (+1 or -1), one device remembered."""
+    t_sup = solve_superposition_pulse(energies.ej_max[1], -s)
     seg_sup = PulseSegment(
         t_sup,
         e_c=(0.0, -2.0 * (energies.k12 + energies.k23), 0.0),
@@ -258,27 +265,15 @@ def _prepare(energies: DerivedEnergies, parsed_sign: int, include_k13: bool):
     )
     final, trajectory = run_schedule(schedule, StateVector.basis("000"))
 
-    s_int = 1.0 if internal == "+" else -1.0
-    inv = 1.0 / math.sqrt(2.0)
-    amps_sup = [0.0j] * 8
-    amps_sup[0b000] = inv
-    amps_sup[0b010] = 1j * s_int * inv
-    target_sup = StateVector(amps_sup)
-    amps_flip1 = [0.0j] * 8
-    amps_flip1[0b000] = inv
-    amps_flip1[0b110] = -s_int * inv
-    target_flip1 = StateVector(amps_flip1)
-    target_final = ghz_state(sign)
-
-    fid = fidelity(final, target_final)
+    fid = fidelity(final, ghz_state(s))
     intermediates = (
-        fidelity(trajectory[0], target_sup),
-        fidelity(trajectory[1], target_flip1),
+        fidelity(trajectory[0], _pair_state(0b010, 1j * -s)),
+        fidelity(trajectory[1], _pair_state(0b110, s)),
     )
     phase = cmath.phase(final.amplitudes[7]) - cmath.phase(final.amplitudes[0])
     phase = math.remainder(phase, 2.0 * math.pi)
     report = PreparationReport(
-        sign=sign,
+        sign="+" if s == 1 else "-",
         fidelity=fid,
         intermediate_fidelities=intermediates,
         achieved_phase=phase,
