@@ -35,6 +35,7 @@ PLANCK_CONSTANT = 6.62607015e-34  # J s
 _E2_PER_AF_GHZ = ELEMENTARY_CHARGE**2 / 1e-18 / (PLANCK_CONSTANT * 1e9)
 
 _COND_LIMIT = 1e12
+_CROSSTALK_THRESHOLD = 0.05
 
 
 def _as_entries(values, name, length):
@@ -109,6 +110,8 @@ class ControlSettings:
                 raise UnphysicalNetworkError(f"gate_charge entries must lie in [0, 1], got {n}")
         if min(self.epsilon_j) <= 0.0:
             raise UnphysicalNetworkError("epsilon_j entries must be strictly positive")
+        if not all(math.isfinite(math.pi * f) for f in self.flux):
+            raise UnphysicalNetworkError(f"flux entries must keep pi * flux finite, got {self.flux}")
 
 
 @dataclass(frozen=True)
@@ -182,20 +185,32 @@ def effective_capacitances(network: CapacitanceNetwork) -> EffectiveCapacitances
         cj[2] + cg[2] + c23,
     )
     s1, s2, s3 = c_sigma
-    c_det = s1 * s2 * s3 - c12**2 * s3 - c23**2 * s1
-    if c_det <= 0.0:
-        raise UnphysicalNetworkError(
-            f"network determinant must be positive, got {c_det} aF^3; "
-            "couplers are too large relative to the box capacitances"
+    try:
+        c_det = s1 * s2 * s3 - c12**2 * s3 - c23**2 * s1
+        if c_det <= 0.0:
+            raise UnphysicalNetworkError(
+                f"network determinant must be positive, got {c_det} aF^3; "
+                "couplers are too large relative to the box capacitances"
+            )
+        c_sigma_eff = (
+            s1 / (1.0 + c12**2 * s3 / c_det),
+            c_det / (s1 * s3),
+            s3 / (1.0 + c23**2 * s1 / c_det),
         )
-    c_sigma_eff = (
-        s1 / (1.0 + c12**2 * s3 / c_det),
-        c_det / (s1 * s3),
-        s3 / (1.0 + c23**2 * s1 / c_det),
-    )
-    c_pair_12 = c_det / (s3 * c12) if c12 > 0.0 else math.inf
-    c_pair_23 = c_det / (s1 * c23) if c23 > 0.0 else math.inf
-    c_pair_13 = c_det / (c12 * c23) if c12 > 0.0 and c23 > 0.0 else math.inf
+        c_pair_12 = c_det / (s3 * c12) if c12 > 0.0 else math.inf
+        c_pair_23 = c_det / (s1 * c23) if c23 > 0.0 else math.inf
+        c_pair_13 = c_det / (c12 * c23) if c12 > 0.0 and c23 > 0.0 else math.inf
+        # Only an absent coupler may leave its pair capacitance infinite.
+        screened = (c_det, *c_sigma_eff, *(c for c, coupler in (
+            (c_pair_12, c12), (c_pair_23, c23), (c_pair_13, min(cm))) if coupler > 0.0))
+        representable = all(0.0 < c < math.inf for c in screened)
+    except ArithmeticError:  # overflow of a square, or a product underflowing to zero
+        representable = False
+    if not representable:
+        raise UnphysicalNetworkError(
+            f"capacitances {cj}, {cg}, {cm} aF take the network screening out of "
+            "floating-point range"
+        )
     return EffectiveCapacitances(c_sigma, c_det, c_sigma_eff, c_pair_12, c_pair_23, c_pair_13)
 
 
@@ -239,14 +254,14 @@ def derive_energies(network: CapacitanceNetwork, settings: ControlSettings) -> D
     return DerivedEnergies(e_c, e_j, ej_max, k12, k23, k13, zeta12, zeta23)
 
 
-def crosstalk_ratio(energies: DerivedEnergies, threshold: float = 0.05) -> CrosstalkReport:
+def crosstalk_ratio(energies: DerivedEnergies) -> CrosstalkReport:
     """Compare the 1-3 coupling against both chain couplings."""
     if energies.k12 <= 0.0 or energies.k23 <= 0.0:
-        return CrosstalkReport(math.inf, math.inf, threshold, False, True)
+        return CrosstalkReport(math.inf, math.inf, _CROSSTALK_THRESHOLD, False, True)
     r12 = energies.k13 / energies.k12
     r23 = energies.k13 / energies.k23
-    justified = r12 < threshold and r23 < threshold
-    return CrosstalkReport(r12, r23, threshold, justified, False)
+    justified = r12 < _CROSSTALK_THRESHOLD and r23 < _CROSSTALK_THRESHOLD
+    return CrosstalkReport(r12, r23, _CROSSTALK_THRESHOLD, justified, False)
 
 
 def solve_gate_charges(network: CapacitanceNetwork, target_e_c) -> tuple:

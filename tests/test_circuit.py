@@ -231,6 +231,8 @@ def test_settings_validation():
         ControlSettings((0.5,) * 3, (0.5,) * 3, (0.0, 5.6, 5.6))
     with pytest.raises(UnphysicalNetworkError):
         ControlSettings((0.5, 0.5), (0.5,) * 3, (5.6,) * 3)
+    with pytest.raises(UnphysicalNetworkError, match="pi \\* flux"):
+        ControlSettings((0.5,) * 3, (0.5, 0.5, 1.7e308), (5.6,) * 3)
 
 
 def test_warning_free_in_range_solution(network):

@@ -1,10 +1,15 @@
 """Configuration loading, validation, and the command-line surface."""
 
 import argparse
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzsim import ConfigError, load_config
 from ghzsim.cli import build_parser, main
@@ -326,6 +331,90 @@ def test_cli_strong_coupler_is_infeasible(tmp_path, capsys, command, code):
     assert main(command + ["--config", str(path)]) == code
     if code:
         assert "zeta12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    *[(command, "device: {coupler_capacitance_af: [1e-300, 1e-300]}")
+      for command in (["derive"], ["prepare"], ["verify", "--mode", "full"], ["mermin"],
+                      ["timing"])],
+    (["derive"], "device: {coupler_capacitance_af: [1e-160, 1e-160]}"),
+    (["derive"], "device: {coupler_capacitance_af: [1e200, 1e200], "
+                 "junction_capacitance_af: [1e200, 1e200, 1e200]}"),
+    (["scan"], "scan: {parameter: coupler, values: [1e300]}"),
+    (["scan"], "scan: {parameter: coupler, values: [1e-300]}"),
+])
+def test_cli_screening_out_of_float_range_is_a_config_error(tmp_path, capsys, command, text):
+    path = tmp_path / "extreme.yaml"
+    path.write_text(text + "\n")
+    assert main(command + ["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: capacitances ")
+    assert "floating-point range" in captured.err
+    assert captured.out == ""
+
+
+# In-schema magnitudes at the edges of float range, plus values each field rejects.
+_EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e-160, 1e200, 1e300, 1.7e308, float("nan"),
+             float("-inf"), True, "x")
+_NUMBERS = st.one_of(st.sampled_from(_EXTREMES), st.floats(0.0, 1e3), st.integers(-3, 3))
+
+
+def _triple(element=_NUMBERS, size=3):
+    return st.lists(element, min_size=size - 1, max_size=size + 1)
+
+
+def _documents(out_path: str):
+    device = st.fixed_dictionaries({}, optional={
+        "junction_capacitance_af": _triple(),
+        "gate_capacitance_af": _triple(),
+        "coupler_capacitance_af": _triple(size=2),
+        "gate_charge": _triple(st.one_of(st.floats(0.0, 1.0), _NUMBERS)),
+        "flux": _triple(),
+        "josephson_energy_ghz": _triple(),
+        "readout_time_ns": _NUMBERS,
+    })
+    protocol = st.fixed_dictionaries({}, optional={
+        "mode": st.sampled_from(("ideal", "effective", "full", "exact")),
+        "shots": st.sampled_from((0, 1, 500, -1, 10**7 + 1, 2.5, True)),
+        "seed": st.one_of(st.none(), st.integers(-1, 2**40), st.just("x")),
+        "sign": st.sampled_from(("plus", "minus", "+")),
+        "include_k13": st.sampled_from((False, True, 1)),
+    })
+    scan = st.fixed_dictionaries({}, optional={
+        "parameter": st.sampled_from(("zeta", "coupler", "kappa")),
+        "target": st.sampled_from(("middle", "outer", "both")),
+        "values": st.lists(st.one_of(st.floats(0.0, 0.49), _NUMBERS), max_size=3),
+    })
+    output = st.fixed_dictionaries({}, optional={
+        "format": st.sampled_from(("table", "csv", "structured", "xml")),
+        "path": st.sampled_from((None, out_path, 7)),
+    })
+    sections = st.fixed_dictionaries({}, optional={
+        "device": device, "protocol": protocol, "scan": scan, "output": output,
+        "detector": st.just({}),
+    })
+    return st.one_of(sections, st.sampled_from(([1, 2], "device", 3)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", ["derive", "prepare", "verify", "mermin", "yyy", "scan",
+                                     "timing"])
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_random_documents_end_in_a_documented_exit_code(fuzz_dir, command, data):
+    doc = data.draw(_documents(str(fuzz_dir / "out.txt")))
+    path = fuzz_dir / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path)])
+    prefix = {0: "", 2: "config error: ", 3: "infeasible pulse: ", 4: "error: "}[code]
+    assert err.getvalue().startswith(prefix)
+    assert bool(err.getvalue()) == (code != 0)
 
 
 def test_cli_rejects_unknown_command():
