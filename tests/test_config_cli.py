@@ -359,18 +359,18 @@ _EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e-160, 1e200, 1e300, 1.7e308, float("na
 _NUMBERS = st.one_of(st.sampled_from(_EXTREMES), st.floats(0.0, 1e3), st.integers(-3, 3))
 
 
-def _triple(element=_NUMBERS, size=3):
+def _entries(element=_NUMBERS, size=3):
     return st.lists(element, min_size=size - 1, max_size=size + 1)
 
 
 def _documents(out_path: str):
     device = st.fixed_dictionaries({}, optional={
-        "junction_capacitance_af": _triple(),
-        "gate_capacitance_af": _triple(),
-        "coupler_capacitance_af": _triple(size=2),
-        "gate_charge": _triple(st.one_of(st.floats(0.0, 1.0), _NUMBERS)),
-        "flux": _triple(),
-        "josephson_energy_ghz": _triple(),
+        "junction_capacitance_af": _entries(),
+        "gate_capacitance_af": _entries(),
+        "coupler_capacitance_af": _entries(size=2),
+        "gate_charge": _entries(st.one_of(st.floats(0.0, 1.0), _NUMBERS)),
+        "flux": _entries(),
+        "josephson_energy_ghz": _entries(),
         "readout_time_ns": _NUMBERS,
     })
     protocol = st.fixed_dictionaries({}, optional={
