@@ -1,8 +1,10 @@
 """Byte-for-byte pins of the command-line output.
 
 Each file under ``tests/golden/cli/`` holds the stdout of one invocation:
-the seven commands in all three formats on the built-in device, plus the
-invocations that acceptance criterion 11 runs twice.  The test runs each one
+the seven commands in all three formats on the built-in device, ``derive``
+and ``timing`` in all three formats on a device without its 1-2 coupler
+(the only output that prints infinite floats and drops a timing row), plus
+the invocations that acceptance criterion 11 runs twice.  The test runs each one
 in process through ``main(argv)`` from the repository root, so the
 ``source:`` line of ``configs/reference_device.yaml`` is stable, and asserts
 byte equality.
@@ -29,6 +31,12 @@ CASES = {
     for command in ("derive", "prepare", "verify", "mermin", "yyy", "scan", "timing")
     for fmt in ("table", "csv", "structured")
 }
+CASES.update({
+    f"uncoupled_12.{command}.{fmt}": [
+        command, "--config", "tests/configs/uncoupled_12.yaml", "--format", fmt]
+    for command in ("derive", "timing")
+    for fmt in ("table", "csv", "structured")
+})
 CASES.update({
     "criterion11.derive": ["derive"],
     "criterion11.prepare": ["prepare"],
