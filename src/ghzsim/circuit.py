@@ -216,18 +216,11 @@ def effective_capacitances(network: CapacitanceNetwork) -> EffectiveCapacitances
 
 def _charging_matrix(caps: EffectiveCapacitances) -> np.ndarray:
     """3x3 matrix mapping the offsets (2*n_g - 1) to charging energies in GHz."""
-    m = np.zeros((3, 3))
-    pair = {
-        (0, 1): caps.c_pair_12,
-        (1, 2): caps.c_pair_23,
-        (0, 2): caps.c_pair_13,
-    }
-    for j in range(3):
-        m[j, j] = 2.0 * _E2_PER_AF_GHZ / caps.c_sigma_eff[j]
-    for (a, b), c in pair.items():
-        if math.isfinite(c):
-            m[a, b] = m[b, a] = 2.0 * _E2_PER_AF_GHZ / c
-    return m
+    s1, s2, s3 = caps.c_sigma_eff
+    c = np.array([[s1, caps.c_pair_12, caps.c_pair_13],
+                  [caps.c_pair_12, s2, caps.c_pair_23],
+                  [caps.c_pair_13, caps.c_pair_23, s3]])
+    return 2.0 * _E2_PER_AF_GHZ / c
 
 
 def derive_energies(network: CapacitanceNetwork, settings: ControlSettings) -> DerivedEnergies:
@@ -241,9 +234,9 @@ def derive_energies(network: CapacitanceNetwork, settings: ControlSettings) -> D
     m = _charging_matrix(caps)
     offsets = np.array([2.0 * n - 1.0 for n in settings.gate_charge])
     e_c = tuple(float(v) for v in m @ offsets)
-    k12 = _E2_PER_AF_GHZ / caps.c_pair_12 if math.isfinite(caps.c_pair_12) else 0.0
-    k23 = _E2_PER_AF_GHZ / caps.c_pair_23 if math.isfinite(caps.c_pair_23) else 0.0
-    k13 = _E2_PER_AF_GHZ / caps.c_pair_13 if math.isfinite(caps.c_pair_13) else 0.0
+    k12 = _E2_PER_AF_GHZ / caps.c_pair_12
+    k23 = _E2_PER_AF_GHZ / caps.c_pair_23
+    k13 = _E2_PER_AF_GHZ / caps.c_pair_13
     e_j = tuple(
         2.0 * eps * math.cos(math.pi * phi)
         for eps, phi in zip(settings.epsilon_j, settings.flux)

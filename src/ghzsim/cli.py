@@ -20,8 +20,8 @@ Command output is a pure function of that configuration: identical
 invocations produce byte-identical bytes, with all randomness drawn from the
 configured seed.
 
-Exit codes: 0 success, 2 configuration problem, 3 no feasible pulse within
-the search bounds, 4 violated internal contract.
+Exit codes: 0 success, 2 configuration problem, 3 no pulse that fits the
+search bounds and floating point, 4 violated internal contract.
 """
 
 import argparse
@@ -157,7 +157,7 @@ def _cmd_prepare(cfg: RunConfig) -> dict:
         "superposition_time_ns": report.superposition_time,
         "total_duration_ns": report.total_duration,
         "k13_included": report.k13_included,
-        "k13_ghz": energies.k13 if report.k13_included else 0.0,
+        "k13_ghz": schedule.k13,
         "flips": flip_rows,
     }
 
@@ -245,7 +245,7 @@ def _cmd_scan(cfg: RunConfig) -> dict:
         rows.append({
             "coupler_af": value,
             "k13_ghz": energies.k13,
-            "ratio_13_over_12": energies.k13 / energies.k12,
+            "ratio_13_over_12": crosstalk_ratio(energies).ratio_12,
             "fidelity_deficit": 1.0 - report.fidelity,
         })
     return {
@@ -276,12 +276,6 @@ def _format_scalar(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "-"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
     return str(value)
 
 

@@ -24,7 +24,7 @@ import yaml
 
 from .circuit import CapacitanceNetwork, ControlSettings
 from .effective import _SCAN_TARGETS, _SCAN_ZETA_LIMIT
-from .errors import ConfigError
+from .errors import ConfigError, UnphysicalNetworkError
 from .protocols import _MODES
 
 DEFAULT_CONFIG = {
@@ -190,7 +190,7 @@ def _build(raw: dict, source: str) -> RunConfig:
             raise ConfigError(f"device.josephson_energy_ghz[{i}]: must be > 0, got {e}")
     try:
         settings = ControlSettings(**settings_kwargs)
-    except Exception as exc:
+    except UnphysicalNetworkError as exc:
         raise ConfigError(f"device: {exc}") from exc
     readout_time = _number(dev["readout_time_ns"], "device.readout_time_ns", minimum=0.0)
 
@@ -252,5 +252,5 @@ def _network(dev: dict) -> CapacitanceNetwork:
     }
     try:
         return CapacitanceNetwork(**kwargs)
-    except Exception as exc:
+    except UnphysicalNetworkError as exc:
         raise ConfigError(f"device: {exc}") from exc

@@ -15,10 +15,10 @@ Measurement bases follow the package convention: outcome bit 0 corresponds
 to Pauli eigenvalue +1, and the basis-change unitaries satisfy
 S_a sigma_a S_a^dag = sigma_z exactly (checked in the test suite).
 
-Every protocol accepts a mode: "ideal" uses closed-form quarter rotations on
-the exact entangled state, "effective" uses the second-order generators, and
-"full" uses the exact chain Hamiltonian with pulse durations taken from the
-second-order formulas, which is what a timed experiment would do.
+The interference protocols (verify_ghz, verify_mixture_control) take a mode:
+"ideal" uses closed-form quarter rotations on the exact entangled state,
+"effective" the second-order generators, and "full" the exact chain
+Hamiltonian timed by the second-order formulas, as a timed experiment would.
 """
 
 import functools

@@ -12,8 +12,8 @@ a chain of three charge qubits:
 1. a half/three-quarter rotation of the middle qubit splits |000> into a
    superposition of |000> and |010>;
 2. a conditional flip of qubit 1, timed so the branch with the middle qubit
-   excited performs an odd half-rotation while the other branch closes an
-   integer number of full rotations;
+   excited performs a half-rotation (m = 0; more turns need a stronger drive)
+   while the other branch closes an integer number of full rotations;
 3. the same conditional flip on qubit 3.
 
 Each conditional flip imprints a phase +i on the flipped branch, and the
@@ -84,10 +84,10 @@ class Schedule:
 class FlipSolution:
     """Closed-form conditional-flip timing.
 
-    ``e_j`` is the Josephson drive (GHz) and ``t`` the duration (ns); ``m``
-    counts extra half-rotations of the driven branch and ``n`` full rotations
-    of the idle branch.  ``residuals`` holds |sin(pi*e_j*t) - 1| and
-    |cos(2*pi*gamma*t) - 1|; both must vanish to 1e-9.
+    ``e_j`` is the Josephson drive (GHz) and ``t`` the duration (ns); ``n``
+    counts full rotations of the idle branch and ``m`` extra 2*pi advances of
+    the driven branch, always 0 as each needs a stronger drive.  ``residuals``
+    holds |sin(pi*e_j*t) - 1| and |cos(2*pi*gamma*t) - 1|; both must be < 1e-9.
     """
 
     e_j: float
@@ -148,41 +148,48 @@ def solve_superposition_pulse(e_j2: float, sign: str = "+") -> float:
     """
     if e_j2 <= 0.0:
         raise ContractViolationError(f"superposition pulse requires e_j2 > 0, got {e_j2}")
-    return 0.25 / e_j2 if _parse_sign(sign) == 1 else 0.75 / e_j2
+    t = 0.25 / e_j2 if _parse_sign(sign) == 1 else 0.75 / e_j2
+    if not math.isfinite(t):
+        raise InfeasiblePulseError(
+            f"superposition pulse for e_j2 = {e_j2} GHz cannot be timed in floating point")
+    return t
 
 
-def solve_conditional_flip(k: float, e_j_max: float, max_m: int = 16,
-                           max_n: int = 64) -> FlipSolution:
+def solve_conditional_flip(k: float, e_j_max: float, max_n: int = 64) -> FlipSolution:
     """Timing of a conditional outer-qubit flip against coupling ``k``.
 
-    Solves sin(pi * e_j * t) = 1 together with cos(2*pi * gamma * t) = 1,
-    gamma = sqrt((2k)^2 + (e_j / 2)^2): the driven branch advances by
-    pi/2 + 2*pi*m while the idle branch closes n full rotations.  With
-    a = pi/2 + 2*pi*m this gives e_j = 4k / sqrt((2*pi*n / a)^2 - 1) and
-    t = a / (pi * e_j); the search returns the lexicographically smallest
-    (m, n) whose drive fits under ``e_j_max``.
+    Solves sin(pi * e_j * t) = 1 and cos(2*pi * gamma * t) = 1, gamma =
+    sqrt((2k)^2 + (e_j / 2)^2): the driven branch advances by a = pi/2 while
+    the idle branch closes n full rotations, so e_j = 4k / sqrt((4n)^2 - 1)
+    and t = a / (pi * e_j) for the smallest n with e_j under ``e_j_max``.
+    m is always 0: advancing 2*pi*m further caps n / (m + 1/4) below the
+    4 * max_n of m = 0, so it always needs a stronger drive.  A k too small
+    to time in floating point is infeasible as well.
     """
     if k <= 0.0:
         raise ContractViolationError(f"conditional flip requires k > 0, got {k}")
     if e_j_max <= 0.0:
         raise ContractViolationError(f"conditional flip requires e_j_max > 0, got {e_j_max}")
-    for m in range(max_m + 1):
-        a = 0.5 * math.pi + 2.0 * math.pi * m
-        for n in range(m + 1, max_n + 1):
-            ratio_sq = (2.0 * math.pi * n / a) ** 2 - 1.0
-            e_j = 4.0 * k / math.sqrt(ratio_sq)
-            if e_j > e_j_max * (1.0 + 1e-12):
-                continue
-            t = a / (math.pi * e_j)
+    a = 0.5 * math.pi
+    for n in range(1, max_n + 1):
+        ratio_sq = (2.0 * math.pi * n / a) ** 2 - 1.0
+        e_j = 4.0 * k / math.sqrt(ratio_sq)
+        if e_j > e_j_max * (1.0 + 1e-12):
+            continue
+        t = a / (math.pi * e_j)
+        if math.isfinite(t):
             gamma = math.sqrt((2.0 * k) ** 2 + (0.5 * e_j) ** 2)
             residuals = (
                 abs(math.sin(math.pi * e_j * t) - 1.0),
                 abs(math.cos(2.0 * math.pi * gamma * t) - 1.0),
             )
-            return FlipSolution(e_j, t, m, n, residuals)
+            if max(residuals) < _RESIDUAL_TOL:
+                return FlipSolution(e_j, t, 0, n, residuals)
+        raise InfeasiblePulseError(
+            f"conditional flip for k = {k} GHz cannot be timed in floating point")
     raise InfeasiblePulseError(
         f"no conditional flip with e_j <= {e_j_max} GHz found for k = {k} GHz "
-        f"within m <= {max_m}, n <= {max_n}"
+        f"within n <= {max_n}"
     )
 
 

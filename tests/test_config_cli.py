@@ -70,6 +70,17 @@ def test_partial_override(tmp_path):
     ("scan:\n  parameter: coupler\n  values: [0.0]\n", "scan.values[0]"),
     ("scan:\n  values: []\n", "scan.values"),
     ("output:\n  format: xml\n", "output.format"),
+    ("device:\n  readout_time_ns: abc\n", "expected a number"),
+    ("device:\n  readout_time_ns: .inf\n", "must be finite"),
+    ("device:\n  readout_time_ns: -1.0\n", "must be >= 0.0"),
+    ("device: 3\n", "device: expected a mapping"),
+    ("protocol:\n  seed: 1.5\n", "protocol.seed: expected an integer or null"),
+    ("output: {path: 3}\n", "output.path"),
+    ("device:\n  junction_capacitance_af: [-1.0, 600.0, 600.0]\n",
+     "c_junction entries must be strictly positive"),
+    ("device:\n  coupler_capacitance_af: [-1.0, 30.0]\n",
+     "c_coupler entries must be non-negative"),
+    ("device:\n  flux: [1.0e308, 0.5, 0.5]\n", "pi * flux finite"),
 ])
 def test_config_validation_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.yaml"
@@ -350,6 +361,25 @@ def test_cli_screening_out_of_float_range_is_a_config_error(tmp_path, capsys, co
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: capacitances ")
     assert "floating-point range" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, text", [
+    (command, text)
+    for text in ("device: {josephson_energy_ghz: [5.6, 1.0e-320, 5.6]}",
+                 "device: {coupler_capacitance_af: [1.0e-160, 30.0]}")
+    for command in (["prepare"], ["verify", "--mode", "full"], ["verify", "--mode", "effective"],
+                    ["mermin"])
+])
+def test_cli_pulse_outside_float_range_is_infeasible(tmp_path, capsys, command, text):
+    # A subnormal drive makes the superposition time overflow; a subnormal
+    # (2*K12)^2 leaves the flip's closure residual at 3e-5.
+    path = tmp_path / "subnormal.yaml"
+    path.write_text(text + "\n")
+    assert main(command + ["--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("infeasible pulse: ")
+    assert "cannot be timed in floating point" in captured.err
     assert captured.out == ""
 
 

@@ -71,6 +71,66 @@ def test_conditional_flip_infeasible():
         solve_conditional_flip(0.0, 5.0)
 
 
+def _double_search_flip(k, e_j_max, max_m=16, max_n=64):
+    """The earlier search over extra half-rotations m and idle turns n,
+    kept as the reference: (e_j, t, m, n, residuals) of the first (m, n)
+    under the drive limit, or None."""
+    for m in range(max_m + 1):
+        a = 0.5 * math.pi + 2.0 * math.pi * m
+        for n in range(m + 1, max_n + 1):
+            ratio_sq = (2.0 * math.pi * n / a) ** 2 - 1.0
+            e_j = 4.0 * k / math.sqrt(ratio_sq)
+            if e_j > e_j_max * (1.0 + 1e-12):
+                continue
+            t = a / (math.pi * e_j)
+            gamma = math.sqrt((2.0 * k) ** 2 + (0.5 * e_j) ** 2)
+            residuals = (
+                abs(math.sin(math.pi * e_j * t) - 1.0),
+                abs(math.cos(2.0 * math.pi * gamma * t) - 1.0),
+            )
+            return e_j, t, m, n, residuals
+    return None
+
+
+def test_conditional_flip_matches_the_double_search():
+    # k over 1e-6..1e3 GHz and limits over 1e-5..1e3 GHz, log-uniform; one
+    # draw in ten puts the limit at e_j(m=0, n) * (1 +- 1e-12), on the edge
+    # of the drive test.
+    rng = np.random.default_rng(20051025)
+    feasible = 0
+    for i in range(3000):
+        k = float(10.0 ** rng.uniform(-6.0, 3.0))
+        e_j_max = float(10.0 ** rng.uniform(-5.0, 3.0))
+        if i % 10 == 0:
+            n = int(rng.integers(1, 65))
+            edge = 4.0 * k / math.sqrt((4.0 * n) ** 2 - 1.0)
+            e_j_max = edge * (1.0 + float(rng.choice((-1e-12, 1e-12))))
+        expected = _double_search_flip(k, e_j_max)
+        if expected is None:
+            with pytest.raises(InfeasiblePulseError):
+                solve_conditional_flip(k, e_j_max)
+            continue
+        sol = solve_conditional_flip(k, e_j_max)
+        assert (sol.e_j, sol.t, sol.m, sol.n, sol.residuals) == expected
+        feasible += 1
+    assert 1000 < feasible < 3000
+    with pytest.raises(TypeError):
+        solve_conditional_flip(1.0, 10.0, max_m=16)
+
+
+@pytest.mark.parametrize("k, e_j_max", [(1e-320, 1e-320), (1e-161, 10.0)])
+def test_conditional_flip_outside_float_range_is_infeasible(k, e_j_max):
+    # t overflows to inf, or (2k)^2 is subnormal and the closure residual
+    # loses its digits: neither flip can be timed.
+    with pytest.raises(InfeasiblePulseError, match="cannot be timed in floating point"):
+        solve_conditional_flip(k, e_j_max)
+
+
+def test_superposition_pulse_outside_float_range_is_infeasible():
+    with pytest.raises(InfeasiblePulseError, match="cannot be timed in floating point"):
+        solve_superposition_pulse(2e-320, "+")
+
+
 def test_conditional_flip_branch_action():
     # identity on the |0_2> branch, i-flip on the |1_2> branch
     rng = np.random.default_rng(11)
