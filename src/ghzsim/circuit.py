@@ -112,6 +112,9 @@ class ControlSettings:
             raise UnphysicalNetworkError("epsilon_j entries must be strictly positive")
         if not all(math.isfinite(math.pi * f) for f in self.flux):
             raise UnphysicalNetworkError(f"flux entries must keep pi * flux finite, got {self.flux}")
+        if not all(math.isfinite(2.0 * eps) for eps in self.epsilon_j):
+            raise UnphysicalNetworkError(f"epsilon_j entries must keep 2 * eps_j finite, "
+                                         f"got {self.epsilon_j}")
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,9 @@ def test_settings_validation():
         ControlSettings((0.5, 0.5), (0.5,) * 3, (5.6,) * 3)
     with pytest.raises(UnphysicalNetworkError, match="pi \\* flux"):
         ControlSettings((0.5,) * 3, (0.5, 0.5, 1.7e308), (5.6,) * 3)
+    with pytest.raises(UnphysicalNetworkError, match="2 \\* eps_j finite"):
+        ControlSettings((0.5,) * 3, (0.5,) * 3, (5.6, 5.6, 1.7e308))
+    assert ControlSettings((0.5,) * 3, (0.5,) * 3, (8.9e307,) * 3).epsilon_j == (8.9e307,) * 3
 
 
 def test_warning_free_in_range_solution(network):

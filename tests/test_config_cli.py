@@ -364,6 +364,19 @@ def test_cli_screening_out_of_float_range_is_a_config_error(tmp_path, capsys, co
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [["derive"], ["timing"], ["prepare"], ["mermin"],
+                                     ["verify", "--mode", "full"]])
+def test_cli_josephson_maximum_out_of_float_range_is_a_config_error(tmp_path, capsys, command):
+    # in schema, but ej_max = 2 * eps_j overflows to inf
+    path = tmp_path / "huge.yaml"
+    path.write_text("device: {josephson_energy_ghz: [1.7e308, 1.7e308, 1.7e308]}\n")
+    assert main(command + ["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: device: epsilon_j entries must keep "
+                                   "2 * eps_j finite")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, text", [
     (command, text)
     for text in ("device: {josephson_energy_ghz: [5.6, 1.0e-320, 5.6]}",

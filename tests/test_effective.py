@@ -27,7 +27,7 @@ from ghzsim import (
     tau13,
     tau2,
 )
-from ghzsim.effective import _phase_minimized_distance
+from ghzsim.effective import _phase_minimized_distances
 
 UNIT = (1.0, 1.0, 1.0)
 
@@ -182,6 +182,20 @@ def test_error_scan_monotone_and_deterministic():
     assert all(b > a for a, b in zip(outer, outer[1:]))
 
 
+def test_error_scan_edge_cases():
+    assert effective_error_scan(()) == ()
+    assert effective_error_scan([], "outer") == ()
+    # the batched phase search treats a repeated zeta like any other
+    for which in ("middle", "outer"):
+        zetas = (0.1, 0.1, 0.0)
+        singles = sum((effective_error_scan((z,), which) for z in zetas), ())
+        assert repr(effective_error_scan(zetas, which)) == repr(singles)
+    # scans longer than one lock-step batch are split without a trace
+    zetas = np.random.default_rng(3).uniform(0.0, 0.45, 70).tolist()
+    assert effective_error_scan(zetas) == (effective_error_scan(zetas[:40])
+                                           + effective_error_scan(zetas[40:]))
+
+
 def test_error_scan_validation():
     with pytest.raises(ContractViolationError):
         effective_error_scan((0.6,), which="middle")
@@ -226,6 +240,11 @@ def test_error_scan_repr_is_pinned(which):
     zetas = np.random.default_rng(20261018).uniform(0.0, 0.45, 64).tolist()
     digest = hashlib.sha256(repr(effective_error_scan(zetas, which)).encode()).hexdigest()
     assert digest == _SCAN_SHA256[which]
+
+
+def _phase_minimized_distance(a, b):
+    """The phase search run on a stack of one pair."""
+    return _phase_minimized_distances(a[None], b[None])[0]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -307,6 +326,60 @@ def test_masked_phase_search_zero_pair():
         result = _phase_minimized_distance(a, b)
         assert type(result) is float
         assert repr(result) == repr(_dense_phase_minimized_distance(a, b)) == "0.0"
+
+
+def _block_pair(rng, labels, theta, delta, one_sided):
+    """A block-diagonal pair built as in the dense-oracle test above."""
+    block = np.equal.outer(labels, labels)
+    a = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) * block
+    n = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    b = np.exp(1j * theta) * (a + delta * n) * block
+    for _ in range(one_sided):
+        i, j = rng.integers(0, 8, size=2)
+        (a if rng.integers(2) else b)[i, j] = 0.0
+    return a, b
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       pairs=st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=8, max_size=8),
+                                st.floats(-2.0 * math.pi, 2.0 * math.pi),
+                                st.floats(0.0, 1e-1),
+                                st.integers(0, 6)),
+                      min_size=1, max_size=6))
+def test_stacked_phase_search_matches_each_pair(seed, pairs):
+    # the stack compares the union of the pairs' filled entries
+    rng = np.random.default_rng(seed)
+    a, b = map(np.array, zip(*(_block_pair(rng, *p) for p in pairs)))
+    results = _phase_minimized_distances(a, b)
+    assert len(results) == len(pairs)
+    for x, y, result in zip(a, b, results):
+        expected = _dense_phase_minimized_distance(x, y)
+        assert type(result) is float
+        assert result == expected
+        assert repr(result) == repr(expected)
+
+
+def test_pruned_phase_grid_edge_cases():
+    rng = np.random.default_rng(7)
+    a, b = _block_pair(rng, [0, 0, 1, 1, 2, 2, 3, 3], 0.3, 0.05, 2)
+    zero = np.zeros((8, 8), dtype=complex)
+    # max(|3 - e^{i phi}|, 2.5) is exactly 2.5 on every grid phase with
+    # cos(phi) >= 0.625, so the grid minimum is tied across about 200 phases
+    tied_a, tied_b = zero.copy(), zero.copy()
+    tied_a[0, 0], tied_a[1, 1], tied_b[0, 0] = 3.0, 2.5, 1.0
+    values = np.abs(tied_a - _ORACLE_PHASES * tied_b).max(axis=(1, 2))
+    assert np.count_nonzero(values == values.min()) > 100
+    assert int(np.argmin(values)) % 8 != 0  # the first minimum lies between coarse phases
+    cases = [(a, zero),  # b = 0: a flat curve, so no phase is pruned and k = 0
+             (zero, b), (a * 1e-150, b * 1e-150), (a * 1e150, b * 1e150), (tied_a, tied_b)]
+    stacked = _phase_minimized_distances(*map(np.array, zip(*cases)))
+    assert stacked[0] == float(np.abs(a).max())
+    for (x, y), result in zip(cases, stacked):
+        expected = _dense_phase_minimized_distance(x, y)
+        for got in (result, _phase_minimized_distance(x, y)):
+            assert type(got) is float
+            assert repr(got) == repr(expected)
 
 
 def test_fitted_slope_basics():
