@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, InfeasiblePulseError
 
 N_QUBITS = 3
 DIM = 8
@@ -201,22 +201,31 @@ def build_hamiltonian(e_c, e_j, k12: float, k23: float, k13: float = 0.0) -> Ope
     return Operator(h)
 
 
+def _spectral_phases(h: Operator, t: float, not_hermitian: str) -> tuple:
+    """Eigenvectors v of H and the phases exp(-i * 2*pi * w * t) of its
+    eigenvalues w: the one diagonalization behind propagator and evolve.
+    eigh sorts w, so the largest phase, in the exponent's product order, is
+    read off the ends: if it leaves float range the pulse cannot be timed."""
+    if not h.hermitian:
+        raise ContractViolationError(not_hermitian)
+    w, v = np.linalg.eigh(h.matrix)
+    t, w_max = float(t), float(max(-w[0], w[-1]))
+    if not math.isfinite(2.0 * math.pi * w_max * t):
+        raise InfeasiblePulseError(f"a {t!r} ns pulse with eigenvalues up to {w_max!r} GHz "
+                                   "cannot be timed in floating point")
+    return v, np.exp(-2.0j * math.pi * w * t)
+
+
 def propagator(h: Operator, t: float) -> Operator:
     """exp(-i * 2*pi * H * t) computed by exact eigendecomposition."""
-    if not h.hermitian:
-        raise ContractViolationError("propagator requires a Hermitian generator")
-    w, v = np.linalg.eigh(h.matrix)
-    u = (v * np.exp(-2.0j * math.pi * w * float(t))) @ v.conj().T
-    return Operator(u)
+    v, phases = _spectral_phases(h, t, "propagator requires a Hermitian generator")
+    return Operator((v * phases) @ v.conj().T)
 
 
 def evolve(h: Operator, t: float, state: StateVector) -> StateVector:
     """Apply exp(-i * 2*pi * H * t) to the state."""
-    if not h.hermitian:
-        raise ContractViolationError("evolve requires a Hermitian Hamiltonian")
-    w, v = np.linalg.eigh(h.matrix)
-    amps = v @ (np.exp(-2.0j * math.pi * w * float(t)) * (v.conj().T @ state.amplitudes))
-    return StateVector(amps)
+    v, phases = _spectral_phases(h, t, "evolve requires a Hermitian Hamiltonian")
+    return StateVector(v @ (phases * (v.conj().T @ state.amplitudes)))
 
 
 def apply(op: Operator, state: StateVector) -> StateVector:

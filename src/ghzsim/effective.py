@@ -116,7 +116,15 @@ def tau2(params: PerturbationParams) -> float:
     eps2 = params.epsilon_j[1]
     rate = 1.0 + 2.0 * params.zeta12**2 + 2.0 * params.zeta23**2 \
         + 4.0 * params.zeta12 * params.zeta23
-    return 1.0 / (8.0 * eps2 * rate)
+    return _quarter_time(8.0 * eps2 * rate, "tau2")
+
+
+def _quarter_time(eight_rates: float, name: str) -> float:
+    """1 / (8 * rate), which is 0.0 or inf once 8 * rate leaves float range."""
+    t = 1.0 / eight_rates
+    if not 0.0 < t < math.inf:
+        raise InfeasiblePulseError(f"{name} = {t!r} ns cannot be timed in floating point")
+    return t
 
 
 def _outer_rates(params: PerturbationParams, qubit2_z: int = +1) -> tuple:
@@ -145,7 +153,7 @@ def tau13(params: PerturbationParams) -> float:
     Qubit 1's rate eps_j1 * (1 + 2*zeta12^2) sets the time;
     matched_outer_params gives qubit 3 the same rate.
     """
-    return 1.0 / (8.0 * _outer_rates(params)[0])
+    return _quarter_time(8.0 * _outer_rates(params)[0], "tau13")
 
 
 def matched_outer_params(params: PerturbationParams) -> PerturbationParams:

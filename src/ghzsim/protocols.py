@@ -133,56 +133,34 @@ def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool
     return propagator(h2, t2), propagator(h13, t13)
 
 
-def _interference_run(state: StateVector, u2: Operator, u13: Operator):
-    """Quarter-rotate qubit 2, postselect it excited, reset it, rotate the
-    outer pair.  Returns (final state, postselect probability)."""
-    psi = apply(u2, state)
-    psi, p_post = project(psi, 2, 1)
-    psi = apply(_RESET_2, psi)
-    psi = apply(u13, psi)
-    return psi, p_post
-
-
-def _outer_pair_probabilities(state: StateVector) -> dict:
-    """Marginal distribution of qubits 1 and 3."""
-    p = state.probabilities()
-    probs = {}
-    for q1 in (0, 1):
-        for q3 in (0, 1):
-            probs[f"{q1}{q3}"] = float(p[4 * q1 + q3] + p[4 * q1 + 2 + q3])
-    return probs
-
-
-def _pair_sums(probs: dict) -> dict:
-    """Weight of the correlated (00, 11) and anticorrelated (01, 10) outcomes."""
-    return {"p00_plus_p11": probs["00"] + probs["11"], "p01_plus_p10": probs["01"] + probs["10"]}
-
-
 def _interference_outcome(mode: str, energies: DerivedEnergies, include_k13: bool,
                           components, shots: int, seed: int) -> ProtocolOutcome:
-    """Run each (weight, state) component through the interference sequence
-    and combine the conditional outcome distributions, each weighted by its
-    share of the postselected weight; shots sample the combined z readout."""
+    """Run each (weight, state) component through the interference sequence:
+    quarter-rotate qubit 2, postselect it excited, reset it, rotate the outer
+    pair.  The conditional 8-outcome distributions are combined, each weighted
+    by its share of the postselected weight; the outer-pair marginal is read
+    off the combination, and shots sample its z readout."""
     if mode == "ideal":
         u2, u13 = _IDEAL_PULSES
     else:
         u2, u13 = _interference_pulses(mode, energies, bool(include_k13))
     weighted = []
     for weight, state in components:
-        final, p_post = _interference_run(state, u2, u13)
-        weighted.append((weight * p_post, final))
+        psi, p_post = project(apply(u2, state), 2, 1)
+        weighted.append((weight * p_post, apply(u13, apply(_RESET_2, psi))))
     total_weight = sum(w for w, _ in weighted)
-    probs = {key: 0.0 for key in ("00", "01", "10", "11")}
     full_probs = np.zeros(DIM)
     for w, final in weighted:
-        share = w / total_weight
-        for key, val in _outer_pair_probabilities(final).items():
-            probs[key] += share * val
-        full_probs += share * final.probabilities()
+        full_probs += w / total_weight * final.probabilities()
+    outer = full_probs.reshape(2, 2, 2).sum(axis=1)
+    probs = {f"{q1}{q3}": float(outer[q1, q3]) for q1 in (0, 1) for q3 in (0, 1)}
+    # weight of the correlated and of the anticorrelated outcomes
+    pair_sums = {"p00_plus_p11": probs["00"] + probs["11"],
+                 "p01_plus_p10": probs["01"] + probs["10"]}
     counts = None
     if shots:
         counts = _sample_probabilities(full_probs, shots, seed, "zzz")
-    return ProtocolOutcome(counts, probs, _pair_sums(probs), total_weight, mode)
+    return ProtocolOutcome(counts, probs, pair_sums, total_weight, mode)
 
 
 def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int = 0,

@@ -377,16 +377,27 @@ def test_cli_josephson_maximum_out_of_float_range_is_a_config_error(tmp_path, ca
     assert captured.out == ""
 
 
+def _josephson(eps: str) -> str:
+    return f"device: {{josephson_energy_ghz: [{eps}, {eps}, {eps}]}}"
+
+
 @pytest.mark.parametrize("command, text", [
-    (command, text)
-    for text in ("device: {josephson_energy_ghz: [5.6, 1.0e-320, 5.6]}",
-                 "device: {coupler_capacitance_af: [1.0e-160, 30.0]}")
-    for command in (["prepare"], ["verify", "--mode", "full"], ["verify", "--mode", "effective"],
-                    ["mermin"])
+    *[(command, text)
+      for text in ("device: {josephson_energy_ghz: [5.6, 1.0e-320, 5.6]}",
+                   "device: {coupler_capacitance_af: [1.0e-160, 30.0]}",
+                   _josephson("2.9e307"), _josephson("8.9e307"))
+      for command in (["prepare"], ["verify", "--mode", "full"],
+                      ["verify", "--mode", "effective"], ["mermin"])],
+    *[(["verify", "--mode", mode], _josephson(eps))
+      for eps in ("1.5e307", "2.8e307") for mode in ("full", "effective")],
 ])
 def test_cli_pulse_outside_float_range_is_infeasible(tmp_path, capsys, command, text):
     # A subnormal drive makes the superposition time overflow; a subnormal
-    # (2*K12)^2 leaves the flip's closure residual at 3e-5.
+    # (2*K12)^2 leaves the flip's closure residual at 3e-5.  With 2 * eps_j
+    # finite, 2*pi times a pulse's largest eigenvalue still overflows (the
+    # outer pair's from eps_j = 1.43e307, every pulse's from 2.87e307), and
+    # from 2.3e307 so does 8 * eps_j, which would time a quarter rotation at
+    # 0.0 ns.  Empty stdout: no nan is printed.
     path = tmp_path / "subnormal.yaml"
     path.write_text(text + "\n")
     assert main(command + ["--config", str(path)]) == 3
@@ -397,7 +408,7 @@ def test_cli_pulse_outside_float_range_is_infeasible(tmp_path, capsys, command, 
 
 
 # In-schema magnitudes at the edges of float range, plus values each field rejects.
-_EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e-160, 1e200, 1e300, 1.7e308, float("nan"),
+_EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e-160, 1e200, 1e300, 5e307, 1.7e308, float("nan"),
              float("-inf"), True, "x")
 _NUMBERS = st.one_of(st.sampled_from(_EXTREMES), st.floats(0.0, 1e3), st.integers(-3, 3))
 
@@ -449,7 +460,9 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_cli_random_documents_end_in_a_documented_exit_code(fuzz_dir, command, data):
-    doc = data.draw(_documents(str(fuzz_dir / "out.txt")))
+    out_file = fuzz_dir / "out.txt"
+    out_file.unlink(missing_ok=True)
+    doc = data.draw(_documents(str(out_file)))
     path = fuzz_dir / "doc.yaml"
     path.write_text(yaml.safe_dump(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -458,6 +471,9 @@ def test_cli_random_documents_end_in_a_documented_exit_code(fuzz_dir, command, d
     prefix = {0: "", 2: "config error: ", 3: "infeasible pulse: ", 4: "error: "}[code]
     assert err.getvalue().startswith(prefix)
     assert bool(err.getvalue()) == (code != 0)
+    if code == 0:  # the document went to stdout or to output.path
+        written = out_file.read_text() if out_file.exists() else ""
+        assert "nan" not in out.getvalue() + written
 
 
 def test_cli_rejects_unknown_command():

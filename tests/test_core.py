@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ghzsim import (
     ContractViolationError,
+    InfeasiblePulseError,
     Operator,
     StateVector,
     build_hamiltonian,
@@ -221,6 +222,19 @@ def test_evolve_requires_hermitian():
     assert not bad.hermitian
     with pytest.raises(ContractViolationError):
         evolve(bad, 0.1, ghz_state("+"))
+
+
+@pytest.mark.parametrize("w_end, t", [(-5e307, 1e-309), (5e307, 1e-309), (5e307, 0.0),
+                                       (0.5, math.inf)])
+def test_phases_outside_float_range_are_infeasible(w_end, t):
+    # 2*pi*w*t leaves float range (inf * 0 included) before exp could give nan;
+    # a RuntimeWarning on the way would fail the suite
+    h = Operator(np.diag([w_end, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, -0.25]))
+    for run in (lambda: propagator(h, t), lambda: evolve(h, t, ghz_state("+"))):
+        with pytest.raises(InfeasiblePulseError, match="cannot be timed in floating point"):
+            run()
+    # an eigenvalue just below the overflow of 2*pi*w still propagates
+    assert propagator(Operator(np.diag([2.8e307, *[0.0] * 7])), 1e-308).unitary
 
 
 def test_norm_preserved_through_long_evolution():

@@ -12,6 +12,7 @@ from ghzsim import (
     CapacitanceNetwork,
     ContractViolationError,
     ControlSettings,
+    InfeasiblePulseError,
     PerturbationParams,
     StateVector,
     commutator_norm,
@@ -116,6 +117,15 @@ def test_quarter_rotation_time():
     assert tau2(p) == pytest.approx(1.0 / 12.0, rel=1e-14)
     # uncoupled limit: plain quarter period of a bare rotation
     assert tau2(PerturbationParams(UNIT)) == pytest.approx(0.125, rel=1e-14)
+
+
+@pytest.mark.parametrize("tau", [tau2, tau13])
+def test_quarter_rotation_time_outside_float_range_is_infeasible(tau):
+    # 8 * eps_j overflows, and 1 / inf would time the pulse at 0.0 ns
+    p = PerturbationParams((2.8e307, 2.8e307, 2.8e307))
+    with pytest.raises(InfeasiblePulseError, match="cannot be timed in floating point"):
+        tau(p)
+    assert tau(PerturbationParams((1e307, 1e307, 1e307))) == 1.0 / 8e307
 
 
 def test_quarter_rotation_prepares_superposition(energies):
@@ -298,6 +308,19 @@ def _dense_phase_minimized_distance(a, b):
     return min(float(values[k]), dist(0.5 * (lo + hi)))
 
 
+def _block_pair(rng, labels, theta, delta, one_sided):
+    """A block-diagonal pair, as propagators conserving sigma_z on some
+    qubits, with ``one_sided`` entries set to zero in one matrix only."""
+    block = np.equal.outer(labels, labels)
+    a = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) * block
+    n = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    b = np.exp(1j * theta) * (a + delta * n) * block
+    for _ in range(one_sided):
+        i, j = rng.integers(0, 8, size=2)
+        (a if rng.integers(2) else b)[i, j] = 0.0
+    return a, b
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        labels=st.lists(st.integers(0, 3), min_size=8, max_size=8),
@@ -305,16 +328,7 @@ def _dense_phase_minimized_distance(a, b):
        delta=st.floats(0.0, 1e-1),
        one_sided=st.integers(0, 6))
 def test_masked_phase_search_matches_dense_oracle(seed, labels, theta, delta, one_sided):
-    # block-diagonal pair, as a propagator conserving sigma_z on some qubits
-    rng = np.random.default_rng(seed)
-    block = np.equal.outer(labels, labels)
-    a = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) * block
-    n = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    b = np.exp(1j * theta) * (a + delta * n) * block
-    # entries zero in one matrix only
-    for _ in range(one_sided):
-        i, j = rng.integers(0, 8, size=2)
-        (a if rng.integers(2) else b)[i, j] = 0.0
+    a, b = _block_pair(np.random.default_rng(seed), labels, theta, delta, one_sided)
     result = _phase_minimized_distance(a, b)
     assert type(result) is float
     assert result == _dense_phase_minimized_distance(a, b)
@@ -326,18 +340,6 @@ def test_masked_phase_search_zero_pair():
         result = _phase_minimized_distance(a, b)
         assert type(result) is float
         assert repr(result) == repr(_dense_phase_minimized_distance(a, b)) == "0.0"
-
-
-def _block_pair(rng, labels, theta, delta, one_sided):
-    """A block-diagonal pair built as in the dense-oracle test above."""
-    block = np.equal.outer(labels, labels)
-    a = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) * block
-    n = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    b = np.exp(1j * theta) * (a + delta * n) * block
-    for _ in range(one_sided):
-        i, j = rng.integers(0, 8, size=2)
-        (a if rng.integers(2) else b)[i, j] = 0.0
-    return a, b
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -54,16 +54,30 @@ def _pipeline(energies):
     return repr(parts)
 
 
+def _sampled(energies, seed):
+    """The interference protocols with 500 shots each, as one repr."""
+    return repr([fn(energies, mode, shots=500, seed=seed, include_k13=k13)
+                 for mode in _MODES for k13 in (False, True)
+                 for fn in (verify_ghz, verify_mixture_control)])
+
+
 # sha256 over 24 seeded devices, captured before the preparation and the
 # interference pulses were memoized.
 _PIPELINE_SHA256 = "fd5e6dc420f538520c8a50ed544db82181bab753c0873c9a51967e1f75e08e1e"
+# The same devices, each sampled with its index as the seed; captured before
+# the outer-pair marginal was read off the combined 8-outcome distribution.
+_SAMPLED_SHA256 = "74467956dc3cc9aec3ac84663434283af4b5faccd510b14cc95678f0e0aa4b0b"
 
 
-def test_pipeline_repr_is_pinned():
+@pytest.mark.parametrize("run, pinned", [
+    (lambda energies, seed: _pipeline(energies), _PIPELINE_SHA256),
+    (_sampled, _SAMPLED_SHA256),
+], ids=["exact", "sampled"])
+def test_pipeline_repr_is_pinned(run, pinned):
     digest = hashlib.sha256()
-    for energies in _devices(24, 20261018):
-        digest.update(_pipeline(energies).encode())
-    assert digest.hexdigest() == _PIPELINE_SHA256
+    for seed, energies in enumerate(_devices(24, 20261018)):
+        digest.update(run(energies, seed).encode())
+    assert digest.hexdigest() == pinned
 
 
 # Consecutive entries differ in one part of a memo key, so a memo that left
