@@ -13,7 +13,7 @@ Conventions fixed here and relied on everywhere else:
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -135,8 +135,7 @@ class Operator:
 
     @cached_property
     def hermitian(self) -> bool:
-        mat = self.matrix
-        return float(np.abs(mat - mat.conj().T).max()) < _HERMITIAN_TOL
+        return _hermitian_residual(self.matrix) < _HERMITIAN_TOL
 
     @cached_property
     def unitary(self) -> bool:
@@ -201,31 +200,47 @@ def build_hamiltonian(e_c, e_j, k12: float, k23: float, k13: float = 0.0) -> Ope
     return Operator(h)
 
 
-def _spectral_phases(h: Operator, t: float, not_hermitian: str) -> tuple:
-    """Eigenvectors v of H and the phases exp(-i * 2*pi * w * t) of its
-    eigenvalues w: the one diagonalization behind propagator and evolve.
-    eigh sorts w, so the largest phase, in the exponent's product order, is
-    read off the ends: if it leaves float range the pulse cannot be timed."""
-    if not h.hermitian:
+def _hermitian_residual(stack: np.ndarray) -> float:
+    """max |M - M^dag| over the entries of a matrix or of a stack of them."""
+    return float(np.abs(stack - stack.swapaxes(-1, -2).conj()).max())
+
+
+def _spectral_phases(stack: np.ndarray, times, not_hermitian: str) -> tuple:
+    """Eigenvectors v and phases exp(-i * 2*pi * w * t) of each matrix H in an
+    (n, 8, 8) stack, with t the matching entry of ``times``: the package's
+    one diagonalization, with one Hermitian check and one eigh call per
+    stack.  eigh sorts w, so each slice's largest phase, in the exponent's
+    product order, is read off the ends in Python floats, where overflow
+    gives inf without a warning: if it leaves float range the pulse cannot
+    be timed, and the first such slice is named."""
+    if not _hermitian_residual(stack) < _HERMITIAN_TOL:
         raise ContractViolationError(not_hermitian)
-    w, v = np.linalg.eigh(h.matrix)
-    t, w_max = float(t), float(max(-w[0], w[-1]))
-    if not math.isfinite(2.0 * math.pi * w_max * t):
-        raise InfeasiblePulseError(f"a {t!r} ns pulse with eigenvalues up to {w_max!r} GHz "
-                                   "cannot be timed in floating point")
-    return v, np.exp(-2.0j * math.pi * w * t)
+    w, v = np.linalg.eigh(stack)
+    times = [float(t) for t in times]
+    for t, (w_min, w_end) in zip(times, w[:, ::DIM - 1].tolist()):
+        w_max = max(-w_min, w_end)
+        if not math.isfinite(2.0 * math.pi * w_max * t):
+            raise InfeasiblePulseError(f"a {t!r} ns pulse with eigenvalues up to {w_max!r} GHz "
+                                       "cannot be timed in floating point")
+    return v, np.exp(-2.0j * math.pi * w * np.array(times)[:, None])
+
+
+def _propagators(stack: np.ndarray, times) -> np.ndarray:
+    """exp(-i * 2*pi * H * t) for each H in an (n, 8, 8) stack and its t."""
+    v, phases = _spectral_phases(stack, times, "propagator requires a Hermitian generator")
+    return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def propagator(h: Operator, t: float) -> Operator:
     """exp(-i * 2*pi * H * t) computed by exact eigendecomposition."""
-    v, phases = _spectral_phases(h, t, "propagator requires a Hermitian generator")
-    return Operator((v * phases) @ v.conj().T)
+    return Operator(_propagators(h.matrix[None], (t,))[0])
 
 
 def evolve(h: Operator, t: float, state: StateVector) -> StateVector:
     """Apply exp(-i * 2*pi * H * t) to the state."""
-    v, phases = _spectral_phases(h, t, "evolve requires a Hermitian Hamiltonian")
-    return StateVector(v @ (phases * (v.conj().T @ state.amplitudes)))
+    v, phases = _spectral_phases(h.matrix[None], (t,), "evolve requires a Hermitian Hamiltonian")
+    v = v[0]
+    return StateVector(v @ (phases[0] * (v.conj().T @ state.amplitudes)))
 
 
 def apply(op: Operator, state: StateVector) -> StateVector:
@@ -305,11 +320,19 @@ def sample(state: StateVector, shots: int, seed: int, basis: str = "zzz") -> Mea
     return _sample_probabilities(_readout_probabilities(state, basis), shots, seed, basis)
 
 
+@lru_cache(maxsize=None)
+def _readout_rotation(basis: str) -> np.ndarray:
+    """The basis change S_a on each qubit (basis[0] on qubit 1), read-only;
+    built once for each of the 27 bases."""
+    rot = _kron3(*(_ROTATION_2X2[axis] for axis in basis))
+    rot.flags.writeable = False
+    return rot
+
+
 def _readout_probabilities(state: StateVector, basis: str) -> np.ndarray:
     """Born probabilities, in basis-index order, of a z readout after the
     basis change S_a on each qubit (basis[0] on qubit 1)."""
-    rot = _kron3(*(_ROTATION_2X2[axis] for axis in basis))
-    return np.abs(rot @ state.amplitudes) ** 2
+    return np.abs(_readout_rotation(basis) @ state.amplitudes) ** 2
 
 
 def _draw_stream(shots: int, seed: int):
@@ -332,9 +355,11 @@ def _tally(draws: np.ndarray, cumulative: tuple) -> np.ndarray:
     _index_stream indices.  For non-decreasing edges, index <= k < DIM - 1
     exactly when draw < cumulative[k], so each count is a difference of
     how many draws fall below consecutive edges; index DIM - 1 takes the
-    rest, past-the-end draws included."""
-    below = [np.count_nonzero(draws < edge) for edge in cumulative[:DIM - 1]]
-    return np.diff([0, *below, draws.size])
+    rest, past-the-end draws included.  An edge repeated by a
+    zero-probability outcome is counted once."""
+    edges = cumulative[:DIM - 1]
+    below = {edge: np.count_nonzero(draws < edge) for edge in set(edges)}
+    return np.diff([0, *(below[edge] for edge in edges), draws.size])
 
 
 def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,

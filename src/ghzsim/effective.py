@@ -22,12 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import DerivedEnergies
-from .core import Operator, build_hamiltonian, pauli, propagator
+from .core import _PAULI_8X8, Operator, _propagators, build_hamiltonian
 from .errors import ContractViolationError, InfeasiblePulseError
 
 _SCAN_ZETA_LIMIT = 0.5
 _SCAN_TARGETS = ("middle", "outer")
-_SCAN_BATCH = 64  # zetas per lock-step phase search, so its memory stays bounded
+_SCAN_BATCH = 64  # zetas per stacked eigh and lock-step phase search, so memory stays bounded
 
 
 def _real(value, requirement: str) -> float:
@@ -90,6 +90,11 @@ class PerturbationParams:
                                zeta32=energies.k23 / (2.0 * eps[2]))
 
 
+# sigma_z1 sigma_x2 sigma_z3, the state-dependent term of the middle drive
+_SZ1_SX2_SZ3 = _PAULI_8X8["z", 1] @ _PAULI_8X8["x", 2] @ _PAULI_8X8["z", 3]
+_SZ1_SX2_SZ3.flags.writeable = False
+
+
 def h_eff_qubit2(params: PerturbationParams) -> Operator:
     """Effective generator of the lone middle-qubit rotation.
 
@@ -98,11 +103,8 @@ def h_eff_qubit2(params: PerturbationParams) -> Operator:
     """
     eps2 = params.epsilon_j[1]
     z12, z23 = params.zeta12, params.zeta23
-    sx2 = pauli("x", 2).matrix
-    sz1 = pauli("z", 1).matrix
-    sz3 = pauli("z", 3).matrix
-    h = -eps2 * ((1.0 + 2.0 * z12**2 + 2.0 * z23**2) * sx2
-                 + 4.0 * z12 * z23 * (sz1 @ sx2 @ sz3))
+    h = -eps2 * ((1.0 + 2.0 * z12**2 + 2.0 * z23**2) * _PAULI_8X8["x", 2]
+                 + 4.0 * z12 * z23 * _SZ1_SX2_SZ3)
     return Operator(h)
 
 
@@ -144,7 +146,7 @@ def h_eff_qubits13(params: PerturbationParams, qubit2_z: int = +1) -> Operator:
     -sum_j eps_j * (1 + 2 * zeta_j2^2 * z) * sigma_xj   for j in {1, 3}
     """
     rate1, rate3 = _outer_rates(params, qubit2_z)
-    return Operator(-(rate1 * pauli("x", 1).matrix + rate3 * pauli("x", 3).matrix))
+    return Operator(-(rate1 * _PAULI_8X8["x", 1] + rate3 * _PAULI_8X8["x", 3]))
 
 
 def tau13(params: PerturbationParams) -> float:
@@ -173,7 +175,7 @@ _PHASES = np.exp(1j * _GRID)
 _CELL_STEPS = np.arange(1, 8) * (_GRID[1] - _GRID[0])
 # Rows with sigma_z2 = +1: the scan's outer generator takes each row from the
 # h_eff_qubits13 sector of that row's sigma_z2.
-_QUBIT2_UP = (pauli("z", 2).matrix.diagonal().real > 0)[:, None]
+_QUBIT2_UP = (_PAULI_8X8["z", 2].diagonal().real > 0)[:, None]
 
 
 def _phase_minimized_distances(a: np.ndarray, b: np.ndarray) -> list:
@@ -207,7 +209,7 @@ def _phase_minimized_distances(a: np.ndarray, b: np.ndarray) -> list:
     a, b = a.transpose(1, 2, 0)[filled], b.transpose(1, 2, 0)[filled]
 
     def dist(phis):
-        return np.abs(a - np.exp(np.array([1j * p for p in phis])) * b).max(axis=0).tolist()
+        return np.maximum.reduce(np.abs(a - np.exp(1j * np.array(phis)) * b), 0).tolist()
 
     values = np.full((a.shape[1], len(_GRID)), np.inf)
     # pair by pair, so no temporary grows with the number of pairs
@@ -258,9 +260,11 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     For each zeta (same value on both couplings, unit junction energies) the
     full chain Hamiltonian and the corresponding effective generator are
     propagated for the quarter-rotation time, and the max-entry norm of their
-    difference, minimized over a global phase, is recorded.  Returns a tuple
-    of (zeta, error) pairs.  ``zeta_values`` is an iterable (not a string) of
-    real, non-bool numbers.
+    difference, minimized over a global phase, is recorded.  The zetas are
+    taken _SCAN_BATCH at a time: a batch's exact and effective generators are
+    propagated in one stacked call, then phase-searched in lock-step.
+    Returns a tuple of (zeta, error) pairs.  ``zeta_values`` is an iterable
+    (not a string) of real, non-bool numbers.
     """
     if which not in _SCAN_TARGETS:
         raise ContractViolationError(f"which must be 'middle' or 'outer', got {which!r}")
@@ -280,25 +284,24 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     table = []
     for start in range(0, len(zetas), _SCAN_BATCH):
         batch = zetas[start:start + _SCAN_BATCH]
-        exact, model = zip(*(_scan_propagators(z, which) for z in batch))
-        table += zip(batch, _phase_minimized_distances(np.array(exact), np.array(model)))
+        exact, model, times = zip(*(_scan_generators(z, which) for z in batch))
+        u = _propagators(np.array(exact + model), times + times)
+        table += zip(batch, _phase_minimized_distances(u[:len(batch)], u[len(batch):]))
     return tuple(table)
 
 
-def _scan_propagators(z: float, which: str) -> tuple:
-    """Exact and effective propagator matrices of the scanned pulse at zeta z."""
+def _scan_generators(z: float, which: str) -> tuple:
+    """Exact and effective generator matrices of the scanned pulse at zeta z,
+    and its duration."""
     if which == "middle":
         params = PerturbationParams((1.0, 1.0, 1.0), zeta12=z, zeta23=z)
         h_full = build_hamiltonian((0.0, 0.0, 0.0), (0.0, 2.0, 0.0), k12=2.0 * z, k23=2.0 * z)
-        h_eff = h_eff_qubit2(params)
-        t = tau2(params)
-    else:
-        params = PerturbationParams((1.0, 1.0, 1.0), zeta12=z, zeta32=z)
-        h_full = build_hamiltonian((0.0, 0.0, 0.0), (2.0, 0.0, 2.0), k12=2.0 * z, k23=2.0 * z)
-        h_eff = Operator(np.where(_QUBIT2_UP, h_eff_qubits13(params, +1).matrix,
-                                  h_eff_qubits13(params, -1).matrix))
-        t = tau13(params)
-    return propagator(h_full, t).matrix, propagator(h_eff, t).matrix
+        return h_full.matrix, h_eff_qubit2(params).matrix, tau2(params)
+    params = PerturbationParams((1.0, 1.0, 1.0), zeta12=z, zeta32=z)
+    h_full = build_hamiltonian((0.0, 0.0, 0.0), (2.0, 0.0, 2.0), k12=2.0 * z, k23=2.0 * z)
+    h_eff = np.where(_QUBIT2_UP, h_eff_qubits13(params, +1).matrix,
+                     h_eff_qubits13(params, -1).matrix)
+    return h_full.matrix, h_eff, tau13(params)
 
 
 def fitted_loglog_slope(table) -> float:

@@ -34,6 +34,7 @@ from .core import (
     MeasurementRecord,
     Operator,
     StateVector,
+    _propagators,
     _readout_probabilities,
     _sample_probabilities,
     apply,
@@ -43,7 +44,6 @@ from .core import (
     ghz_state,
     pauli,
     project,
-    propagator,
 )
 from .effective import (
     PerturbationParams,
@@ -116,21 +116,24 @@ def _check_mode(mode: str, energies) -> None:
 @functools.lru_cache(maxsize=1)
 def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool) -> tuple:
     """The quarter rotations (u2, u13) of qubit 2 and of the outer pair in
-    effective or full mode.  The last device's pulses are kept, so
-    verify_ghz and verify_mixture_control on one device build them once."""
+    effective or full mode, propagated in one stacked call.  The last
+    device's pulses are kept, so verify_ghz and verify_mixture_control on
+    one device build them once."""
     middle = PerturbationParams.middle_qubit(energies)
     outer = PerturbationParams.outer_pair(energies)
     t2 = tau2(middle)
     t13 = tau13(outer)
     matched = matched_outer_params(outer)
     if mode == "effective":
-        return propagator(h_eff_qubit2(middle), t2), propagator(h_eff_qubits13(matched, +1), t13)
-    couplings = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
-    h2 = build_hamiltonian((0.0, 0.0, 0.0), (0.0, energies.ej_max[1], 0.0), *couplings)
-    h13 = build_hamiltonian((0.0, 0.0, 0.0),
-                            (2.0 * matched.epsilon_j[0], 0.0, 2.0 * matched.epsilon_j[2]),
-                            *couplings)
-    return propagator(h2, t2), propagator(h13, t13)
+        h2, h13 = h_eff_qubit2(middle), h_eff_qubits13(matched, +1)
+    else:
+        couplings = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
+        h2 = build_hamiltonian((0.0, 0.0, 0.0), (0.0, energies.ej_max[1], 0.0), *couplings)
+        h13 = build_hamiltonian((0.0, 0.0, 0.0),
+                                (2.0 * matched.epsilon_j[0], 0.0, 2.0 * matched.epsilon_j[2]),
+                                *couplings)
+    u2, u13 = _propagators(np.array([h2.matrix, h13.matrix]), (t2, t13))
+    return Operator(u2), Operator(u13)
 
 
 def _interference_outcome(mode: str, energies: DerivedEnergies, include_k13: bool,

@@ -450,20 +450,10 @@ def _documents(out_path: str):
     return st.one_of(sections, st.sampled_from(([1, 2], "device", 3)))
 
 
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz")
-
-
-@pytest.mark.parametrize("command", ["derive", "prepare", "verify", "mermin", "yyy", "scan",
-                                     "timing"])
-@settings(max_examples=12, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_cli_random_documents_end_in_a_documented_exit_code(fuzz_dir, command, data):
-    out_file = fuzz_dir / "out.txt"
-    out_file.unlink(missing_ok=True)
-    doc = data.draw(_documents(str(out_file)))
-    path = fuzz_dir / "doc.yaml"
+def _run_document(directory, command, doc):
+    """Run one command on ``doc`` and check that it ends in a documented
+    exit code with the matching stderr prefix; returns (code, stdout)."""
+    path = directory / "doc.yaml"
     path.write_text(yaml.safe_dump(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -471,9 +461,55 @@ def test_cli_random_documents_end_in_a_documented_exit_code(fuzz_dir, command, d
     prefix = {0: "", 2: "config error: ", 3: "infeasible pulse: ", 4: "error: "}[code]
     assert err.getvalue().startswith(prefix)
     assert bool(err.getvalue()) == (code != 0)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+_COMMANDS = ["derive", "prepare", "verify", "mermin", "yyy", "scan", "timing"]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_random_documents_end_in_a_documented_exit_code(fuzz_dir, command, data):
+    out_file = fuzz_dir / "out.txt"
+    out_file.unlink(missing_ok=True)
+    code, out = _run_document(fuzz_dir, command, data.draw(_documents(str(out_file))))
     if code == 0:  # the document went to stdout or to output.path
         written = out_file.read_text() if out_file.exists() else ""
-        assert "nan" not in out.getvalue() + written
+        assert "nan" not in out + written
+
+
+# The fields of a document that hold numbers, as (section, name).
+_NUMERIC_FIELDS = tuple((section, name) for section, fields in DEFAULT_CONFIG.items()
+                        for name, value in fields.items()
+                        if name == "seed" or type(value) in (int, float, list))
+
+
+def _one_field_off(field, value):
+    """A valid document, run in full mode with shots, whose one numeric field
+    holds ``value``: in every entry, if the field is a list."""
+    section, name = field
+    default = DEFAULT_CONFIG[section][name]
+    doc = {"protocol": {"mode": "full", "shots": 500, "seed": 7}}
+    doc.setdefault(section, {})[name] = [value] * len(default) if isinstance(default, list) \
+        else value
+    return doc
+
+
+# Hypothesis draws each distinct example once, so as many examples as there
+# are (field, value) pairs run every pair: the overflow window included.
+@pytest.mark.parametrize("command", _COMMANDS)
+@settings(max_examples=len(_NUMERIC_FIELDS) * len(_EXTREMES), derandomize=True, deadline=None)
+@given(field=st.sampled_from(_NUMERIC_FIELDS), value=st.sampled_from(_EXTREMES))
+def test_cli_one_extreme_field_ends_in_a_documented_exit_code(fuzz_dir, command, field, value):
+    code, out = _run_document(fuzz_dir, command, _one_field_off(field, value))
+    if code == 0:
+        assert "nan" not in out
 
 
 def test_cli_rejects_unknown_command():

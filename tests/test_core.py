@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -33,9 +34,12 @@ from ghzsim.core import (
     _SHOT_CHUNK,
     _ZZ_8X8,
     _embed,
+    _propagators,
     _readout_probabilities,
+    _spectral_phases,
     _tally,
 )
+from ghzsim.effective import _scan_generators
 
 
 def taylor_propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -235,6 +239,61 @@ def test_phases_outside_float_range_are_infeasible(w_end, t):
             run()
     # an eigenvalue just below the overflow of 2*pi*w still propagates
     assert propagator(Operator(np.diag([2.8e307, *[0.0] * 7])), 1e-308).unitary
+
+
+def _hermitian_stack(seed: int):
+    """Random Hermitian matrices over six decades of scale, with the error
+    scan's exact and effective generators among them, and their times."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(40, 8, 8)) + 1j * rng.normal(size=(40, 8, 8))
+    raw *= 10.0 ** rng.uniform(-3.0, 3.0, (40, 1, 1))
+    matrices = list((raw + raw.conj().swapaxes(1, 2)) / 2.0)
+    times = rng.uniform(0.0, 10.0, 40).tolist()
+    for z in (0.0, 0.05, 0.2, 0.45):
+        for which in ("middle", "outer"):
+            h_full, h_eff, t = _scan_generators(z, which)
+            matrices += [h_full, h_eff]
+            times += [t, t]
+    order = rng.permutation(len(matrices))
+    return np.array(matrices)[order], [times[i] for i in order]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_stacked_propagation_matches_each_matrix_bit_for_bit(seed):
+    # one eigh over the stack gives every slice the bytes of its own call
+    stack, times = _hermitian_stack(seed)
+    us = _propagators(stack, times)
+    v, phases = _spectral_phases(stack, times, "unused")
+    rng = np.random.default_rng(seed)
+    for h, t, u, v_k, p_k in zip(stack, times, us, v, phases):
+        assert u.tobytes() == propagator(Operator(h), t).matrix.tobytes()
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi = StateVector(amps / np.linalg.norm(amps))
+        stacked = v_k @ (p_k * (v_k.conj().T @ psi.amplitudes))
+        assert stacked.tobytes() == evolve(Operator(h), t, psi).amplitudes.tobytes()
+
+
+def test_stacked_propagation_rejects_a_non_hermitian_slice():
+    stack, times = _hermitian_stack(3)
+    stack[17, 0, 1] += 2e-12
+    with pytest.raises(ContractViolationError, match="^propagator requires a Hermitian generator$"):
+        _propagators(stack, times)
+    # half the tolerance passes, as in Operator.hermitian
+    stack[17, 0, 1] -= 1.5e-12
+    _propagators(stack, times)
+
+
+def test_stacked_propagation_names_the_first_out_of_range_slice():
+    stack, times = _hermitian_stack(4)
+    stack[5] = np.diag([0.25, *[0.0] * 6, -5e307])
+    stack[9] = np.diag([6e307, *[0.0] * 7])
+    times[5] = times[9] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasiblePulseError) as info:
+            _propagators(stack, times)
+    assert str(info.value) == ("a 1.0 ns pulse with eigenvalues up to 5e+307 GHz "
+                               "cannot be timed in floating point")
 
 
 def test_norm_preserved_through_long_evolution():

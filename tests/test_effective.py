@@ -252,6 +252,23 @@ def test_error_scan_repr_is_pinned(which):
     assert digest == _SCAN_SHA256[which]
 
 
+def test_error_scan_diagonalizes_each_batch_in_one_call(monkeypatch):
+    # the exact and effective generators of up to 64 zetas share one eigh
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    effective_error_scan((0.02, 0.05, 0.1, 0.2, 0.45), "outer")
+    assert shapes == [(10, 8, 8)]
+    shapes.clear()
+    effective_error_scan(np.linspace(0.0, 0.45, 70), "middle")
+    assert shapes == [(128, 8, 8), (12, 8, 8)]
+
+
 def _phase_minimized_distance(a, b):
     """The phase search run on a stack of one pair."""
     return _phase_minimized_distances(a[None], b[None])[0]
