@@ -24,6 +24,7 @@ from .errors import (
     DegenerateControlError,
     GateChargeRangeWarning,
     UnphysicalNetworkError,
+    _reals,
 )
 
 # CODATA exact values (SI).
@@ -36,15 +37,6 @@ _E2_PER_AF_GHZ = ELEMENTARY_CHARGE**2 / 1e-18 / (PLANCK_CONSTANT * 1e9)
 
 _COND_LIMIT = 1e12
 _CROSSTALK_THRESHOLD = 0.05
-
-
-def _as_entries(values, name, length):
-    vals = tuple(float(v) for v in values)
-    if len(vals) != length:
-        raise UnphysicalNetworkError(f"{name} must have exactly {length} entries, got {len(vals)}")
-    if not all(math.isfinite(v) for v in vals):
-        raise UnphysicalNetworkError(f"{name} entries must be finite, got {vals}")
-    return vals
 
 
 @dataclass(frozen=True)
@@ -61,9 +53,9 @@ class CapacitanceNetwork:
     c_coupler: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "c_junction", _as_entries(self.c_junction, "c_junction", 3))
-        object.__setattr__(self, "c_gate", _as_entries(self.c_gate, "c_gate", 3))
-        object.__setattr__(self, "c_coupler", _as_entries(self.c_coupler, "c_coupler", 2))
+        for name, length in (("c_junction", 3), ("c_gate", 3), ("c_coupler", 2)):
+            object.__setattr__(self, name, _reals(getattr(self, name), name, length,
+                                                  UnphysicalNetworkError))
         for name in ("c_junction", "c_gate"):
             if min(getattr(self, name)) <= 0.0:
                 raise UnphysicalNetworkError(f"{name} entries must be strictly positive")
@@ -102,9 +94,9 @@ class ControlSettings:
     epsilon_j: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "gate_charge", _as_entries(self.gate_charge, "gate_charge", 3))
-        object.__setattr__(self, "flux", _as_entries(self.flux, "flux", 3))
-        object.__setattr__(self, "epsilon_j", _as_entries(self.epsilon_j, "epsilon_j", 3))
+        for name in ("gate_charge", "flux", "epsilon_j"):
+            object.__setattr__(self, name, _reals(getattr(self, name), name, 3,
+                                                  UnphysicalNetworkError))
         for n in self.gate_charge:
             if not 0.0 <= n <= 1.0:
                 raise UnphysicalNetworkError(f"gate_charge entries must lie in [0, 1], got {n}")
@@ -267,9 +259,7 @@ def solve_gate_charges(network: CapacitanceNetwork, target_e_c) -> tuple:
     in which case a GateChargeRangeWarning is emitted.  Raises
     DegenerateControlError if the charging matrix cannot be inverted.
     """
-    target = np.asarray([float(v) for v in target_e_c])
-    if target.shape != (3,):
-        raise ContractViolationError("target_e_c must have exactly 3 entries")
+    target = np.array(_reals(target_e_c, "target_e_c", 3))
     m = _charging_matrix(effective_capacitances(network))
     cond = np.linalg.cond(m)
     if not math.isfinite(cond) or cond > _COND_LIMIT:

@@ -24,7 +24,7 @@ import yaml
 
 from .circuit import CapacitanceNetwork, ControlSettings
 from .effective import _SCAN_TARGETS, _SCAN_ZETA_LIMIT
-from .errors import ConfigError, UnphysicalNetworkError
+from .errors import ConfigError, UnphysicalNetworkError, _real, _reals
 from .protocols import _MODES
 
 DEFAULT_CONFIG = {
@@ -123,23 +123,6 @@ def _merge(base: dict, override: dict, path: str) -> dict:
     return out
 
 
-def _number(raw, field, minimum=None):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{field}: expected a number, got {raw!r}")
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ConfigError(f"{field}: must be finite, got {raw!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{field}: must be >= {minimum}, got {raw!r}")
-    return value
-
-
-def _number_list(raw, field, length):
-    if not isinstance(raw, (list, tuple)) or len(raw) != length:
-        raise ConfigError(f"{field}: expected a list of {length} numbers, got {raw!r}")
-    return tuple(_number(v, f"{field}[{i}]") for i, v in enumerate(raw))
-
-
 def _choice(raw, field, allowed):
     if raw not in allowed:
         raise ConfigError(f"{field}: expected one of {allowed}, got {raw!r}")
@@ -178,9 +161,10 @@ def _build(raw: dict, source: str) -> RunConfig:
     dev = raw["device"]
     network = _network(dev)
     settings_kwargs = {
-        "gate_charge": _number_list(dev["gate_charge"], "device.gate_charge", 3),
-        "flux": _number_list(dev["flux"], "device.flux", 3),
-        "epsilon_j": _number_list(dev["josephson_energy_ghz"], "device.josephson_energy_ghz", 3),
+        "gate_charge": _reals(dev["gate_charge"], "device.gate_charge", 3, ConfigError),
+        "flux": _reals(dev["flux"], "device.flux", 3, ConfigError),
+        "epsilon_j": _reals(dev["josephson_energy_ghz"], "device.josephson_energy_ghz", 3,
+                            ConfigError),
     }
     for i, n in enumerate(settings_kwargs["gate_charge"]):
         if not 0.0 <= n <= 1.0:
@@ -192,7 +176,12 @@ def _build(raw: dict, source: str) -> RunConfig:
         settings = ControlSettings(**settings_kwargs)
     except UnphysicalNetworkError as exc:
         raise ConfigError(f"device: {exc}") from exc
-    readout_time = _number(dev["readout_time_ns"], "device.readout_time_ns", minimum=0.0)
+    raw_time = dev["readout_time_ns"]
+    readout_time = _real(raw_time, "device.readout_time_ns: expected a number", ConfigError)
+    if not math.isfinite(readout_time):
+        raise ConfigError(f"device.readout_time_ns: must be finite, got {raw_time!r}")
+    if readout_time < 0.0:
+        raise ConfigError(f"device.readout_time_ns: must be >= 0.0, got {raw_time!r}")
 
     proto_raw = raw["protocol"]
     mode = _choice(proto_raw["mode"], "protocol.mode", _MODES)
@@ -220,7 +209,7 @@ def _build(raw: dict, source: str) -> RunConfig:
     values_raw = scan_raw["values"]
     if not isinstance(values_raw, (list, tuple)) or not values_raw:
         raise ConfigError(f"scan.values: expected a non-empty list, got {values_raw!r}")
-    values = tuple(_number(v, f"scan.values[{i}]") for i, v in enumerate(values_raw))
+    values = _reals(values_raw, "scan.values", len(values_raw), ConfigError)
     if parameter == "zeta":
         for i, v in enumerate(values):
             if not 0.0 <= v < _SCAN_ZETA_LIMIT:
@@ -244,11 +233,11 @@ def _build(raw: dict, source: str) -> RunConfig:
 
 def _network(dev: dict) -> CapacitanceNetwork:
     kwargs = {
-        "c_junction": _number_list(dev["junction_capacitance_af"],
-                                   "device.junction_capacitance_af", 3),
-        "c_gate": _number_list(dev["gate_capacitance_af"], "device.gate_capacitance_af", 3),
-        "c_coupler": _number_list(dev["coupler_capacitance_af"],
-                                  "device.coupler_capacitance_af", 2),
+        "c_junction": _reals(dev["junction_capacitance_af"], "device.junction_capacitance_af", 3,
+                             ConfigError),
+        "c_gate": _reals(dev["gate_capacitance_af"], "device.gate_capacitance_af", 3, ConfigError),
+        "c_coupler": _reals(dev["coupler_capacitance_af"], "device.coupler_capacitance_af", 2,
+                            ConfigError),
     }
     try:
         return CapacitanceNetwork(**kwargs)

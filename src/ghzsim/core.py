@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ContractViolationError, InfeasiblePulseError
+from .errors import ContractViolationError, InfeasiblePulseError, _reals
 
 N_QUBITS = 3
 DIM = 8
@@ -84,14 +84,14 @@ class StateVector:
 
 
 def _basis_index(label: str) -> int:
-    if len(label) != N_QUBITS or any(ch not in "01" for ch in label):
+    if not isinstance(label, str) or len(label) != N_QUBITS or any(ch not in "01" for ch in label):
         raise ContractViolationError(f"basis label must be a 3-bit string, got {label!r}")
     return int(label, 2)
 
 
 def basis_label(index: int) -> str:
     """Inverse of the basis indexing: 5 -> '101'."""
-    if not 0 <= index < DIM:
+    if isinstance(index, (bool, np.bool_)) or not 0 <= index < DIM:
         raise ContractViolationError(f"basis index must lie in [0, {DIM}), got {index}")
     return format(index, "03b")
 
@@ -147,7 +147,7 @@ class Operator:
 
 
 def _check_qubit(qubit) -> None:
-    if qubit not in (1, 2, 3):
+    if isinstance(qubit, (bool, np.bool_)) or qubit not in (1, 2, 3):
         raise ContractViolationError(f"qubit index must be 1, 2 or 3, got {qubit}")
 
 
@@ -188,10 +188,9 @@ def build_hamiltonian(e_c, e_j, k12: float, k23: float, k13: float = 0.0) -> Ope
     The 1-3 term models the always-on next-nearest-neighbour coupling and is
     zero unless explicitly requested.
     """
-    e_c = tuple(float(v) for v in e_c)
-    e_j = tuple(float(v) for v in e_j)
-    if len(e_c) != 3 or len(e_j) != 3:
-        raise ContractViolationError("e_c and e_j must each have 3 entries")
+    e_c = _reals(e_c, "e_c", 3)
+    e_j = _reals(e_j, "e_j", 3)
+    k12, k23, k13 = _reals((k12, k23, k13), "(k12, k23, k13)", 3)
     h = np.zeros((DIM, DIM), dtype=complex)
     for j in range(3):
         h += 0.5 * e_c[j] * _PAULI_8X8["z", j + 1]
@@ -257,7 +256,7 @@ def project(state: StateVector, qubit: int, outcome: int):
     an outcome whose probability is below 1e-12 is an error: the caller asked
     for a branch that does not exist.
     """
-    if outcome not in (0, 1):
+    if isinstance(outcome, (bool, np.bool_)) or outcome not in (0, 1):
         raise ContractViolationError(f"outcome must be 0 or 1, got {outcome}")
     _check_qubit(qubit)
     shift = N_QUBITS - qubit
@@ -311,11 +310,12 @@ def sample(state: StateVector, shots: int, seed: int, basis: str = "zzz") -> Mea
     the draws below each cumulative edge, which gives the same histogram as
     the inverse-CDF lookup.  ``outcomes`` replays that lookup from the same
     stream when first read.  Identical (state, shots, seed, basis)
-    therefore reproduce identical records.  ``shots`` and ``seed`` must be
+    therefore reproduce identical records.  ``basis`` must be a ``str``
+    such as 'yxx' (qubit 1 leftmost), and ``shots`` and ``seed`` must be
     non-negative integers (not bools); anything else, a seed of None
     included, raises ContractViolationError.
     """
-    if len(basis) != N_QUBITS or any(ch not in "xyz" for ch in basis):
+    if not isinstance(basis, str) or len(basis) != N_QUBITS or any(ch not in "xyz" for ch in basis):
         raise ContractViolationError(f"basis must be 3 characters from 'xyz', got {basis!r}")
     return _sample_probabilities(_readout_probabilities(state, basis), shots, seed, basis)
 

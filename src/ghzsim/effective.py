@@ -23,19 +23,11 @@ import numpy as np
 
 from .circuit import DerivedEnergies
 from .core import _PAULI_8X8, Operator, _propagators, build_hamiltonian
-from .errors import ContractViolationError, InfeasiblePulseError
+from .errors import ContractViolationError, InfeasiblePulseError, _real
 
 _SCAN_ZETA_LIMIT = 0.5
 _SCAN_TARGETS = ("middle", "outer")
 _SCAN_BATCH = 64  # zetas per stacked eigh and lock-step phase search, so memory stays bounded
-
-
-def _real(value, requirement: str) -> float:
-    """``value`` as a float; bools and non-numbers break the contract, and
-    the error states ``requirement``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ContractViolationError(f"{requirement}, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -132,7 +124,7 @@ def _quarter_time(eight_rates: float, name: str) -> float:
 def _outer_rates(params: PerturbationParams, qubit2_z: int = +1) -> tuple:
     """Rotation rates eps_j * (1 + 2 * zeta_j2^2 * z) of qubits 1 and 3 on the
     sigma_z2 = z sector."""
-    if qubit2_z not in (+1, -1):
+    if isinstance(qubit2_z, (bool, np.bool_)) or qubit2_z not in (+1, -1):
         raise ContractViolationError(f"qubit2_z must be +1 or -1, got {qubit2_z}")
     eps1, _, eps3 = params.epsilon_j
     return (eps1 * (1.0 + 2.0 * params.zeta12**2 * qubit2_z),
@@ -275,12 +267,12 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     if zetas is None:
         raise ContractViolationError(f"zeta_values must be an iterable of numbers, "
                                      f"got {zeta_values!r}")
+    zetas = tuple(_real(z, "scan zeta values must be real numbers") for z in zetas)
     for z in zetas:
-        if not 0.0 <= _real(z, "scan zeta values must be real numbers") < _SCAN_ZETA_LIMIT:
+        if not 0.0 <= z < _SCAN_ZETA_LIMIT:
             raise ContractViolationError(
-                f"scan zeta values must satisfy 0 <= zeta < {_SCAN_ZETA_LIMIT}, got {float(z)}"
+                f"scan zeta values must satisfy 0 <= zeta < {_SCAN_ZETA_LIMIT}, got {z}"
             )
-    zetas = tuple(float(z) for z in zetas)
     table = []
     for start in range(0, len(zetas), _SCAN_BATCH):
         batch = zetas[start:start + _SCAN_BATCH]

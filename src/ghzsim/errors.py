@@ -3,8 +3,13 @@
 Every failure mode that callers are expected to handle derives from
 SimulationError.  The CLI maps these onto process exit codes, so the split
 between configuration problems, pulse-search failures and internal contract
-violations is part of the public interface.
+violations is part of the public interface.  The readers of caller-supplied
+numbers live here too, so that every layer checks them alike.
 """
+
+import math
+
+import numpy as np
 
 
 class SimulationError(Exception):
@@ -38,3 +43,32 @@ class ContractViolationError(SimulationError):
 
 class GateChargeRangeWarning(UserWarning):
     """Solved gate charges fall outside the physical window [0, 1]."""
+
+
+def _real(value, requirement: str, error=ContractViolationError) -> float:
+    """``value`` as a float: the package's one non-bool real-number check.
+    A bool or a non-number raises ``error`` stating ``requirement``; an
+    integer beyond float range reads as an infinity of its sign."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{requirement}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _reals(values, name: str, length: int, error=ContractViolationError) -> tuple:
+    """``values`` as a tuple of ``length`` floats: a list, tuple or 1-D array
+    of finite non-bool reals.  Anything else raises ``error`` naming the
+    first bad entry, as ``{name}[{i}]``."""
+    entries = values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1 else values
+    if not isinstance(entries, (list, tuple)) or len(entries) != length:
+        raise error(f"{name}: expected a list of {length} numbers, got {values!r}")
+    reals = []
+    for i, v in enumerate(entries):
+        if type(v) is not float:
+            v = _real(v, f"{name}[{i}]: expected a number", error)
+        if not math.isfinite(v):
+            raise error(f"{name}[{i}]: must be finite, got {entries[i]!r}")
+        reals.append(v)
+    return tuple(reals)

@@ -211,7 +211,7 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
 
 def mermin_operator(pattern: str) -> Operator:
     """Three-qubit Pauli product such as 'yxx' (qubit 1 leftmost)."""
-    if len(pattern) != 3 or any(ch not in "xyz" for ch in pattern):
+    if not isinstance(pattern, str) or len(pattern) != 3 or any(ch not in "xyz" for ch in pattern):
         raise ContractViolationError(f"pattern must be 3 characters from 'xyz', got {pattern!r}")
     return pauli(pattern[0], 1) @ pauli(pattern[1], 2) @ pauli(pattern[2], 3)
 

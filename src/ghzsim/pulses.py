@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .circuit import DerivedEnergies
 from .core import StateVector, _parse_sign, build_hamiltonian, evolve, fidelity, ghz_state
-from .errors import ContractViolationError, InfeasiblePulseError
+from .errors import ContractViolationError, InfeasiblePulseError, _real, _reals
 
 _RESIDUAL_TOL = 1e-9
 
@@ -46,16 +46,12 @@ class PulseSegment:
     label: str = ""
 
     def __post_init__(self):
-        d = float(self.duration)
+        d = _real(self.duration, "segment duration must be a real number")
         if not math.isfinite(d) or d < 0.0:
             raise ContractViolationError(f"segment duration must be finite and >= 0, got {d}")
         object.__setattr__(self, "duration", d)
-        e_c = tuple(float(v) for v in self.e_c)
-        e_j = tuple(float(v) for v in self.e_j)
-        if len(e_c) != 3 or len(e_j) != 3:
-            raise ContractViolationError("e_c and e_j must each have 3 entries")
-        object.__setattr__(self, "e_c", e_c)
-        object.__setattr__(self, "e_j", e_j)
+        for name in ("e_c", "e_j"):
+            object.__setattr__(self, name, _reals(getattr(self, name), name, 3))
 
 
 @dataclass(frozen=True)
@@ -97,9 +93,7 @@ class FlipSolution:
     residuals: tuple
 
     def __post_init__(self):
-        r = tuple(float(v) for v in self.residuals)
-        if len(r) != 2:
-            raise ContractViolationError("residuals must have exactly 2 entries")
+        r = _reals(self.residuals, "residuals", 2)
         if max(r) >= _RESIDUAL_TOL:
             raise ContractViolationError(f"flip residuals {r} exceed {_RESIDUAL_TOL}")
         object.__setattr__(self, "residuals", r)

@@ -15,6 +15,7 @@ import pytest
 from ghzsim import (
     CapacitanceNetwork,
     ControlSettings,
+    DegenerateControlError,
     DerivedEnergies,
     GateChargeRangeWarning,
     UnphysicalNetworkError,
@@ -236,6 +237,19 @@ def test_settings_validation():
     with pytest.raises(UnphysicalNetworkError, match="2 \\* eps_j finite"):
         ControlSettings((0.5,) * 3, (0.5,) * 3, (5.6, 5.6, 1.7e308))
     assert ControlSettings((0.5,) * 3, (0.5,) * 3, (8.9e307,) * 3).epsilon_j == (8.9e307,) * 3
+
+
+# 1 aF junctions and 1e-3 aF gates: couplers of 1e12 aF take the charging
+# matrix's condition number to 3.0e12, past the 1e12 limit; 1e11 aF to 3.0e11.
+def test_gate_charges_of_a_singular_charging_matrix_are_refused():
+    net = CapacitanceNetwork((1.0,) * 3, (1e-3,) * 3, (1e12, 1e12))
+    with pytest.raises(DegenerateControlError, match=r"condition number 2\.997e\+12"):
+        solve_gate_charges(net, (0.0, 0.0, 0.0))
+
+
+def test_gate_charges_just_inside_the_condition_limit_are_solved():
+    net = CapacitanceNetwork((1.0,) * 3, (1e-3,) * 3, (1e11, 1e11))
+    assert solve_gate_charges(net, (0.0, 0.0, 0.0)) == (0.5, 0.5, 0.5)
 
 
 def test_warning_free_in_range_solution(network):

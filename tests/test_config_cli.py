@@ -54,40 +54,121 @@ def test_partial_override(tmp_path):
     assert cfg.protocol.sign == "+"
 
 
-@pytest.mark.parametrize("text, fragment", [
-    ("device:\n  banana: 3\n", "device.banana"),
-    ("device:\n  junction_capacitance_af: [600.0, 600.0]\n", "list of 3"),
-    ("device:\n  gate_charge: [0.5, 1.5, 0.5]\n", "gate_charge[1]"),
-    ("device:\n  josephson_energy_ghz: [5.6, 0.0, 5.6]\n", "josephson_energy_ghz[1]"),
-    ("protocol:\n  mode: exactish\n", "protocol.mode"),
-    ("protocol:\n  shots: 100\n", "protocol.seed"),
-    ("protocol:\n  shots: -3\n  seed: 1\n", "protocol.shots"),
-    ("protocol:\n  shots: 1e6\n  seed: 1\n", "expected a non-negative integer"),
-    ("protocol:\n  shots: 100000000000\n  seed: 1\n", "protocol.shots: at most 10000000"),
-    ("protocol:\n  seed: -1\n", "seed must be non-negative"),
-    ("protocol:\n  include_k13: 1\n", "protocol.include_k13"),
-    ("scan:\n  values: [0.6]\n", "scan.values[0]"),
-    ("scan:\n  parameter: coupler\n  values: [0.0]\n", "scan.values[0]"),
-    ("scan:\n  values: []\n", "scan.values"),
-    ("output:\n  format: xml\n", "output.format"),
-    ("device:\n  readout_time_ns: abc\n", "expected a number"),
-    ("device:\n  readout_time_ns: .inf\n", "must be finite"),
-    ("device:\n  readout_time_ns: -1.0\n", "must be >= 0.0"),
-    ("device: 3\n", "device: expected a mapping"),
-    ("protocol:\n  seed: 1.5\n", "protocol.seed: expected an integer or null"),
-    ("output: {path: 3}\n", "output.path"),
-    ("device:\n  junction_capacitance_af: [-1.0, 600.0, 600.0]\n",
-     "c_junction entries must be strictly positive"),
-    ("device:\n  coupler_capacitance_af: [-1.0, 30.0]\n",
-     "c_coupler entries must be non-negative"),
-    ("device:\n  flux: [1.0e308, 0.5, 0.5]\n", "pi * flux finite"),
-])
-def test_config_validation_errors(tmp_path, text, fragment):
+# Each invalid document, a fragment of its error (with the document, the
+# test's id) and the whole stderr line it must print: the wording of a config
+# error is part of the CLI's output.  Entries are read in order, each checked
+# for its type and then for finiteness.
+_INVALID_DOCUMENTS = {
+    "device:\n  banana: 3\n": ("device.banana", "unknown configuration key: device.banana"),
+    "device:\n  junction_capacitance_af: [600.0, 600.0]\n":
+        ("list of 3",
+         "device.junction_capacitance_af: expected a list of 3 numbers, got [600.0, 600.0]"),
+    "device:\n  gate_charge: [0.5, 1.5, 0.5]\n":
+        ("gate_charge[1]", "device.gate_charge[1]: must lie in [0, 1], got 1.5"),
+    "device:\n  josephson_energy_ghz: [5.6, 0.0, 5.6]\n":
+        ("josephson_energy_ghz[1]", "device.josephson_energy_ghz[1]: must be > 0, got 0.0"),
+    "protocol:\n  mode: exactish\n":
+        ("protocol.mode",
+         "protocol.mode: expected one of ('ideal', 'effective', 'full'), got 'exactish'"),
+    "protocol:\n  shots: 100\n":
+        ("protocol.seed", "protocol.seed: required whenever protocol.shots > 0"),
+    "protocol:\n  shots: -3\n  seed: 1\n":
+        ("protocol.shots", "protocol.shots: expected a non-negative integer, got -3"),
+    "protocol:\n  shots: 1e6\n  seed: 1\n":
+        ("expected a non-negative integer",
+         "protocol.shots: expected a non-negative integer, got 1000000.0"),
+    "protocol:\n  shots: 100000000000\n  seed: 1\n":
+        ("protocol.shots: at most 10000000",
+         "protocol.shots: at most 10000000 shots, got 100000000000"),
+    "protocol:\n  seed: -1\n":
+        ("seed must be non-negative", "protocol.seed must be non-negative, got -1"),
+    "protocol:\n  include_k13: 1\n":
+        ("protocol.include_k13", "protocol.include_k13: expected a boolean, got 1"),
+    "scan:\n  values: [0.6]\n":
+        ("scan.values[0]", "scan.values[0]: zeta must lie in [0, 0.5), got 0.6"),
+    "scan:\n  parameter: coupler\n  values: [0.0]\n":
+        ("scan.values[0]", "scan.values[0]: coupler capacitance must be > 0, got 0.0"),
+    "scan:\n  values: []\n": ("scan.values", "scan.values: expected a non-empty list, got []"),
+    "output:\n  format: xml\n":
+        ("output.format",
+         "output.format: expected one of ('table', 'csv', 'structured'), got 'xml'"),
+    "device:\n  readout_time_ns: abc\n":
+        ("expected a number", "device.readout_time_ns: expected a number, got 'abc'"),
+    "device:\n  readout_time_ns: .inf\n":
+        ("must be finite", "device.readout_time_ns: must be finite, got inf"),
+    "device:\n  readout_time_ns: -1.0\n":
+        ("must be >= 0.0", "device.readout_time_ns: must be >= 0.0, got -1.0"),
+    "device: 3\n": ("device: expected a mapping", "device: expected a mapping"),
+    "protocol:\n  seed: 1.5\n":
+        ("protocol.seed: expected an integer or null",
+         "protocol.seed: expected an integer or null, got 1.5"),
+    "output: {path: 3}\n": ("output.path", "output.path: expected a string or null, got 3"),
+    "device:\n  junction_capacitance_af: [-1.0, 600.0, 600.0]\n":
+        ("c_junction entries must be strictly positive",
+         "device: c_junction entries must be strictly positive"),
+    "device:\n  coupler_capacitance_af: [-1.0, 30.0]\n":
+        ("c_coupler entries must be non-negative",
+         "device: c_coupler entries must be non-negative"),
+    "device:\n  flux: [1.0e308, 0.5, 0.5]\n":
+        ("pi * flux finite",
+         "device: flux entries must keep pi * flux finite, got (1e+308, 0.5, 0.5)"),
+    "device:\n  josephson_energy_ghz: 5.6\n":
+        ("josephson_energy_ghz",
+         "device.josephson_energy_ghz: expected a list of 3 numbers, got 5.6"),
+    "device:\n  junction_capacitance_af: [600.0, true, 600.0]\n":
+        ("junction_capacitance_af[1]",
+         "device.junction_capacitance_af[1]: expected a number, got True"),
+    "device:\n  gate_capacitance_af: [0.6, 0.6, '0.6']\n":
+        ("gate_capacitance_af[2]", "device.gate_capacitance_af[2]: expected a number, got '0.6'"),
+    "device:\n  coupler_capacitance_af: [30.0, null]\n":
+        ("coupler_capacitance_af[1]",
+         "device.coupler_capacitance_af[1]: expected a number, got None"),
+    "device:\n  flux: [0.5, [0.5], 0.5]\n":
+        ("flux[1]", "device.flux[1]: expected a number, got [0.5]"),
+    "device:\n  gate_charge: [0.5, .nan, 0.5]\n":
+        ("gate_charge[1]", "device.gate_charge[1]: must be finite, got nan"),
+    "device:\n  flux: [.nan, x, 0.5]\n": ("flux[0]", "device.flux[0]: must be finite, got nan"),
+    "device:\n  josephson_energy_ghz: [5.6, 5.6, -.inf]\n":
+        ("josephson_energy_ghz[2]", "device.josephson_energy_ghz[2]: must be finite, got -inf"),
+    "scan:\n  values: 0.1\n": ("scan.values", "scan.values: expected a non-empty list, got 0.1"),
+    "scan:\n  values: [0.1, true]\n":
+        ("scan.values[1]", "scan.values[1]: expected a number, got True"),
+    "scan:\n  values: [0.1, .inf]\n":
+        ("scan.values[1]", "scan.values[1]: must be finite, got inf"),
+    "device:\n  readout_time_ns: true\n":
+        ("readout_time_ns", "device.readout_time_ns: expected a number, got True"),
+    "device:\n  readout_time_ns: null\n":
+        ("readout_time_ns", "device.readout_time_ns: expected a number, got None"),
+}
+
+
+@pytest.mark.parametrize("text, fragment",
+                         [(text, fragment) for text, (fragment, _) in _INVALID_DOCUMENTS.items()])
+def test_config_validation_errors(tmp_path, capsys, text, fragment):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
-    with pytest.raises(ConfigError) as err:
-        load_config(str(path))
-    assert fragment in str(err.value)
+    line = _INVALID_DOCUMENTS[text][1]
+    assert fragment in line
+    assert main(["derive", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+
+_BEYOND_FLOAT = "1" + "0" * 400  # a YAML integer that no float can hold
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"device:\n  readout_time_ns: {_BEYOND_FLOAT}\n",
+     f"device.readout_time_ns: must be finite, got {_BEYOND_FLOAT}"),
+    (f"device:\n  flux: [{_BEYOND_FLOAT}, 0.5, 0.5]\n",
+     f"device.flux[0]: must be finite, got {_BEYOND_FLOAT}"),
+    (f"scan:\n  values: [0.1, -{_BEYOND_FLOAT}]\n",
+     f"scan.values[1]: must be finite, got -{_BEYOND_FLOAT}"),
+], ids=["readout_time_ns", "flux", "scan.values"])
+def test_config_integer_beyond_float_range_is_not_finite(tmp_path, capsys, text, line):
+    path = tmp_path / "huge.yaml"
+    path.write_text(text)
+    assert main(["derive", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
 
 
 @pytest.mark.parametrize("text, values", [
@@ -284,14 +365,14 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_cli_rejects_negative_seed_flag(capsys):
     assert main(["yyy", "--shots", "10", "--seed", "-1"]) == 2
-    assert "seed must be non-negative" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: protocol.seed must be non-negative, got -1\n"
 
 
 def test_cli_rejects_negative_seed_in_config(tmp_path, capsys):
     path = tmp_path / "seed.yaml"
     path.write_text("protocol:\n  shots: 10\n  seed: -1\n")
     assert main(["yyy", "--config", str(path)]) == 2
-    assert "seed must be non-negative" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: protocol.seed must be non-negative, got -1\n"
 
 
 def test_cli_flags_complete_the_file_before_validation(tmp_path, capsys):
@@ -312,7 +393,7 @@ def test_cli_rejects_negative_seed_without_sampling(tmp_path, capsys, command):
     path = tmp_path / "seed.yaml"
     path.write_text("protocol:\n  seed: -1\n")
     assert main([command, "--config", str(path)]) == 2
-    assert "seed must be non-negative" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: protocol.seed must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("command, qubit, coupling", [
@@ -344,6 +425,21 @@ def test_cli_strong_coupler_is_infeasible(tmp_path, capsys, command, code):
         assert "zeta12" in capsys.readouterr().err
 
 
+# The capacitances each document's screening error prints, in aF.
+_SCREENED_CAPS = {
+    "device: {coupler_capacitance_af: [1e-300, 1e-300]}":
+        "(600.0, 600.0, 600.0), (0.6, 0.6, 0.6), (1e-300, 1e-300)",
+    "device: {coupler_capacitance_af: [1e-160, 1e-160]}":
+        "(600.0, 600.0, 600.0), (0.6, 0.6, 0.6), (1e-160, 1e-160)",
+    "device: {coupler_capacitance_af: [1e200, 1e200], junction_capacitance_af: [1e200, 1e200, "
+    "1e200]}": "(1e+200, 1e+200, 1e+200), (0.6, 0.6, 0.6), (1e+200, 1e+200)",
+    "scan: {parameter: coupler, values: [1e300]}":
+        "(600.0, 600.0, 600.0), (0.6, 0.6, 0.6), (1e+300, 1e+300)",
+    "scan: {parameter: coupler, values: [1e-300]}":
+        "(600.0, 600.0, 600.0), (0.6, 0.6, 0.6), (1e-300, 1e-300)",
+}
+
+
 @pytest.mark.parametrize("command, text", [
     *[(command, "device: {coupler_capacitance_af: [1e-300, 1e-300]}")
       for command in (["derive"], ["prepare"], ["verify", "--mode", "full"], ["mermin"],
@@ -358,10 +454,8 @@ def test_cli_screening_out_of_float_range_is_a_config_error(tmp_path, capsys, co
     path = tmp_path / "extreme.yaml"
     path.write_text(text + "\n")
     assert main(command + ["--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("config error: capacitances ")
-    assert "floating-point range" in captured.err
-    assert captured.out == ""
+    assert capsys.readouterr() == ("", f"config error: capacitances {_SCREENED_CAPS[text]} aF "
+                                       "take the network screening out of floating-point range\n")
 
 
 @pytest.mark.parametrize("command", [["derive"], ["timing"], ["prepare"], ["mermin"],
@@ -371,10 +465,8 @@ def test_cli_josephson_maximum_out_of_float_range_is_a_config_error(tmp_path, ca
     path = tmp_path / "huge.yaml"
     path.write_text("device: {josephson_energy_ghz: [1.7e308, 1.7e308, 1.7e308]}\n")
     assert main(command + ["--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("config error: device: epsilon_j entries must keep "
-                                   "2 * eps_j finite")
-    assert captured.out == ""
+    assert capsys.readouterr() == ("", "config error: device: epsilon_j entries must keep "
+                                       "2 * eps_j finite, got (1.7e+308, 1.7e+308, 1.7e+308)\n")
 
 
 def _josephson(eps: str) -> str:

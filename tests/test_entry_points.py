@@ -1,0 +1,81 @@
+"""Caller-supplied numbers, words and indices at the library's entry points:
+each malformed one raises the documented error class, never a stray
+TypeError or a plausible-looking conversion."""
+
+import math
+
+import numpy as np
+import pytest
+
+from ghzsim import (
+    CapacitanceNetwork,
+    ContractViolationError,
+    ControlSettings,
+    PerturbationParams,
+    PulseSegment,
+    StateVector,
+    UnphysicalNetworkError,
+    basis_label,
+    build_hamiltonian,
+    ghz_state,
+    h_eff_qubits13,
+    mermin_operator,
+    pauli,
+    project,
+    sample,
+)
+
+# float() would read a bool or a numeric string as a plausible number.
+_NOT_NUMBERS = (True, "1", None, b"1", math.nan)
+
+# One valid call per entry point, with the class it documents for bad input.
+_VALID = {
+    CapacitanceNetwork: ({"c_junction": (600.0, 600.0, 600.0), "c_gate": (0.6, 0.6, 0.6),
+                          "c_coupler": (30.0, 30.0)}, UnphysicalNetworkError),
+    ControlSettings: ({"gate_charge": (0.5, 0.5, 0.5), "flux": (0.5, 0.5, 0.5),
+                       "epsilon_j": (5.6, 5.6, 5.6)}, UnphysicalNetworkError),
+    PulseSegment: ({"duration": 1.0, "e_c": (0.0, 0.1, 0.0), "e_j": (1.0, 0.0, 1.0)},
+                   ContractViolationError),
+    build_hamiltonian: ({"e_c": (0.0, 0.1, 0.0), "e_j": (1.0, 0.0, 1.0), "k12": 0.1,
+                         "k23": 0.1, "k13": 0.0}, ContractViolationError),
+    PerturbationParams: ({"epsilon_j": (1.0, 1.0, 1.0), "zeta12": 0.1, "zeta23": 0.1,
+                          "zeta32": 0.1}, ContractViolationError),
+}
+
+
+@pytest.mark.parametrize("entry, name", [(entry, name) for entry, (kwargs, _) in _VALID.items()
+                                         for name in kwargs])
+def test_each_numeric_argument_rejects_non_numbers(entry, name):
+    kwargs, error = _VALID[entry]
+    entry(**kwargs)
+    good = kwargs[name]
+    for slot in range(len(good)) if isinstance(good, tuple) else (None,):
+        for bad in _NOT_NUMBERS:
+            value = bad if slot is None else good[:slot] + (bad,) + good[slot + 1:]
+            with pytest.raises(error) as raised:
+                entry(**dict(kwargs, **{name: value}))
+            assert raised.type is error, (value, raised.type)
+            assert name in str(raised.value), (value, str(raised.value))
+
+
+_GHZ = ghz_state("+")
+
+
+@pytest.mark.parametrize("call, args", [
+    (sample, (_GHZ, 10, 1, ["x", "y", "z"])),
+    (sample, (_GHZ, 10, 1, b"xyz")),
+    (mermin_operator, (b"yxx",)),
+    (mermin_operator, (("y", "x", "x"),)),
+    (StateVector.basis, (b"010",)),
+    (StateVector.basis, (["0", "1", "0"],)),
+    (pauli, ("x", True)),
+    (pauli, ("z", np.True_)),
+    (project, (StateVector.basis("010"), 2, True)),
+    (project, (StateVector.basis("000"), True, 0)),
+    (basis_label, (True,)),
+    (basis_label, (np.True_,)),
+    (h_eff_qubits13, (PerturbationParams((1.0, 1.0, 1.0)), True)),
+])
+def test_words_must_be_strings_and_indices_not_bools(call, args):
+    with pytest.raises(ContractViolationError):
+        call(*args)
