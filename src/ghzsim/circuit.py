@@ -24,6 +24,7 @@ from .errors import (
     DegenerateControlError,
     GateChargeRangeWarning,
     UnphysicalNetworkError,
+    _real,
     _reals,
 )
 
@@ -283,6 +284,8 @@ def readout_timing_margin(k_coupling: float, t_measure: float) -> TimingMargin:
     K in GHz, times in ns.  margin = t_measure / t_c must stay below 1 for
     the two-step readout argument to hold; the estimate is order-of-magnitude.
     """
+    k_coupling = _real(k_coupling, "k_coupling must be a real number")
+    t_measure = _real(t_measure, "t_measure must be a real number")
     if k_coupling <= 0.0:
         raise ContractViolationError("readout_timing_margin requires k_coupling > 0")
     if t_measure < 0.0:

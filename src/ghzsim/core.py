@@ -91,8 +91,8 @@ def _basis_index(label: str) -> int:
 
 def basis_label(index: int) -> str:
     """Inverse of the basis indexing: 5 -> '101'."""
-    if isinstance(index, (bool, np.bool_)) or not 0 <= index < DIM:
-        raise ContractViolationError(f"basis index must lie in [0, {DIM}), got {index}")
+    if not (type(index) is int or isinstance(index, np.integer)) or not 0 <= index < DIM:
+        raise ContractViolationError(f"basis index must be an integer in [0, {DIM}), got {index!r}")
     return format(index, "03b")
 
 
@@ -166,9 +166,16 @@ def _embed(single: np.ndarray, qubit: int) -> np.ndarray:
 
 # The embedded Paulis depend only on (axis, qubit): build them once, read-only.
 _PAULI_8X8 = {(axis, q): _embed(m, q) for axis, m in _PAULI_2X2.items() for q in (1, 2, 3)}
-_ZZ_8X8 = {(a, b): _PAULI_8X8["z", a] @ _PAULI_8X8["z", b] for a, b in ((1, 2), (2, 3), (1, 3))}
-for _m in (*_PAULI_8X8.values(), *_ZZ_8X8.values()):
+for _m in _PAULI_8X8.values():
     _m.flags.writeable = False
+
+# Where build_hamiltonian writes in a flat 8x8 matrix: each diagonal slot
+# with the sigma_z eigenvalues z1, z2, z3, z1*z2, z2*z3 and z1*z3 of its
+# basis state, and each slot that sigma_x on qubit q + 1 fills, with q.
+_DIAGONAL_SIGNS = tuple((i * (DIM + 1), z1, z2, z3, z1 * z2, z2 * z3, z1 * z3)
+                        for i in range(DIM)
+                        for z1, z2, z3 in [[1.0 - 2.0 * (i >> shift & 1) for shift in (2, 1, 0)]])
+_FLIP_SLOTS = tuple((i * DIM + (i ^ (4 >> q)), q) for i in range(DIM) for q in range(N_QUBITS))
 
 
 def pauli(axis: str, qubit: int) -> Operator:
@@ -191,12 +198,16 @@ def build_hamiltonian(e_c, e_j, k12: float, k23: float, k13: float = 0.0) -> Ope
     e_c = _reals(e_c, "e_c", 3)
     e_j = _reals(e_j, "e_j", 3)
     k12, k23, k13 = _reals((k12, k23, k13), "(k12, k23, k13)", 3)
-    h = np.zeros((DIM, DIM), dtype=complex)
-    for j in range(3):
-        h += 0.5 * e_c[j] * _PAULI_8X8["z", j + 1]
-        h -= 0.5 * e_j[j] * _PAULI_8X8["x", j + 1]
-    h += k12 * _ZZ_8X8[1, 2] + k23 * _ZZ_8X8[2, 3] + k13 * _ZZ_8X8[1, 3]
-    return Operator(h)
+    # Python floats in the term order of the summed Pauli matrices: the
+    # bytes are those of that sum, where a zero drive gives +0.0.
+    c1, c2, c3 = (0.5 * c for c in e_c)
+    h = [0.0] * (DIM * DIM)
+    for slot, z1, z2, z3, z12, z23, z13 in _DIAGONAL_SIGNS:
+        h[slot] = (((0.0 + c1 * z1) + c2 * z2) + c3 * z3) + ((k12 * z12 + k23 * z23) + k13 * z13)
+    x = [0.0 - 0.5 * e for e in e_j]
+    for slot, q in _FLIP_SLOTS:
+        h[slot] = x[q]
+    return Operator(np.array(h).astype(complex).reshape(DIM, DIM))
 
 
 def _hermitian_residual(stack: np.ndarray) -> float:
@@ -204,29 +215,34 @@ def _hermitian_residual(stack: np.ndarray) -> float:
     return float(np.abs(stack - stack.swapaxes(-1, -2).conj()).max())
 
 
-def _spectral_phases(stack: np.ndarray, times, not_hermitian: str) -> tuple:
-    """Eigenvectors v and phases exp(-i * 2*pi * w * t) of each matrix H in an
-    (n, 8, 8) stack, with t the matching entry of ``times``: the package's
-    one diagonalization, with one Hermitian check and one eigh call per
-    stack.  eigh sorts w, so each slice's largest phase, in the exponent's
-    product order, is read off the ends in Python floats, where overflow
-    gives inf without a warning: if it leaves float range the pulse cannot
-    be timed, and the first such slice is named."""
+def _diagonalize(stack: np.ndarray, not_hermitian: str) -> tuple:
+    """Eigenvalues w and eigenvectors v of each matrix in an (n, 8, 8)
+    stack: the package's one diagonalization, with one Hermitian check over
+    the whole stack and then one eigh call."""
     if not _hermitian_residual(stack) < _HERMITIAN_TOL:
         raise ContractViolationError(not_hermitian)
-    w, v = np.linalg.eigh(stack)
+    return np.linalg.eigh(stack)
+
+
+def _phases(w: np.ndarray, times) -> np.ndarray:
+    """exp(-i * 2*pi * w * t) for each row of eigenvalues w and the matching
+    entry t of ``times``.  eigh sorts w, so each row's largest phase, in the
+    exponent's product order, is read off the ends in Python floats, where
+    overflow gives inf without a warning: if it leaves float range the
+    pulse cannot be timed, and the first such row is named."""
     times = [float(t) for t in times]
     for t, (w_min, w_end) in zip(times, w[:, ::DIM - 1].tolist()):
         w_max = max(-w_min, w_end)
         if not math.isfinite(2.0 * math.pi * w_max * t):
             raise InfeasiblePulseError(f"a {t!r} ns pulse with eigenvalues up to {w_max!r} GHz "
                                        "cannot be timed in floating point")
-    return v, np.exp(-2.0j * math.pi * w * np.array(times)[:, None])
+    return np.exp(-2.0j * math.pi * w * np.array(times)[:, None])
 
 
 def _propagators(stack: np.ndarray, times) -> np.ndarray:
     """exp(-i * 2*pi * H * t) for each H in an (n, 8, 8) stack and its t."""
-    v, phases = _spectral_phases(stack, times, "propagator requires a Hermitian generator")
+    w, v = _diagonalize(stack, "propagator requires a Hermitian generator")
+    phases = _phases(w, times)
     return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -235,11 +251,22 @@ def propagator(h: Operator, t: float) -> Operator:
     return Operator(_propagators(h.matrix[None], (t,))[0])
 
 
+def _evolve_spectral(w: np.ndarray, v: np.ndarray, times, state: StateVector) -> list:
+    """The states after applying exp(-i * 2*pi * H_k * t_k) for each slice
+    k of a diagonalized stack in turn, starting from ``state``: the one
+    propagation path of evolve and run_schedule."""
+    amplitudes = state.amplitudes
+    trajectory = []
+    for v_k, p_k in zip(v, _phases(w, times)):
+        amplitudes = v_k @ (p_k * (v_k.conj().T @ amplitudes))
+        trajectory.append(StateVector(amplitudes))
+    return trajectory
+
+
 def evolve(h: Operator, t: float, state: StateVector) -> StateVector:
     """Apply exp(-i * 2*pi * H * t) to the state."""
-    v, phases = _spectral_phases(h.matrix[None], (t,), "evolve requires a Hermitian Hamiltonian")
-    v = v[0]
-    return StateVector(v @ (phases[0] * (v.conj().T @ state.amplitudes)))
+    w, v = _diagonalize(h.matrix[None], "evolve requires a Hermitian Hamiltonian")
+    return _evolve_spectral(w, v, (t,), state)[0]
 
 
 def apply(op: Operator, state: StateVector) -> StateVector:

@@ -245,7 +245,8 @@ def _certain_products(values) -> tuple:
 def lhv_prediction(assignments) -> int:
     """Value of the y1*y2*y3 product forced by a local assignment.
 
-    ``assignments`` maps keys like 'x1', 'y2' (axis then qubit) to +1 or -1;
+    ``assignments`` maps keys like 'x1', 'y2' (axis then qubit) to the
+    integer +1 or -1 (an int or numpy integer; a bool is not one);
     x and y values are required for all three qubits, z values are allowed
     and ignored.  The assignment must satisfy the three constraints measured
     with certainty (y1*x2*x3 = x1*y2*x3 = x1*x2*y3 = +1); a violation raises
@@ -258,10 +259,10 @@ def lhv_prediction(assignments) -> int:
             key = f"{axis}{qubit}"
             if key not in assignments:
                 raise ContractViolationError(f"assignment is missing {key}")
-            v = int(assignments[key])
-            if v not in (+1, -1):
-                raise ContractViolationError(f"assignment {key} must be +1 or -1, got {v}")
-            values[key] = v
+            v = assignments[key]
+            if not (type(v) is int or isinstance(v, np.integer)) or v not in (+1, -1):
+                raise ContractViolationError(f"assignment {key} must be +1 or -1, got {v!r}")
+            values[key] = int(v)
     constraints = _certain_products(values)
     if constraints != (1, 1, 1):
         raise ContractViolationError(

@@ -27,8 +27,18 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import DerivedEnergies
-from .core import StateVector, _parse_sign, build_hamiltonian, evolve, fidelity, ghz_state
+from .core import (
+    StateVector,
+    _diagonalize,
+    _evolve_spectral,
+    _parse_sign,
+    build_hamiltonian,
+    fidelity,
+    ghz_state,
+)
 from .errors import ContractViolationError, InfeasiblePulseError, _real, _reals
 
 _RESIDUAL_TOL = 1e-9
@@ -122,15 +132,28 @@ class PreparationReport:
 def run_schedule(schedule: Schedule, initial: StateVector):
     """Evolve a state through every segment of a schedule.
 
-    Returns (final state, list of states after each segment).
+    Returns (final state, list of states after each segment).  The segment
+    Hamiltonians are diagonalized together, in one stacked call, and the
+    last schedule's diagonalization is kept: it depends on the segments'
+    energies and the couplings, not on the durations, so a rerun that only
+    retimes the segments reuses it.
     """
-    state = initial
-    trajectory = []
-    for seg in schedule.segments:
-        h = build_hamiltonian(seg.e_c, seg.e_j, schedule.k12, schedule.k23, schedule.k13)
-        state = evolve(h, seg.duration, state)
-        trajectory.append(state)
-    return state, trajectory
+    couplings = _reals((schedule.k12, schedule.k23, schedule.k13), "(k12, k23, k13)", 3)
+    w, v = _schedule_spectrum(tuple((s.e_c, s.e_j) for s in schedule.segments), couplings)
+    trajectory = _evolve_spectral(w, v, [s.duration for s in schedule.segments], initial)
+    return trajectory[-1], trajectory
+
+
+@functools.lru_cache(maxsize=1)
+def _schedule_spectrum(energies: tuple, couplings: tuple) -> tuple:
+    """Read-only eigenvalues and eigenvectors of the Hamiltonians of the
+    (e_c, e_j) pairs in ``energies`` under ``couplings``, one schedule
+    remembered.  Keys that compare equal assemble equal bytes: a 0.0 and a
+    -0.0 energy give the same matrix."""
+    stack = np.array([build_hamiltonian(e_c, e_j, *couplings).matrix for e_c, e_j in energies])
+    w, v = _diagonalize(stack, "evolve requires a Hermitian Hamiltonian")
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 def solve_superposition_pulse(e_j2: float, sign: str = "+") -> float:
@@ -140,6 +163,7 @@ def solve_superposition_pulse(e_j2: float, sign: str = "+") -> float:
     (t = 0.25 / e_j2) and '-' selects b = 3*pi/4 (t = 0.75 / e_j2), the two
     branches with |sin b| = 1/sqrt(2).
     """
+    e_j2 = _real(e_j2, "e_j2 must be a real number")
     if e_j2 <= 0.0:
         raise ContractViolationError(f"superposition pulse requires e_j2 > 0, got {e_j2}")
     t = 0.25 / e_j2 if _parse_sign(sign) == 1 else 0.75 / e_j2
@@ -160,6 +184,8 @@ def solve_conditional_flip(k: float, e_j_max: float, max_n: int = 64) -> FlipSol
     4 * max_n of m = 0, so it always needs a stronger drive.  A k too small
     to time in floating point is infeasible as well.
     """
+    k = _real(k, "k must be a real number")
+    e_j_max = _real(e_j_max, "e_j_max must be a real number")
     if k <= 0.0:
         raise ContractViolationError(f"conditional flip requires k > 0, got {k}")
     if e_j_max <= 0.0:
@@ -232,7 +258,10 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     The last result is kept: a repeat call on the same device (equal
     energies, sign and ``include_k13``) returns it again instead of rerunning
     the sequence.  The state, schedule and report are immutable, so the
-    objects are shared between such calls.
+    objects are shared between such calls.  The three segment Hamiltonians
+    are diagonalized in one stacked call, and that diagonalization is kept
+    too (see run_schedule): the sign sets only the superposition pulse's
+    duration, so the other sign on the same device reuses it.
     """
     return _prepare(energies, _parse_sign(sign), bool(include_k13))
 

@@ -32,11 +32,11 @@ from ghzsim.core import (
     _PAULI_8X8,
     _ROTATION_2X2,
     _SHOT_CHUNK,
-    _ZZ_8X8,
     _embed,
+    _diagonalize,
+    _phases,
     _propagators,
     _readout_probabilities,
-    _spectral_phases,
     _tally,
 )
 from ghzsim.effective import _scan_generators
@@ -100,22 +100,36 @@ def kron_hamiltonian(e_c, e_j, k12, k23, k13):
 
 
 def test_hamiltonian_bit_identical_to_kron_sum():
+    # bytes, not values: array_equal would not tell a signed zero apart
     rng = np.random.default_rng(20261018)
+    cases = []
     for trial in range(6):
         e_c = tuple(rng.normal(size=3))
         e_j = tuple(rng.uniform(0.0, 10.0, size=3))
         k12, k23, k13 = rng.uniform(0.0, 0.5, size=3)
         if trial % 2:
             k13 = 0.0
-        h = build_hamiltonian(e_c, e_j, k12, k23, k13).matrix
-        assert np.array_equal(h, kron_hamiltonian(e_c, e_j, k12, k23, k13))
+        cases.append((e_c, e_j, k12, k23, k13))
+    cases += [
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0.0, 0.0),
+        ((-0.0, -0.0, -0.0), (-0.0, -0.0, -0.0), -0.0, -0.0, -0.0),
+        ((0.0, -0.0, 0.0), (-0.0, 2.5, 0.0), -0.0, 0.25, -0.0),
+        ((-1.5, 0.5, -0.25), (-3.0, -0.0, 4.0), -0.2, -0.3, -0.1),
+        ((0.3, -0.3, 0.0), (0.0, -1.0, -0.0), 0.15, -0.15, 0.0),
+    ]
+    for _ in range(200):
+        values = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-300], 9).tolist()
+        cases.append((values[:3], values[3:6], *values[6:]))
+    for case in cases:
+        h = build_hamiltonian(*case).matrix
+        assert h.tobytes() == kron_hamiltonian(*case).tobytes(), case
 
 
 def test_pauli_table_matches_embedding_and_is_read_only():
     for axis, single in _PAULI_2X2.items():
         for qubit in (1, 2, 3):
             assert np.array_equal(pauli(axis, qubit).matrix, _embed(single, qubit))
-    for mat in (*_PAULI_8X8.values(), *_ZZ_8X8.values()):
+    for mat in _PAULI_8X8.values():
         assert not mat.flags.writeable
         with pytest.raises(ValueError):
             mat[0, 0] = 0.0
@@ -263,7 +277,8 @@ def test_stacked_propagation_matches_each_matrix_bit_for_bit(seed):
     # one eigh over the stack gives every slice the bytes of its own call
     stack, times = _hermitian_stack(seed)
     us = _propagators(stack, times)
-    v, phases = _spectral_phases(stack, times, "unused")
+    w, v = _diagonalize(stack, "unused")
+    phases = _phases(w, times)
     rng = np.random.default_rng(seed)
     for h, t, u, v_k, p_k in zip(stack, times, us, v, phases):
         assert u.tobytes() == propagator(Operator(h), t).matrix.tobytes()

@@ -19,10 +19,14 @@ from ghzsim import (
     build_hamiltonian,
     ghz_state,
     h_eff_qubits13,
+    lhv_prediction,
     mermin_operator,
     pauli,
     project,
+    readout_timing_margin,
     sample,
+    solve_conditional_flip,
+    solve_superposition_pulse,
 )
 
 # float() would read a bool or a numeric string as a plausible number.
@@ -79,3 +83,32 @@ _GHZ = ghz_state("+")
 def test_words_must_be_strings_and_indices_not_bools(call, args):
     with pytest.raises(ContractViolationError):
         call(*args)
+
+
+def _assignment(value):
+    return {key: value for key in ("x1", "x2", "x3", "y1", "y2", "y3")}
+
+
+@pytest.mark.parametrize("call, args", [
+    (solve_superposition_pulse, ("1",)),
+    (solve_superposition_pulse, (True,)),
+    (solve_conditional_flip, (True, 5.0)),
+    (solve_conditional_flip, (0.2, "5")),
+    (readout_timing_margin, ("1", 1.0)),
+    (readout_timing_margin, (0.2, True)),
+    (basis_label, (2.0,)),
+    (basis_label, ("2",)),
+    (lhv_prediction, (_assignment(1.7),)),
+    (lhv_prediction, (_assignment(True),)),
+    (lhv_prediction, (_assignment("1"),)),
+    (lhv_prediction, (_assignment(1.0),)),
+])
+def test_scalars_read_as_reals_and_integers_as_integers(call, args):
+    with pytest.raises(ContractViolationError) as raised:
+        call(*args)
+    assert raised.type is ContractViolationError
+
+
+def test_numpy_integers_are_integers():
+    assert basis_label(np.int64(5)) == "101"
+    assert lhv_prediction(_assignment(np.int8(1))) == 1

@@ -18,7 +18,7 @@ from ghzsim import (
     verify_mixture_control,
 )
 from ghzsim.protocols import _IDEAL_PULSES, _MERMIN_OPERATORS, _interference_pulses
-from ghzsim.pulses import _prepare
+from ghzsim.pulses import _prepare, _schedule_spectrum
 
 _MODES = ("ideal", "effective", "full")
 
@@ -88,11 +88,12 @@ _MODE_K13_ORDER = (("effective", False), ("full", False), ("full", True), ("effe
 
 def _clear():
     _prepare.cache_clear()
+    _schedule_spectrum.cache_clear()
     _interference_pulses.cache_clear()
 
 
 def _fresh(fn, *args, **kwargs):
-    """``fn`` called with both one-entry memos emptied first."""
+    """``fn`` called with every one-entry memo emptied first."""
     _clear()
     return fn(*args, **kwargs)
 

@@ -21,6 +21,7 @@ from ghzsim import (
     solve_conditional_flip,
     solve_superposition_pulse,
 )
+from ghzsim.pulses import _prepare, _schedule_spectrum
 
 
 def test_superposition_pulse_durations():
@@ -241,3 +242,60 @@ def test_asymmetric_device_preparation():
     assert en.k12 != pytest.approx(en.k23)
     _, _, report = ghz_prepare(en, "+")
     assert report.fidelity > 1.0 - 1e-9
+
+
+def _prepare_fresh(energies, sign):
+    """ghz_prepare with the preparation and diagonalization memos emptied."""
+    _prepare.cache_clear()
+    _schedule_spectrum.cache_clear()
+    return ghz_prepare(energies, sign)
+
+
+def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch):
+    fresh = {sign: _prepare_fresh(energies, sign) for sign in ("+", "-")}
+    _prepare.cache_clear()
+    _schedule_spectrum.cache_clear()
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    # the signs differ only in the superposition pulse's duration
+    runs = {sign: ghz_prepare(energies, sign) for sign in ("-", "+")}
+    schedule = runs["+"][1]
+    w, v = _schedule_spectrum(tuple((s.e_c, s.e_j) for s in schedule.segments),
+                              (schedule.k12, schedule.k23, schedule.k13))
+    assert shapes == [(3, 8, 8)]
+    assert not w.flags.writeable and not v.flags.writeable
+    for sign, (state, schedule, report) in runs.items():
+        assert state.amplitudes.tobytes() == fresh[sign][0].amplitudes.tobytes()
+        assert (schedule, report) == fresh[sign][1:]
+        # the segment-by-segment evolve path gives the same bytes
+        replayed = StateVector.basis("000")
+        for seg in schedule.segments:
+            h = build_hamiltonian(seg.e_c, seg.e_j, schedule.k12, schedule.k23, schedule.k13)
+            replayed = evolve(h, seg.duration, replayed)
+        assert replayed.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+def test_schedule_couplings_are_read_before_the_memo():
+    seg = PulseSegment(1.0, (0.0, 0.1, 0.0), (1.0, 0.0, 1.0))
+    for bad in ([0.1], "0.1", True, None, math.inf):
+        with pytest.raises(ContractViolationError, match=r"^\(k12, k23, k13\)\[0\]: "):
+            run_schedule(Schedule((seg,), bad, 0.1, 0.0), StateVector.basis("000"))
+
+
+def test_schedule_checks_every_segment_hermitian_before_any_range():
+    # The first segment cannot be timed and the second overflows to a
+    # non-Hermitian inf: the stack's Hermitian check comes first.
+    untimeable = PulseSegment(1.0, (1e308, 0.0, 0.0), (0.0, 0.0, 0.0))
+    overflowing = PulseSegment(1.0, (1.7e308, 1.7e308, 1.7e308), (0.0, 0.0, 0.0))
+    start = StateVector.basis("000")
+    with pytest.raises(InfeasiblePulseError, match="cannot be timed"):
+        run_schedule(Schedule((untimeable,), 0.0, 0.0, 0.0), start)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ContractViolationError, match="^evolve requires a Hermitian Hamiltonian$"):
+        run_schedule(Schedule((untimeable, overflowing), 0.0, 0.0, 0.0), start)
