@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ContractViolationError, InfeasiblePulseError, _reals
+from .errors import ContractViolationError, InfeasiblePulseError, _integer, _reals
 
 N_QUBITS = 3
 DIM = 8
@@ -91,7 +91,7 @@ def _basis_index(label: str) -> int:
 
 def basis_label(index: int) -> str:
     """Inverse of the basis indexing: 5 -> '101'."""
-    if not (type(index) is int or isinstance(index, np.integer)) or not 0 <= index < DIM:
+    if not _integer(index) or not 0 <= index < DIM:
         raise ContractViolationError(f"basis index must be an integer in [0, {DIM}), got {index!r}")
     return format(index, "03b")
 
@@ -147,7 +147,7 @@ class Operator:
 
 
 def _check_qubit(qubit) -> None:
-    if isinstance(qubit, (bool, np.bool_)) or qubit not in (1, 2, 3):
+    if not _integer(qubit) or qubit not in (1, 2, 3):
         raise ContractViolationError(f"qubit index must be 1, 2 or 3, got {qubit}")
 
 
@@ -180,7 +180,7 @@ _FLIP_SLOTS = tuple((i * DIM + (i ^ (4 >> q)), q) for i in range(DIM) for q in r
 
 def pauli(axis: str, qubit: int) -> Operator:
     """Single-qubit Pauli operator embedded in the 8-dimensional register."""
-    if axis not in _PAULI_2X2:
+    if not isinstance(axis, str) or axis not in _PAULI_2X2:
         raise ContractViolationError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
     _check_qubit(qubit)
     return Operator(_PAULI_8X8[axis, qubit])
@@ -193,7 +193,8 @@ def build_hamiltonian(e_c, e_j, k12: float, k23: float, k13: float = 0.0) -> Ope
         + K12 sigma_z1 sigma_z2 + K23 sigma_z2 sigma_z3 + K13 sigma_z1 sigma_z3
 
     The 1-3 term models the always-on next-nearest-neighbour coupling and is
-    zero unless explicitly requested.
+    zero unless explicitly requested.  Finite energies whose diagonal sum
+    leaves float range raise ContractViolationError.
     """
     e_c = _reals(e_c, "e_c", 3)
     e_j = _reals(e_j, "e_j", 3)
@@ -204,6 +205,9 @@ def build_hamiltonian(e_c, e_j, k12: float, k23: float, k13: float = 0.0) -> Ope
     h = [0.0] * (DIM * DIM)
     for slot, z1, z2, z3, z12, z23, z13 in _DIAGONAL_SIGNS:
         h[slot] = (((0.0 + c1 * z1) + c2 * z2) + c3 * z3) + ((k12 * z12 + k23 * z23) + k13 * z13)
+    if not all(map(math.isfinite, h[::DIM + 1])):
+        raise ContractViolationError(f"Hamiltonian diagonal overflows float range for e_c = "
+                                     f"{e_c} and (k12, k23, k13) = {(k12, k23, k13)}")
     x = [0.0 - 0.5 * e for e in e_j]
     for slot, q in _FLIP_SLOTS:
         h[slot] = x[q]
@@ -283,7 +287,7 @@ def project(state: StateVector, qubit: int, outcome: int):
     an outcome whose probability is below 1e-12 is an error: the caller asked
     for a branch that does not exist.
     """
-    if isinstance(outcome, (bool, np.bool_)) or outcome not in (0, 1):
+    if not _integer(outcome) or outcome not in (0, 1):
         raise ContractViolationError(f"outcome must be 0 or 1, got {outcome}")
     _check_qubit(qubit)
     shift = N_QUBITS - qubit
@@ -394,13 +398,13 @@ def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
     """The sampling stream of sample(), over probabilities in basis-index
     order (normalized here): one PCG64 uniform per shot, tallied against
     the cumulative edges."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+    if not _integer(shots):
         raise ContractViolationError(f"shots must be an integer, got {shots!r}")
     if shots < 0:
         raise ContractViolationError(f"shots must be non-negative, got {shots}")
     if seed is None:
         raise ContractViolationError("sampling requires a seed")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _integer(seed) or seed < 0:
         raise ContractViolationError(f"seed must be a non-negative integer, got {seed!r}")
     cumulative = tuple(np.cumsum(probs / probs.sum()).tolist())
     totals = np.zeros(DIM, dtype=np.int64)

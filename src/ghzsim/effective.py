@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import DerivedEnergies
 from .core import _PAULI_8X8, Operator, _propagators, build_hamiltonian
-from .errors import ContractViolationError, InfeasiblePulseError, _real
+from .errors import ContractViolationError, InfeasiblePulseError, _integer, _real, _reals
 
 _SCAN_ZETA_LIMIT = 0.5
 _SCAN_TARGETS = ("middle", "outer")
@@ -45,8 +45,8 @@ class PerturbationParams:
     zeta32: float = 0.0
 
     def __post_init__(self):
-        eps = tuple(_real(v, "epsilon_j entries must be real numbers") for v in self.epsilon_j)
-        if len(eps) != 3 or not all(math.isfinite(e) and e > 0.0 for e in eps):
+        eps = _reals(self.epsilon_j, "epsilon_j", 3)
+        if not all(e > 0.0 for e in eps):
             raise ContractViolationError(f"epsilon_j must be 3 finite positive energies, "
                                          f"got {eps}")
         object.__setattr__(self, "epsilon_j", eps)
@@ -124,7 +124,7 @@ def _quarter_time(eight_rates: float, name: str) -> float:
 def _outer_rates(params: PerturbationParams, qubit2_z: int = +1) -> tuple:
     """Rotation rates eps_j * (1 + 2 * zeta_j2^2 * z) of qubits 1 and 3 on the
     sigma_z2 = z sector."""
-    if isinstance(qubit2_z, (bool, np.bool_)) or qubit2_z not in (+1, -1):
+    if not _integer(qubit2_z) or qubit2_z not in (+1, -1):
         raise ContractViolationError(f"qubit2_z must be +1 or -1, got {qubit2_z}")
     eps1, _, eps3 = params.epsilon_j
     return (eps1 * (1.0 + 2.0 * params.zeta12**2 * qubit2_z),

@@ -57,6 +57,12 @@ def _real(value, requirement: str, error=ContractViolationError) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is a non-bool ``int`` or a numpy integer: the
+    package's one test for an index, an outcome or a sign value."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def _reals(values, name: str, length: int, error=ContractViolationError) -> tuple:
     """``values`` as a tuple of ``length`` floats: a list, tuple or 1-D array
     of finite non-bool reals.  Anything else raises ``error`` naming the

@@ -53,7 +53,7 @@ from .effective import (
     tau13,
     tau2,
 )
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _integer
 from .pulses import ghz_prepare
 
 _MODES = ("ideal", "effective", "full")
@@ -260,7 +260,7 @@ def lhv_prediction(assignments) -> int:
             if key not in assignments:
                 raise ContractViolationError(f"assignment is missing {key}")
             v = assignments[key]
-            if not (type(v) is int or isinstance(v, np.integer)) or v not in (+1, -1):
+            if not _integer(v) or v not in (+1, -1):
                 raise ContractViolationError(f"assignment {key} must be +1 or -1, got {v!r}")
             values[key] = int(v)
     constraints = _certain_products(values)

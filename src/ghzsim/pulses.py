@@ -25,7 +25,7 @@ handled internally so only the requested target sign matters to callers.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,28 +132,20 @@ class PreparationReport:
 def run_schedule(schedule: Schedule, initial: StateVector):
     """Evolve a state through every segment of a schedule.
 
-    Returns (final state, list of states after each segment).  The segment
-    Hamiltonians are diagonalized together, in one stacked call, and the
-    last schedule's diagonalization is kept: it depends on the segments'
-    energies and the couplings, not on the durations, so a rerun that only
-    retimes the segments reuses it.
+    Returns (final state, list of states after each segment).  All segment
+    Hamiltonians are assembled and diagonalized in one stacked call before
+    any duration is checked; nothing is kept between calls.
     """
-    couplings = _reals((schedule.k12, schedule.k23, schedule.k13), "(k12, k23, k13)", 3)
-    w, v = _schedule_spectrum(tuple((s.e_c, s.e_j) for s in schedule.segments), couplings)
+    w, v = _segment_spectrum(schedule.segments, schedule.k12, schedule.k23, schedule.k13)
     trajectory = _evolve_spectral(w, v, [s.duration for s in schedule.segments], initial)
     return trajectory[-1], trajectory
 
 
-@functools.lru_cache(maxsize=1)
-def _schedule_spectrum(energies: tuple, couplings: tuple) -> tuple:
-    """Read-only eigenvalues and eigenvectors of the Hamiltonians of the
-    (e_c, e_j) pairs in ``energies`` under ``couplings``, one schedule
-    remembered.  Keys that compare equal assemble equal bytes: a 0.0 and a
-    -0.0 energy give the same matrix."""
-    stack = np.array([build_hamiltonian(e_c, e_j, *couplings).matrix for e_c, e_j in energies])
-    w, v = _diagonalize(stack, "evolve requires a Hermitian Hamiltonian")
-    w.flags.writeable = v.flags.writeable = False
-    return w, v
+def _segment_spectrum(segments, k12, k23, k13) -> tuple:
+    """Eigenvalues and eigenvectors of each segment's Hamiltonian under the
+    couplings: the schedule's one stacking and diagonalization."""
+    stack = np.array([build_hamiltonian(s.e_c, s.e_j, k12, k23, k13).matrix for s in segments])
+    return _diagonalize(stack, "evolve requires a Hermitian Hamiltonian")
 
 
 def solve_superposition_pulse(e_j2: float, sign: str = "+") -> float:
@@ -258,10 +250,11 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     The last result is kept: a repeat call on the same device (equal
     energies, sign and ``include_k13``) returns it again instead of rerunning
     the sequence.  The state, schedule and report are immutable, so the
-    objects are shared between such calls.  The three segment Hamiltonians
-    are diagonalized in one stacked call, and that diagonalization is kept
-    too (see run_schedule): the sign sets only the superposition pulse's
-    duration, so the other sign on the same device reuses it.
+    objects are shared between such calls.  The sign sets only the
+    superposition pulse's duration, so the last device's flip timings and
+    its one stacked diagonalization of the three segment Hamiltonians are
+    kept as well: the other sign on the same device (equal energies and
+    ``include_k13``) reuses them and only propagates again.
     """
     return _prepare(energies, _parse_sign(sign), bool(include_k13))
 
@@ -276,24 +269,30 @@ def _pair_state(index: int, coefficient: complex) -> StateVector:
 
 
 @functools.lru_cache(maxsize=1)
+def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
+    """The sign-independent part of the entangling sequence, one device
+    remembered: the untimed superposition segment, both flip segments and
+    their FlipSolutions, the couplings, and the read-only eigenvalues and
+    eigenvectors of the three segment Hamiltonians."""
+    untimed = PulseSegment(0.0, e_c=(0.0, -2.0 * (energies.k12 + energies.k23), 0.0),
+                           e_j=(0.0, energies.ej_max[1], 0.0), label="superposition")
+    seg_f1, sol1 = _flip_segment(energies, 1)
+    seg_f3, sol3 = _flip_segment(energies, 3)
+    couplings = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
+    w, v = _segment_spectrum((untimed, seg_f1, seg_f3), *couplings)
+    w.flags.writeable = v.flags.writeable = False
+    return untimed, (seg_f1, seg_f3), (sol1, sol3), couplings, w, v
+
+
+@functools.lru_cache(maxsize=1)
 def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
     """ghz_prepare for a parsed sign s (+1 or -1), one device remembered."""
     t_sup = solve_superposition_pulse(energies.ej_max[1], -s)
-    seg_sup = PulseSegment(
-        t_sup,
-        e_c=(0.0, -2.0 * (energies.k12 + energies.k23), 0.0),
-        e_j=(0.0, energies.ej_max[1], 0.0),
-        label="superposition",
-    )
-    seg_f1, sol1 = _flip_segment(energies, 1)
-    seg_f2, sol2 = _flip_segment(energies, 3)
-    schedule = Schedule(
-        (seg_sup, seg_f1, seg_f2),
-        k12=energies.k12,
-        k23=energies.k23,
-        k13=energies.k13 if include_k13 else 0.0,
-    )
-    final, trajectory = run_schedule(schedule, StateVector.basis("000"))
+    untimed, flips, solutions, couplings, w, v = _device_sequence(energies, include_k13)
+    schedule = Schedule((replace(untimed, duration=t_sup), *flips), *couplings)
+    trajectory = _evolve_spectral(w, v, [seg.duration for seg in schedule.segments],
+                                  StateVector.basis("000"))
+    final = trajectory[-1]
 
     fid = fidelity(final, ghz_state(s))
     intermediates = (
@@ -308,7 +307,7 @@ def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
         intermediate_fidelities=intermediates,
         achieved_phase=phase,
         superposition_time=t_sup,
-        flip_solutions=(sol1, sol2),
+        flip_solutions=solutions,
         total_duration=schedule.total_duration(),
         k13_included=include_k13,
     )

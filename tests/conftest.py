@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ghzsim import CapacitanceNetwork, ControlSettings, derive_energies
@@ -16,3 +18,16 @@ def settings():
 @pytest.fixture(scope="session")
 def energies(network, settings):
     return derive_energies(network, settings)
+
+
+@pytest.fixture
+def clear_memos():
+    """A function that empties every functools cache on the loaded ghzsim
+    modules, so that a memo added or renamed later is emptied too."""
+    def clear():
+        for name, module in list(sys.modules.items()):
+            if name == "ghzsim" or name.startswith("ghzsim."):
+                for value in vars(module).values():
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+    return clear

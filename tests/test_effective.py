@@ -66,7 +66,7 @@ def test_params_validation():
             PerturbationParams((1.0, 1.0, bad))
     # float() would turn a numeric string or a bool into a plausible number
     for bad in ("1", True):
-        with pytest.raises(ContractViolationError, match="epsilon_j entries must be real"):
+        with pytest.raises(ContractViolationError, match=r"^epsilon_j\[0\]: expected a number"):
             PerturbationParams((bad, 1.0, 1.0))
         with pytest.raises(ContractViolationError, match="zeta12 must be a real number"):
             PerturbationParams(UNIT, zeta12=bad)

@@ -79,6 +79,8 @@ _GHZ = ghz_state("+")
     (basis_label, (True,)),
     (basis_label, (np.True_,)),
     (h_eff_qubits13, (PerturbationParams((1.0, 1.0, 1.0)), True)),
+    (pauli, (["x"], 2)),
+    (project, (StateVector.basis("010"), 2.0, 1)),
 ])
 def test_words_must_be_strings_and_indices_not_bools(call, args):
     with pytest.raises(ContractViolationError):
@@ -102,6 +104,9 @@ def _assignment(value):
     (lhv_prediction, (_assignment(True),)),
     (lhv_prediction, (_assignment("1"),)),
     (lhv_prediction, (_assignment(1.0),)),
+    (pauli, ("x", 2.0)),
+    (project, (StateVector.basis("010"), 2, 1.0)),
+    (h_eff_qubits13, (PerturbationParams((1.0, 1.0, 1.0)), 1.0)),
 ])
 def test_scalars_read_as_reals_and_integers_as_integers(call, args):
     with pytest.raises(ContractViolationError) as raised:

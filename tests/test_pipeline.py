@@ -18,7 +18,6 @@ from ghzsim import (
     verify_mixture_control,
 )
 from ghzsim.protocols import _IDEAL_PULSES, _MERMIN_OPERATORS, _interference_pulses
-from ghzsim.pulses import _prepare, _schedule_spectrum
 
 _MODES = ("ideal", "effective", "full")
 
@@ -86,23 +85,17 @@ _SIGN_K13_ORDER = (("+", False), ("-", False), ("-", True), ("+", True))
 _MODE_K13_ORDER = (("effective", False), ("full", False), ("full", True), ("effective", True))
 
 
-def _clear():
-    _prepare.cache_clear()
-    _schedule_spectrum.cache_clear()
-    _interference_pulses.cache_clear()
-
-
-def _fresh(fn, *args, **kwargs):
-    """``fn`` called with every one-entry memo emptied first."""
-    _clear()
+def _fresh(clear_memos, fn, *args, **kwargs):
+    """``fn`` called with every memo emptied first."""
+    clear_memos()
     return fn(*args, **kwargs)
 
 
-def test_repeated_preparation_equals_a_fresh_one():
+def test_repeated_preparation_equals_a_fresh_one(clear_memos):
     a, b = _devices(2, 7)
-    fresh = {(dev, sign, k13): _fresh(ghz_prepare, dev, sign, include_k13=k13)
+    fresh = {(dev, sign, k13): _fresh(clear_memos, ghz_prepare, dev, sign, include_k13=k13)
              for dev in (a, b) for sign, k13 in _SIGN_K13_ORDER}
-    _clear()
+    clear_memos()
     for dev in (a, b, a):
         for sign, k13 in _SIGN_K13_ORDER:
             want = fresh[dev, sign, k13]
@@ -115,12 +108,12 @@ def test_repeated_preparation_equals_a_fresh_one():
     assert ghz_prepare(a, -1, include_k13=1)[2] == fresh[a, "-", True][2]
 
 
-def test_repeated_verification_equals_a_fresh_one():
+def test_repeated_verification_equals_a_fresh_one(clear_memos):
     a, b = _devices(2, 8)
     protocols = (verify_ghz, verify_mixture_control)
-    fresh = {(fn, dev, mode, k13): _fresh(fn, dev, mode, include_k13=k13)
+    fresh = {(fn, dev, mode, k13): _fresh(clear_memos, fn, dev, mode, include_k13=k13)
              for fn in protocols for dev in (a, b) for mode, k13 in _MODE_K13_ORDER}
-    _clear()
+    clear_memos()
     for dev in (a, b, a):
         for mode, k13 in _MODE_K13_ORDER:
             for fn in protocols + protocols:

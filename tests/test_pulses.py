@@ -21,7 +21,7 @@ from ghzsim import (
     solve_conditional_flip,
     solve_superposition_pulse,
 )
-from ghzsim.pulses import _prepare, _schedule_spectrum
+from ghzsim import pulses
 
 
 def test_superposition_pulse_durations():
@@ -244,31 +244,33 @@ def test_asymmetric_device_preparation():
     assert report.fidelity > 1.0 - 1e-9
 
 
-def _prepare_fresh(energies, sign):
-    """ghz_prepare with the preparation and diagonalization memos emptied."""
-    _prepare.cache_clear()
-    _schedule_spectrum.cache_clear()
+def _prepare_fresh(clear_memos, energies, sign):
+    """ghz_prepare with every memo emptied."""
+    clear_memos()
     return ghz_prepare(energies, sign)
 
 
-def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch):
-    fresh = {sign: _prepare_fresh(energies, sign) for sign in ("+", "-")}
-    _prepare.cache_clear()
-    _schedule_spectrum.cache_clear()
-    shapes = []
-    eigh = np.linalg.eigh
+def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch, clear_memos):
+    fresh = {sign: _prepare_fresh(clear_memos, energies, sign) for sign in ("+", "-")}
+    clear_memos()
+    shapes, flips = [], []
+    eigh, solve = np.linalg.eigh, pulses.solve_conditional_flip
 
     def counted(a):
         shapes.append(np.shape(a))
         return eigh(a)
 
+    def counted_flip(*args):
+        flips.append(args)
+        return solve(*args)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(pulses, "solve_conditional_flip", counted_flip)
     # the signs differ only in the superposition pulse's duration
     runs = {sign: ghz_prepare(energies, sign) for sign in ("-", "+")}
-    schedule = runs["+"][1]
-    w, v = _schedule_spectrum(tuple((s.e_c, s.e_j) for s in schedule.segments),
-                              (schedule.k12, schedule.k23, schedule.k13))
+    *_, w, v = pulses._device_sequence(energies, False)
     assert shapes == [(3, 8, 8)]
+    assert len(flips) == 2
     assert not w.flags.writeable and not v.flags.writeable
     for sign, (state, schedule, report) in runs.items():
         assert state.amplitudes.tobytes() == fresh[sign][0].amplitudes.tobytes()
@@ -281,21 +283,20 @@ def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch):
         assert replayed.amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
-def test_schedule_couplings_are_read_before_the_memo():
+def test_schedule_couplings_are_read_as_numbers():
     seg = PulseSegment(1.0, (0.0, 0.1, 0.0), (1.0, 0.0, 1.0))
     for bad in ([0.1], "0.1", True, None, math.inf):
         with pytest.raises(ContractViolationError, match=r"^\(k12, k23, k13\)\[0\]: "):
             run_schedule(Schedule((seg,), bad, 0.1, 0.0), StateVector.basis("000"))
 
 
-def test_schedule_checks_every_segment_hermitian_before_any_range():
-    # The first segment cannot be timed and the second overflows to a
-    # non-Hermitian inf: the stack's Hermitian check comes first.
+def test_schedule_reports_an_assembly_overflow_before_any_range():
+    # The first segment cannot be timed and the second's diagonal overflows
+    # float range: every segment is assembled before any range check.
     untimeable = PulseSegment(1.0, (1e308, 0.0, 0.0), (0.0, 0.0, 0.0))
     overflowing = PulseSegment(1.0, (1.7e308, 1.7e308, 1.7e308), (0.0, 0.0, 0.0))
     start = StateVector.basis("000")
     with pytest.raises(InfeasiblePulseError, match="cannot be timed"):
         run_schedule(Schedule((untimeable,), 0.0, 0.0, 0.0), start)
-    with np.errstate(invalid="ignore"), pytest.raises(
-            ContractViolationError, match="^evolve requires a Hermitian Hamiltonian$"):
+    with pytest.raises(ContractViolationError, match="^Hamiltonian diagonal overflows float range"):
         run_schedule(Schedule((untimeable, overflowing), 0.0, 0.0, 0.0), start)
