@@ -55,8 +55,10 @@ class StateVector:
     """Normalized 8-component complex amplitude vector.
 
     The amplitude array is copied, frozen read-only, and checked for unit
-    norm at construction; every operation in this package returns states that
-    satisfy the same invariant.
+    norm at construction.  Every public function of this package that
+    returns a state returns one of these; the steps inside a preparation or
+    an interference sequence run on plain arrays, each passing the same norm
+    test, and only the returned state is wrapped.
     """
 
     amplitudes: np.ndarray
@@ -65,22 +67,34 @@ class StateVector:
         arr = np.array(self.amplitudes, dtype=complex, copy=True).reshape(-1)
         if arr.shape != (DIM,):
             raise ContractViolationError(f"state must have {DIM} amplitudes, got {arr.shape}")
-        norm_sq = float((np.abs(arr) ** 2).sum())
-        if abs(norm_sq - 1.0) > _NORM_TOL:
-            raise ContractViolationError(f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
+        _check_norm(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
 
     @classmethod
     def basis(cls, label: str) -> "StateVector":
         """Computational basis state from a 3-bit string such as '010'."""
-        idx = _basis_index(label)
-        amps = np.zeros(DIM, dtype=complex)
-        amps[idx] = 1.0
-        return cls(amps)
+        return cls(_basis_amplitudes(label))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+
+def _check_norm(amplitudes: np.ndarray) -> np.ndarray:
+    """The unit-norm test of every state, wrapped or not: |norm^2 - 1| <= 1e-12,
+    which a nan amplitude fails."""
+    norm_sq = np.vdot(amplitudes, amplitudes).real
+    if not abs(norm_sq - 1.0) <= _NORM_TOL:
+        raise ContractViolationError(f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
+    return amplitudes
+
+
+def _basis_amplitudes(label: str) -> np.ndarray:
+    """Read-only amplitudes of a computational basis state such as '010'."""
+    amps = np.zeros(DIM, dtype=complex)
+    amps[_basis_index(label)] = 1.0
+    amps.flags.writeable = False
+    return amps
 
 
 def _basis_index(label: str) -> int:
@@ -98,11 +112,16 @@ def basis_label(index: int) -> str:
 
 def ghz_state(sign: str = "+") -> StateVector:
     """(|000> + sign * i |111>) / sqrt(2)."""
-    s = _parse_sign(sign)
+    return StateVector(_ghz_amplitudes(_parse_sign(sign)))
+
+
+def _ghz_amplitudes(s: int) -> np.ndarray:
+    """Read-only amplitudes of ghz_state for a parsed sign s (+1 or -1)."""
     amps = np.zeros(DIM, dtype=complex)
     amps[0] = 1.0 / math.sqrt(2.0)
     amps[7] = s * 1.0j / math.sqrt(2.0)
-    return StateVector(amps)
+    amps.flags.writeable = False
+    return amps
 
 
 def _parse_sign(sign) -> int:
@@ -255,29 +274,50 @@ def propagator(h: Operator, t: float) -> Operator:
     return Operator(_propagators(h.matrix[None], (t,))[0])
 
 
-def _evolve_spectral(w: np.ndarray, v: np.ndarray, times, state: StateVector) -> list:
-    """The states after applying exp(-i * 2*pi * H_k * t_k) for each slice
-    k of a diagonalized stack in turn, starting from ``state``: the one
-    propagation path of evolve and run_schedule."""
-    amplitudes = state.amplitudes
+def _evolve_spectral(w: np.ndarray, v: np.ndarray, times, amplitudes: np.ndarray) -> list:
+    """The amplitude arrays after applying exp(-i * 2*pi * H_k * t_k) for
+    each slice k of a diagonalized stack in turn, starting from
+    ``amplitudes``: the one propagation path of evolve, run_schedule and
+    the preparation.  Each step passes the unit-norm test of StateVector;
+    the callers wrap only the states they return."""
     trajectory = []
     for v_k, p_k in zip(v, _phases(w, times)):
-        amplitudes = v_k @ (p_k * (v_k.conj().T @ amplitudes))
-        trajectory.append(StateVector(amplitudes))
+        amplitudes = _check_norm(v_k @ (p_k * (v_k.conj().T @ amplitudes)))
+        trajectory.append(amplitudes)
     return trajectory
 
 
 def evolve(h: Operator, t: float, state: StateVector) -> StateVector:
     """Apply exp(-i * 2*pi * H * t) to the state."""
     w, v = _diagonalize(h.matrix[None], "evolve requires a Hermitian Hamiltonian")
-    return _evolve_spectral(w, v, (t,), state)[0]
+    return StateVector(_evolve_spectral(w, v, (t,), state.amplitudes)[0])
+
+
+def _require_unitary(*ops: Operator) -> None:
+    """The unitarity check of apply, over every operator a sequence applies."""
+    if not all(op.unitary for op in ops):
+        raise ContractViolationError("apply requires a unitary operator")
 
 
 def apply(op: Operator, state: StateVector) -> StateVector:
     """Apply a unitary operator to a state."""
-    if not op.unitary:
-        raise ContractViolationError("apply requires a unitary operator")
+    _require_unitary(op)
     return StateVector(op.matrix @ state.amplitudes)
+
+
+def _project(amplitudes: np.ndarray, qubit: int, outcome: int) -> tuple:
+    """project on amplitudes: (renormalized array, outcome probability),
+    for a qubit and outcome already checked.  The renormalized array passes
+    the unit-norm test."""
+    mask = (np.arange(DIM) >> (N_QUBITS - qubit) & 1) == outcome
+    amps = np.where(mask, amplitudes, 0.0)
+    prob = float((np.abs(amps) ** 2).sum())
+    if prob < _PROJECT_TOL:
+        raise ContractViolationError(
+            f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}; "
+            "cannot condition on an impossible branch"
+        )
+    return _check_norm(amps / math.sqrt(prob)), prob
 
 
 def project(state: StateVector, qubit: int, outcome: int):
@@ -290,17 +330,8 @@ def project(state: StateVector, qubit: int, outcome: int):
     if not _integer(outcome) or outcome not in (0, 1):
         raise ContractViolationError(f"outcome must be 0 or 1, got {outcome}")
     _check_qubit(qubit)
-    shift = N_QUBITS - qubit
-    indices = np.arange(DIM)
-    mask = ((indices >> shift) & 1) == outcome
-    amps = np.where(mask, state.amplitudes, 0.0)
-    prob = float((np.abs(amps) ** 2).sum())
-    if prob < _PROJECT_TOL:
-        raise ContractViolationError(
-            f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}; "
-            "cannot condition on an impossible branch"
-        )
-    return StateVector(amps / math.sqrt(prob)), prob
+    amps, prob = _project(state.amplitudes, qubit, outcome)
+    return StateVector(amps), prob
 
 
 @dataclass(frozen=True)
@@ -416,7 +447,12 @@ def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2."""
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return _fidelity(a.amplitudes, b.amplitudes)
+
+
+def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """fidelity on amplitude arrays."""
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
 def expectation(op: Operator, state: StateVector) -> float:

@@ -34,16 +34,18 @@ from .core import (
     MeasurementRecord,
     Operator,
     StateVector,
+    _basis_amplitudes,
+    _check_norm,
+    _ghz_amplitudes,
+    _project,
     _propagators,
     _readout_probabilities,
+    _require_unitary,
     _sample_probabilities,
-    apply,
     basis_label,
     build_hamiltonian,
     expectation,
-    ghz_state,
     pauli,
-    project,
 )
 from .effective import (
     PerturbationParams,
@@ -61,6 +63,9 @@ _PROB_SUM_TOL = 1e-9
 # sigma_x on qubit 2 resets the postselected middle qubit; one Operator, so
 # its unitarity is checked once per process.
 _RESET_2 = pauli("x", 2)
+# The states the interference protocols start from, as amplitude arrays.
+_GHZ_PLUS = _ghz_amplitudes(1)
+_MIXTURE = tuple((0.5, _basis_amplitudes(label)) for label in ("000", "111"))
 
 
 @dataclass(frozen=True)
@@ -138,23 +143,28 @@ def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool
 
 def _interference_outcome(mode: str, energies: DerivedEnergies, include_k13: bool,
                           components, shots: int, seed: int) -> ProtocolOutcome:
-    """Run each (weight, state) component through the interference sequence:
-    quarter-rotate qubit 2, postselect it excited, reset it, rotate the outer
-    pair.  The conditional 8-outcome distributions are combined, each weighted
-    by its share of the postselected weight; the outer-pair marginal is read
+    """Run each (weight, amplitudes) component through the interference
+    sequence: quarter-rotate qubit 2, postselect it excited, reset it,
+    rotate the outer pair.  The pulses are checked unitary once; each step
+    runs on the component's amplitude array and passes the unit-norm test.
+    The conditional 8-outcome distributions are combined, each weighted by
+    its share of the postselected weight; the outer-pair marginal is read
     off the combination, and shots sample its z readout."""
     if mode == "ideal":
         u2, u13 = _IDEAL_PULSES
     else:
         u2, u13 = _interference_pulses(mode, energies, bool(include_k13))
+    _require_unitary(u2, _RESET_2, u13)
     weighted = []
-    for weight, state in components:
-        psi, p_post = project(apply(u2, state), 2, 1)
-        weighted.append((weight * p_post, apply(u13, apply(_RESET_2, psi))))
+    for weight, amplitudes in components:
+        psi, p_post = _project(_check_norm(u2.matrix @ amplitudes), 2, 1)
+        for op in (_RESET_2, u13):
+            psi = _check_norm(op.matrix @ psi)
+        weighted.append((weight * p_post, psi))
     total_weight = sum(w for w, _ in weighted)
     full_probs = np.zeros(DIM)
     for w, final in weighted:
-        full_probs += w / total_weight * final.probabilities()
+        full_probs += w / total_weight * np.abs(final) ** 2
     outer = full_probs.reshape(2, 2, 2).sum(axis=1)
     probs = {f"{q1}{q3}": float(outer[q1, q3]) for q1 in (0, 1) for q3 in (0, 1)}
     # weight of the correlated and of the anticorrelated outcomes
@@ -183,10 +193,10 @@ def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int
     """
     _check_mode(mode, energies)
     if mode == "ideal":
-        state0 = ghz_state("+")
+        amplitudes = _GHZ_PLUS
     else:
-        state0, _, _ = ghz_prepare(energies, "+", include_k13=include_k13)
-    return _interference_outcome(mode, energies, include_k13, ((1.0, state0),), shots, seed)
+        amplitudes = ghz_prepare(energies, "+", include_k13=include_k13)[0].amplitudes
+    return _interference_outcome(mode, energies, include_k13, ((1.0, amplitudes),), shots, seed)
 
 
 def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal",
@@ -205,8 +215,7 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
     between calls.
     """
     _check_mode(mode, energies)
-    components = tuple((0.5, StateVector.basis(label)) for label in ("000", "111"))
-    return _interference_outcome(mode, energies, include_k13, components, shots, seed)
+    return _interference_outcome(mode, energies, include_k13, _MIXTURE, shots, seed)
 
 
 def mermin_operator(pattern: str) -> Operator:

@@ -32,16 +32,18 @@ import numpy as np
 from .circuit import DerivedEnergies
 from .core import (
     StateVector,
+    _basis_amplitudes,
     _diagonalize,
     _evolve_spectral,
+    _fidelity,
+    _ghz_amplitudes,
     _parse_sign,
     build_hamiltonian,
-    fidelity,
-    ghz_state,
 )
 from .errors import ContractViolationError, InfeasiblePulseError, _real, _reals
 
 _RESIDUAL_TOL = 1e-9
+_KET_000 = _basis_amplitudes("000")
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,9 @@ def run_schedule(schedule: Schedule, initial: StateVector):
     any duration is checked; nothing is kept between calls.
     """
     w, v = _segment_spectrum(schedule.segments, schedule.k12, schedule.k23, schedule.k13)
-    trajectory = _evolve_spectral(w, v, [s.duration for s in schedule.segments], initial)
+    trajectory = [StateVector(amplitudes) for amplitudes in
+                  _evolve_spectral(w, v, [s.duration for s in schedule.segments],
+                                   initial.amplitudes)]
     return trajectory[-1], trajectory
 
 
@@ -259,13 +263,13 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     return _prepare(energies, _parse_sign(sign), bool(include_k13))
 
 
-def _pair_state(index: int, coefficient: complex) -> StateVector:
-    """(|000> + coefficient * |index>) / sqrt(2)."""
+def _pair_state(index: int, coefficient: complex) -> np.ndarray:
+    """Amplitudes of (|000> + coefficient * |index>) / sqrt(2)."""
     inv = 1.0 / math.sqrt(2.0)
     amps = [0.0j] * 8
     amps[0b000] = inv
     amps[index] = coefficient * inv
-    return StateVector(amps)
+    return np.array(amps, dtype=complex)
 
 
 @functools.lru_cache(maxsize=1)
@@ -290,16 +294,15 @@ def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
     t_sup = solve_superposition_pulse(energies.ej_max[1], -s)
     untimed, flips, solutions, couplings, w, v = _device_sequence(energies, include_k13)
     schedule = Schedule((replace(untimed, duration=t_sup), *flips), *couplings)
-    trajectory = _evolve_spectral(w, v, [seg.duration for seg in schedule.segments],
-                                  StateVector.basis("000"))
+    trajectory = _evolve_spectral(w, v, [seg.duration for seg in schedule.segments], _KET_000)
     final = trajectory[-1]
 
-    fid = fidelity(final, ghz_state(s))
+    fid = _fidelity(final, _ghz_amplitudes(s))
     intermediates = (
-        fidelity(trajectory[0], _pair_state(0b010, 1j * -s)),
-        fidelity(trajectory[1], _pair_state(0b110, s)),
+        _fidelity(trajectory[0], _pair_state(0b010, 1j * -s)),
+        _fidelity(trajectory[1], _pair_state(0b110, s)),
     )
-    phase = cmath.phase(final.amplitudes[7]) - cmath.phase(final.amplitudes[0])
+    phase = cmath.phase(final[7]) - cmath.phase(final[0])
     phase = math.remainder(phase, 2.0 * math.pi)
     report = PreparationReport(
         sign="+" if s == 1 else "-",
@@ -311,4 +314,4 @@ def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
         total_duration=schedule.total_duration(),
         k13_included=include_k13,
     )
-    return final, schedule, report
+    return StateVector(final), schedule, report

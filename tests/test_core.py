@@ -34,6 +34,7 @@ from ghzsim.core import (
     _SHOT_CHUNK,
     _embed,
     _diagonalize,
+    _evolve_spectral,
     _phases,
     _propagators,
     _readout_probabilities,
@@ -155,6 +156,9 @@ def test_state_normalization_enforced():
     amps = np.zeros(8, dtype=complex)
     amps[0] = 1.0 + 5e-7
     with pytest.raises(ContractViolationError):
+        StateVector(amps)
+    amps[0] = math.nan
+    with pytest.raises(ContractViolationError, match="norm"):
         StateVector(amps)
 
 
@@ -317,6 +321,19 @@ def test_norm_preserved_through_long_evolution():
     for _ in range(50):
         state = evolve(h, 0.37, state)
     assert float(np.sum(np.abs(state.amplitudes) ** 2)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_every_propagation_step_passes_the_norm_test():
+    # The first slice's eigenvectors are scaled by 1.01 and the second's by
+    # 1/1.01, so only the state between the steps leaves unit norm: the
+    # per-step test catches it, a test of the last state alone would not.
+    h = build_hamiltonian((0.5, -0.4, 0.9), (2.0, 3.0, 1.0), 0.8, 0.6, 0.1)
+    w, v = _diagonalize(np.array([h.matrix, h.matrix]), "not Hermitian")
+    amps = ghz_state("+").amplitudes
+    assert len(_evolve_spectral(w, v, (0.37, 0.37), amps)) == 2
+    scaled = v * np.array([1.01, 1.0 / 1.01])[:, None, None]
+    with pytest.raises(ContractViolationError, match="norm"):
+        _evolve_spectral(w, scaled, (0.37, 0.37), amps)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

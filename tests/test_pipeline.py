@@ -1,7 +1,9 @@
 """The device-design pipeline: preparation, verification and the parity
 correlations on drawn devices, pinned byte for byte."""
 
+import cmath
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -10,10 +12,18 @@ from ghzsim import (
     CapacitanceNetwork,
     ControlSettings,
     InfeasiblePulseError,
+    StateVector,
+    apply,
+    build_hamiltonian,
     derive_energies,
+    evolve,
+    fidelity,
     ghz_prepare,
+    ghz_state,
     mermin_expectations,
     mermin_operator,
+    pauli,
+    project,
     verify_ghz,
     verify_mixture_control,
 )
@@ -155,3 +165,118 @@ def test_mermin_operator_returns_a_fresh_operator():
         fresh = mermin_operator(pattern)
         assert fresh is not op
         assert np.array_equal(fresh.matrix, op.matrix)
+
+
+def _stepwise_preparation(schedule, sign):
+    """The state and the report's overlaps and phase, rebuilt one segment
+    at a time through the public evolve, with each overlap taken between
+    wrapped states."""
+    states = [StateVector.basis("000")]
+    for seg in schedule.segments:
+        h = build_hamiltonian(seg.e_c, seg.e_j, schedule.k12, schedule.k23, schedule.k13)
+        states.append(evolve(h, seg.duration, states[-1]))
+    s = 1 if sign == "+" else -1
+    inv = 1.0 / math.sqrt(2.0)
+    pair_010 = np.zeros(8, dtype=complex)
+    pair_010[0b000], pair_010[0b010] = inv, -s * 1j * inv
+    pair_110 = np.zeros(8, dtype=complex)
+    pair_110[0b000], pair_110[0b110] = inv, s * inv
+    final = states[-1]
+    phase = cmath.phase(final.amplitudes[7]) - cmath.phase(final.amplitudes[0])
+    return final, (fidelity(final, ghz_state(sign)),
+                   (fidelity(states[1], StateVector(pair_010)),
+                    fidelity(states[2], StateVector(pair_110))),
+                   math.remainder(phase, 2.0 * math.pi))
+
+
+def _stepwise_interference(pulses, components):
+    """The outer-pair probabilities and postselected weight of the
+    interference sequence, one public apply or project per step."""
+    u2, u13 = pulses
+    weighted = []
+    for weight, state in components:
+        psi, p_post = project(apply(u2, state), 2, 1)
+        weighted.append((weight * p_post, apply(u13, apply(pauli("x", 2), psi))))
+    total = sum(w for w, _ in weighted)
+    full = np.zeros(8)
+    for w, final in weighted:
+        full += w / total * final.probabilities()
+    outer = full.reshape(2, 2, 2).sum(axis=1)
+    return {f"{q1}{q3}": float(outer[q1, q3]) for q1 in (0, 1) for q3 in (0, 1)}, total
+
+
+@pytest.mark.parametrize("include_k13", [False, True])
+def test_array_path_equals_the_stepwise_public_path(include_k13):
+    mixture = [(0.5, StateVector.basis(label)) for label in ("000", "111")]
+    for energies in _devices(20, 20261019):
+        for sign in ("+", "-"):
+            state, schedule, report = ghz_prepare(energies, sign, include_k13=include_k13)
+            want, (fid, intermediates, phase) = _stepwise_preparation(schedule, sign)
+            assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert (report.fidelity, report.intermediate_fidelities, report.achieved_phase) \
+                == (fid, intermediates, phase)
+        for mode in _MODES:
+            if mode == "ideal":
+                pulses, prepared = _IDEAL_PULSES, ghz_state("+")
+            else:
+                pulses = _interference_pulses(mode, energies, include_k13)
+                prepared = ghz_prepare(energies, "+", include_k13=include_k13)[0]
+            for got, components in (
+                    (verify_ghz(energies, mode, include_k13=include_k13), [(1.0, prepared)]),
+                    (verify_mixture_control(energies, mode, include_k13=include_k13), mixture)):
+                assert (got.probabilities, got.postselect_probability) \
+                    == _stepwise_interference(pulses, components)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("include_k13", [False, True])
+def test_one_op_wraps_only_the_states_public_calls_return(monkeypatch, clear_memos, sign,
+                                                          include_k13):
+    # prepare, full verify, mixture and Mermin, as one device-design op: the
+    # only states are those ghz_prepare returns, for the op's sign and, when
+    # that is "-", for the "+" state verify_ghz prepares.
+    (energies,) = _devices(1, 11)
+    built = []
+    original = StateVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    clear_memos()
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    state, _, _ = ghz_prepare(energies, sign, include_k13=include_k13)
+    verify_ghz(energies, "full", include_k13=include_k13)
+    verify_mixture_control(energies, "full", include_k13=include_k13)
+    mermin_expectations(state)
+    assert len(built) <= len({sign, "+"})
+
+
+def _k13_preparations(n=200, seed=20261020):
+    """(energies, state, report) of ``n`` in-range devices prepared with the
+    next-nearest-neighbour coupling on, the signs alternating."""
+    prepared = []
+    for i, energies in enumerate(_devices(n, seed)):
+        state, _, report = ghz_prepare(energies, "+-"[i % 2], include_k13=True)
+        prepared.append((energies, state, report))
+    return prepared
+
+
+def test_mermin_values_stay_within_the_trace_distance_of_the_prepared_state():
+    # |<P> - P_ideal| <= 2 * sqrt(1 - F) for a Pauli product (norm 1): the
+    # trace distance of two pure states is sqrt(1 - F).
+    for _, state, report in _k13_preparations():
+        s = 1.0 if report.sign == "+" else -1.0
+        ideal = {"yxx": s, "xyx": s, "xxy": s, "yyy": -s}
+        bound = 2.0 * math.sqrt(max(0.0, 1.0 - report.fidelity))
+        for word, value in mermin_expectations(state).items():
+            assert abs(value - ideal[word]) <= bound, (word, value, report)
+
+
+def test_crosstalk_deficit_stays_within_the_accumulated_phase_bound():
+    # The prepared and the k13-free states differ by at most the Duhamel
+    # integral of K13 sigma_z1 sigma_z3 (norm K13) over the run, and the
+    # k13-free run reaches the target: 1 - F <= (2 pi K13 T)^2.
+    for energies, _, report in _k13_preparations():
+        phase = 2.0 * math.pi * energies.k13 * report.total_duration
+        assert 1.0 - report.fidelity <= phase ** 2, (energies, report)

@@ -8,6 +8,7 @@ import pytest
 from ghzsim import (
     ContractViolationError,
     MeasurementRecord,
+    Operator,
     ProtocolOutcome,
     StateVector,
     apply,
@@ -24,6 +25,7 @@ from ghzsim import (
     verify_mixture_control,
     yyy_experiment,
 )
+from ghzsim import protocols
 
 
 def test_verify_ideal_distribution():
@@ -70,6 +72,33 @@ def test_verify_full_reference_numbers(energies):
     mix = verify_mixture_control(energies, mode="full")
     assert mix.expectations["p00_plus_p11"] == pytest.approx(0.5, abs=0.05)
     assert mix.expectations["p00_plus_p11"] > 3.0 * out.expectations["p00_plus_p11"]
+
+
+def _with_unused_column_doubled(op):
+    """``op`` with the column of |011> doubled: no longer unitary, yet it
+    acts as ``op`` on every state the ideal interference sequence feeds it,
+    whose amplitudes on |011> are all zero."""
+    mat = op.matrix.copy()
+    mat[:, 0b011] *= 2.0
+    return Operator(mat)
+
+
+@pytest.mark.parametrize("broken", [0, 1], ids=["u2", "u13"])
+@pytest.mark.parametrize("protocol", [verify_ghz, verify_mixture_control])
+def test_interference_refuses_a_non_unitary_pulse(monkeypatch, protocol, broken):
+    pulses = list(protocols._IDEAL_PULSES)
+    pulses[broken] = _with_unused_column_doubled(pulses[broken])
+    monkeypatch.setattr(protocols, "_IDEAL_PULSES", tuple(pulses))
+    with pytest.raises(ContractViolationError, match="unitary"):
+        protocol()
+
+
+def test_interference_refuses_an_impossible_postselection(monkeypatch):
+    # An identity u2 never excites qubit 2 of the mixture's |000> component.
+    identity = Operator(np.eye(8, dtype=complex))
+    monkeypatch.setattr(protocols, "_IDEAL_PULSES", (identity, protocols._IDEAL_PULSES[1]))
+    with pytest.raises(ContractViolationError, match="impossible branch"):
+        verify_mixture_control()
 
 
 def test_verify_sampling_contract():
