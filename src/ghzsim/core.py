@@ -103,11 +103,15 @@ def _basis_index(label: str) -> int:
     return int(label, 2)
 
 
+# The 3-bit labels in basis-index order: '000', '001', ..., '111'.
+_BASIS_LABELS = tuple(format(i, "03b") for i in range(DIM))
+
+
 def basis_label(index: int) -> str:
     """Inverse of the basis indexing: 5 -> '101'."""
     if not _integer(index) or not 0 <= index < DIM:
         raise ContractViolationError(f"basis index must be an integer in [0, {DIM}), got {index!r}")
-    return format(index, "03b")
+    return _BASIS_LABELS[index]
 
 
 def ghz_state(sign: str = "+") -> StateVector:
@@ -355,8 +359,8 @@ class MeasurementRecord:
 
     @cached_property
     def outcomes(self) -> tuple:
-        labels = [basis_label(i) for i in range(DIM)]
-        return tuple(labels[i] for chunk in _index_stream(self.cumulative, self.shots, self.seed)
+        return tuple(_BASIS_LABELS[i]
+                     for chunk in _index_stream(self.cumulative, self.shots, self.seed)
                      for i in chunk.tolist())
 
 
@@ -418,9 +422,11 @@ def _tally(draws: np.ndarray, cumulative: tuple) -> np.ndarray:
     exactly when draw < cumulative[k], so each count is a difference of
     how many draws fall below consecutive edges; index DIM - 1 takes the
     rest, past-the-end draws included.  An edge repeated by a
-    zero-probability outcome is counted once."""
+    zero-probability outcome is counted once.  The draws lie in [0, 1), so
+    none falls below an edge at or below 0.0 and such an edge is not
+    compared; an edge at or above 1.0 still is."""
     edges = cumulative[:DIM - 1]
-    below = {edge: np.count_nonzero(draws < edge) for edge in set(edges)}
+    below = {edge: np.count_nonzero(draws < edge) if edge > 0.0 else 0 for edge in set(edges)}
     return np.diff([0, *(below[edge] for edge in edges), draws.size])
 
 
@@ -441,7 +447,7 @@ def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
     totals = np.zeros(DIM, dtype=np.int64)
     for draws in _draw_stream(shots, seed):
         totals += _tally(draws, cumulative)
-    counts = {basis_label(i): int(n) for i, n in enumerate(totals) if n}
+    counts = {_BASIS_LABELS[i]: int(n) for i, n in enumerate(totals) if n}
     return MeasurementRecord(counts, int(seed), basis, int(shots), cumulative)
 
 

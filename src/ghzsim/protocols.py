@@ -34,6 +34,7 @@ from .core import (
     MeasurementRecord,
     Operator,
     StateVector,
+    _BASIS_LABELS,
     _basis_amplitudes,
     _check_norm,
     _ghz_amplitudes,
@@ -42,7 +43,6 @@ from .core import (
     _readout_probabilities,
     _require_unitary,
     _sample_probabilities,
-    basis_label,
     build_hamiltonian,
     expectation,
     pauli,
@@ -63,9 +63,11 @@ _PROB_SUM_TOL = 1e-9
 # sigma_x on qubit 2 resets the postselected middle qubit; one Operator, so
 # its unitarity is checked once per process.
 _RESET_2 = pauli("x", 2)
-# The states the interference protocols start from, as amplitude arrays.
+# The states the interference protocols start from, as amplitude arrays,
+# and ideal mode's two inputs as weighted components.
 _GHZ_PLUS = _ghz_amplitudes(1)
 _MIXTURE = tuple((0.5, _basis_amplitudes(label)) for label in ("000", "111"))
+_IDEAL_INPUTS = {"ghz": ((1.0, _GHZ_PLUS),), "mixture": _MIXTURE}
 
 
 @dataclass(frozen=True)
@@ -141,19 +143,15 @@ def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool
     return Operator(u2), Operator(u13)
 
 
-def _interference_outcome(mode: str, energies: DerivedEnergies, include_k13: bool,
-                          components, shots: int, seed: int) -> ProtocolOutcome:
-    """Run each (weight, amplitudes) component through the interference
-    sequence: quarter-rotate qubit 2, postselect it excited, reset it,
-    rotate the outer pair.  The pulses are checked unitary once; each step
-    runs on the component's amplitude array and passes the unit-norm test.
-    The conditional 8-outcome distributions are combined, each weighted by
-    its share of the postselected weight; the outer-pair marginal is read
-    off the combination, and shots sample its z readout."""
-    if mode == "ideal":
-        u2, u13 = _IDEAL_PULSES
-    else:
-        u2, u13 = _interference_pulses(mode, energies, bool(include_k13))
+def _interference_distribution(u2: Operator, u13: Operator, components) -> tuple:
+    """The outcome distribution of the interference sequence on weighted
+    (weight, amplitudes) components: quarter-rotate qubit 2, postselect it
+    excited, reset it, rotate the outer pair.  The pulses are checked
+    unitary once; each step runs on the component's amplitude array and
+    passes the unit-norm test.  The conditional 8-outcome distributions are
+    combined, each weighted by its share of the postselected weight, and
+    the outer-pair marginal is read off the combination.  Returns
+    (full_probs, probs, pair_sums, total_weight)."""
     _require_unitary(u2, _RESET_2, u13)
     weighted = []
     for weight, amplitudes in components:
@@ -170,10 +168,29 @@ def _interference_outcome(mode: str, energies: DerivedEnergies, include_k13: boo
     # weight of the correlated and of the anticorrelated outcomes
     pair_sums = {"p00_plus_p11": probs["00"] + probs["11"],
                  "p01_plus_p10": probs["01"] + probs["10"]}
+    return full_probs, probs, pair_sums, total_weight
+
+
+@functools.lru_cache(maxsize=4)
+def _ideal_distribution(u2: Operator, u13: Operator, source: str) -> tuple:
+    """_interference_distribution of an ideal pulse pair on one of the
+    _IDEAL_INPUTS, computed once per pair and input; the pulses hash by
+    identity, so a new pair is checked and computed afresh.  The array is
+    read-only and the dicts are copied by every caller."""
+    distribution = _interference_distribution(u2, u13, _IDEAL_INPUTS[source])
+    distribution[0].flags.writeable = False
+    return distribution
+
+
+def _interference_outcome(distribution: tuple, mode: str, shots: int,
+                          seed: int) -> ProtocolOutcome:
+    """A ProtocolOutcome of an interference distribution, with fresh dicts;
+    shots sample its z readout."""
+    full_probs, probs, pair_sums, total_weight = distribution
     counts = None
     if shots:
         counts = _sample_probabilities(full_probs, shots, seed, "zzz")
-    return ProtocolOutcome(counts, probs, pair_sums, total_weight, mode)
+    return ProtocolOutcome(counts, dict(probs), dict(pair_sums), total_weight, mode)
 
 
 def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int = 0,
@@ -187,16 +204,20 @@ def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int
     verify_mixture_control, which pins p00 + p11 at 1/2 for the matching
     incoherent mixture.
 
-    A repeat call on the same device reuses the last prepared state and the
-    last interference pulses instead of rebuilding them (see ghz_prepare);
-    both are immutable and shared between calls.
+    Ideal mode computes its distribution once per pulse pair and then only
+    samples it.  A repeat call on the same device reuses the last prepared
+    state and the last interference pulses instead of rebuilding them (see
+    ghz_prepare); both are immutable and shared between calls.  Every call
+    returns fresh probabilities and expectations dicts.
     """
     _check_mode(mode, energies)
     if mode == "ideal":
-        amplitudes = _GHZ_PLUS
+        distribution = _ideal_distribution(*_IDEAL_PULSES, "ghz")
     else:
         amplitudes = ghz_prepare(energies, "+", include_k13=include_k13)[0].amplitudes
-    return _interference_outcome(mode, energies, include_k13, ((1.0, amplitudes),), shots, seed)
+        distribution = _interference_distribution(
+            *_interference_pulses(mode, energies, bool(include_k13)), ((1.0, amplitudes),))
+    return _interference_outcome(distribution, mode, shots, seed)
 
 
 def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal",
@@ -210,12 +231,19 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
     component postselection probabilities.  The mixture spreads the outer
     pair uniformly, so p00 + p11 = 1/2 where the entangled state gives 0.
 
-    A repeat call on the same device reuses the last interference pulses,
-    whichever of the two protocols built them; they are immutable and shared
-    between calls.
+    Ideal mode computes its distribution once per pulse pair and then only
+    samples it.  A repeat call on the same device reuses the last
+    interference pulses, whichever of the two protocols built them; they are
+    immutable and shared between calls.  Every call returns fresh
+    probabilities and expectations dicts.
     """
     _check_mode(mode, energies)
-    return _interference_outcome(mode, energies, include_k13, _MIXTURE, shots, seed)
+    if mode == "ideal":
+        distribution = _ideal_distribution(*_IDEAL_PULSES, "mixture")
+    else:
+        distribution = _interference_distribution(
+            *_interference_pulses(mode, energies, bool(include_k13)), _MIXTURE)
+    return _interference_outcome(distribution, mode, shots, seed)
 
 
 def mermin_operator(pattern: str) -> Operator:
@@ -293,6 +321,12 @@ def enumerate_lhv_assignments() -> tuple:
     return tuple(a for a in candidates if _certain_products(a) == (1, 1, 1))
 
 
+# The product of the three y outcomes, (-1) ** (number of 1 bits), for each
+# label in basis-index order, and the labels with an even number of 1 bits.
+_PARITY_SIGNS = tuple((-1.0) ** label.count("1") for label in _BASIS_LABELS)
+_EVEN_LABELS = frozenset(lab for lab, sign in zip(_BASIS_LABELS, _PARITY_SIGNS) if sign > 0)
+
+
 def yyy_experiment(state: StateVector, shots: int = 0, seed: int = None) -> ProtocolOutcome:
     """Measure all three qubits in the y basis.
 
@@ -302,17 +336,15 @@ def yyy_experiment(state: StateVector, shots: int = 0, seed: int = None) -> Prot
     outcome distribution.
     """
     p = _readout_probabilities(state, "yyy")
-    probs = {basis_label(i): float(p[i]) for i in range(DIM)}
-    yyy_exact = sum(
-        prob * (-1.0) ** label.count("1") for label, prob in probs.items()
-    )
+    probs = dict(zip(_BASIS_LABELS, p.tolist()))
+    yyy_exact = sum(prob * sign for prob, sign in zip(probs.values(), _PARITY_SIGNS))
     counts = None
     if shots:
         counts = _sample_probabilities(p, shots, seed, "yyy")
-        even = sum(c for lab, c in counts.counts.items() if lab.count("1") % 2 == 0)
+        even = sum(c for lab, c in counts.counts.items() if lab in _EVEN_LABELS)
         even_fraction = even / shots
     else:
-        even_fraction = sum(prob for lab, prob in probs.items() if lab.count("1") % 2 == 0)
+        even_fraction = sum(prob for lab, prob in probs.items() if lab in _EVEN_LABELS)
     expectations = {
         "even_parity_fraction": float(even_fraction),
         "yyy_expectation": float(yyy_exact),

@@ -3,7 +3,9 @@
 Each file under ``tests/golden/cli/`` holds the stdout of one invocation:
 the seven commands in all three formats on the built-in device, ``derive``
 and ``timing`` in all three formats on a device without its 1-2 coupler
-(the only output that prints infinite floats and drops a timing row), plus
+(the only output that prints infinite floats and drops a timing row),
+``verify`` in full and effective mode in all three formats on an asymmetric
+device (the only one whose outer-rate match changes a Josephson energy), plus
 the invocations that acceptance criterion 11 runs twice.  The test runs each one
 in process through ``main(argv)`` from the repository root, so the
 ``source:`` line of ``configs/reference_device.yaml`` is stable, and asserts
@@ -35,6 +37,13 @@ CASES.update({
     f"uncoupled_12.{command}.{fmt}": [
         command, "--config", "tests/configs/uncoupled_12.yaml", "--format", fmt]
     for command in ("derive", "timing")
+    for fmt in ("table", "csv", "structured")
+})
+CASES.update({
+    f"asymmetric_device.verify_{mode}.{fmt}": [
+        "verify", "--config", "tests/configs/asymmetric_device.yaml", "--mode", mode,
+        "--format", fmt]
+    for mode in ("full", "effective")
     for fmt in ("table", "csv", "structured")
 })
 CASES.update({

@@ -34,6 +34,7 @@ from ghzsim.core import (
     _SHOT_CHUNK,
     _embed,
     _diagonalize,
+    _draw_stream,
     _evolve_spectral,
     _phases,
     _propagators,
@@ -537,6 +538,19 @@ def test_tally_with_an_edge_at_one():
     assert _tally(draws, cumulative).tolist() == [1, 2, 0, 0, 0, 0, 0, 1]
     assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
     assert _tally(np.array([]), cumulative).tolist() == [0] * 8
+
+
+def test_tally_of_a_stream_chunk_with_leading_zero_edges():
+    # the + state's yyy table starts at the edge 0.0, which is not compared
+    cumulative = tuple(np.cumsum(_readout_probabilities(ghz_state("+"), "yyy")).tolist())
+    assert cumulative[0] == 0.0
+    draws = next(_draw_stream(_SHOT_CHUNK, 17))
+    assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
+    # two zero edges, a draw of exactly 0.0 and a signed zero
+    cumulative = (0.0, -0.0, 0.25, 0.25, 0.5, 0.75, 0.75, 1.0)
+    draws = np.append(draws, [0.0, 0.0])
+    assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
+    assert _tally(draws, cumulative)[:2].tolist() == [0, 0]
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -12,6 +12,7 @@ from ghzsim import (
     CapacitanceNetwork,
     ControlSettings,
     InfeasiblePulseError,
+    Operator,
     StateVector,
     apply,
     build_hamiltonian,
@@ -27,7 +28,13 @@ from ghzsim import (
     verify_ghz,
     verify_mixture_control,
 )
-from ghzsim.protocols import _IDEAL_PULSES, _MERMIN_OPERATORS, _interference_pulses
+from ghzsim.protocols import (
+    _IDEAL_PULSES,
+    _MERMIN_OPERATORS,
+    _ideal_distribution,
+    _ideal_quarter,
+    _interference_pulses,
+)
 
 _MODES = ("ideal", "effective", "full")
 
@@ -92,7 +99,8 @@ def test_pipeline_repr_is_pinned(run, pinned):
 # Consecutive entries differ in one part of a memo key, so a memo that left
 # that part out would hand back the previous entry's result.
 _SIGN_K13_ORDER = (("+", False), ("-", False), ("-", True), ("+", True))
-_MODE_K13_ORDER = (("effective", False), ("full", False), ("full", True), ("effective", True))
+_MODE_K13_ORDER = (("ideal", False), ("effective", False), ("full", False), ("full", True),
+                   ("effective", True), ("ideal", True))
 
 
 def _fresh(clear_memos, fn, *args, **kwargs):
@@ -151,13 +159,25 @@ def test_shared_results_are_read_only():
     matrices = [op.matrix for op in _interference_pulses("full", dev, False)]
     matrices += [op.matrix for op in _IDEAL_PULSES]
     matrices += [op.matrix for op in _MERMIN_OPERATORS.values()]
-    for arr in [state.amplitudes, *matrices]:
+    ideal_probs = [_ideal_distribution(*_IDEAL_PULSES, source)[0] for source in ("ghz", "mixture")]
+    for arr in [state.amplitudes, *matrices, *ideal_probs]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
     with pytest.raises(AttributeError):
         report.fidelity = 0.0
     assert isinstance(schedule.segments, tuple) and isinstance(report.flip_solutions, tuple)
+
+
+@pytest.mark.parametrize("mode", ["ideal", "full"])
+@pytest.mark.parametrize("protocol", [verify_ghz, verify_mixture_control])
+def test_mutating_a_result_leaves_the_next_call_unchanged(energies, protocol, mode):
+    want = repr(protocol(energies, mode, shots=100, seed=3))
+    out = protocol(energies, mode, shots=100, seed=3)
+    out.probabilities["00"] = 2.0
+    out.expectations.clear()
+    out.counts.counts["000"] = -1
+    assert repr(protocol(energies, mode, shots=100, seed=3)) == want
 
 
 def test_mermin_operator_returns_a_fresh_operator():
@@ -226,6 +246,21 @@ def test_array_path_equals_the_stepwise_public_path(include_k13):
                     (verify_mixture_control(energies, mode, include_k13=include_k13), mixture)):
                 assert (got.probabilities, got.postselect_probability) \
                     == _stepwise_interference(pulses, components)
+
+
+def test_a_new_ideal_pulse_pair_gets_its_own_distribution(monkeypatch):
+    built_in = (verify_ghz(), verify_mixture_control())
+    other = (Operator(_IDEAL_PULSES[0].matrix.conj()), _ideal_quarter(1))
+    monkeypatch.setattr("ghzsim.protocols._IDEAL_PULSES", other)
+    mixture = [(0.5, StateVector.basis(label)) for label in ("000", "111")]
+    for protocol, components, old in zip((verify_ghz, verify_mixture_control),
+                                         ([(1.0, ghz_state("+"))], mixture), built_in):
+        got = protocol()
+        assert (got.probabilities, got.postselect_probability) \
+            == _stepwise_interference(other, components)
+        assert got.probabilities != old.probabilities
+    monkeypatch.undo()
+    assert (verify_ghz(), verify_mixture_control()) == built_in
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
