@@ -28,7 +28,6 @@ from .core import (
     Operator,
     StateVector,
     apply,
-    basis_label,
     build_hamiltonian,
     commutator_norm,
     evolve,
@@ -75,7 +74,6 @@ from .pulses import (
     PulseSegment,
     Schedule,
     ghz_prepare,
-    run_schedule,
     solve_conditional_flip,
     solve_superposition_pulse,
 )

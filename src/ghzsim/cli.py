@@ -46,6 +46,7 @@ from .core import ghz_state
 from .effective import effective_error_scan, fitted_loglog_slope
 from .errors import ConfigError, ContractViolationError, InfeasiblePulseError, SimulationError
 from .protocols import (
+    _EVEN_LABELS,
     enumerate_lhv_assignments,
     lhv_prediction,
     mermin_expectations,
@@ -210,7 +211,7 @@ def _cmd_yyy(cfg: RunConfig) -> dict:
     outcome = yyy_experiment(ghz_state("+"), p.shots, p.seed)
     even_count = None
     if p.shots:
-        even_count = sum(c for lab, c in outcome.counts.counts.items() if lab.count("1") % 2 == 0)
+        even_count = sum(c for lab, c in outcome.counts.counts.items() if lab in _EVEN_LABELS)
     return _with_counts({
         "shots": p.shots,
         "seed": p.seed if p.shots else None,

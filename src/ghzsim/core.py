@@ -107,13 +107,6 @@ def _basis_index(label: str) -> int:
 _BASIS_LABELS = tuple(format(i, "03b") for i in range(DIM))
 
 
-def basis_label(index: int) -> str:
-    """Inverse of the basis indexing: 5 -> '101'."""
-    if not _integer(index) or not 0 <= index < DIM:
-        raise ContractViolationError(f"basis index must be an integer in [0, {DIM}), got {index!r}")
-    return _BASIS_LABELS[index]
-
-
 def ghz_state(sign: str = "+") -> StateVector:
     """(|000> + sign * i |111>) / sqrt(2)."""
     return StateVector(_ghz_amplitudes(_parse_sign(sign)))
@@ -281,9 +274,10 @@ def propagator(h: Operator, t: float) -> Operator:
 def _evolve_spectral(w: np.ndarray, v: np.ndarray, times, amplitudes: np.ndarray) -> list:
     """The amplitude arrays after applying exp(-i * 2*pi * H_k * t_k) for
     each slice k of a diagonalized stack in turn, starting from
-    ``amplitudes``: the one propagation path of evolve, run_schedule and
-    the preparation.  Each step passes the unit-norm test of StateVector;
-    the callers wrap only the states they return."""
+    ``amplitudes``: the one propagation path of evolve and the preparation,
+    so a prepared schedule replayed segment by segment through evolve gives
+    the prepared state bit for bit.  Each step passes the unit-norm test of
+    StateVector; the callers wrap only the states they return."""
     trajectory = []
     for v_k, p_k in zip(v, _phases(w, times)):
         amplitudes = _check_norm(v_k @ (p_k * (v_k.conj().T @ amplitudes)))
@@ -430,15 +424,21 @@ def _tally(draws: np.ndarray, cumulative: tuple) -> np.ndarray:
     return np.diff([0, *(below[edge] for edge in edges), draws.size])
 
 
+def _check_shots(shots) -> int:
+    """The shot count as an int: a non-negative integer, not a bool."""
+    if not _integer(shots):
+        raise ContractViolationError(f"shots must be an integer, got {shots!r}")
+    if shots < 0:
+        raise ContractViolationError(f"shots must be non-negative, got {shots}")
+    return int(shots)
+
+
 def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
                           basis: str) -> MeasurementRecord:
     """The sampling stream of sample(), over probabilities in basis-index
     order (normalized here): one PCG64 uniform per shot, tallied against
     the cumulative edges."""
-    if not _integer(shots):
-        raise ContractViolationError(f"shots must be an integer, got {shots!r}")
-    if shots < 0:
-        raise ContractViolationError(f"shots must be non-negative, got {shots}")
+    shots = _check_shots(shots)
     if seed is None:
         raise ContractViolationError("sampling requires a seed")
     if not _integer(seed) or seed < 0:
@@ -448,7 +448,7 @@ def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
     for draws in _draw_stream(shots, seed):
         totals += _tally(draws, cumulative)
     counts = {_BASIS_LABELS[i]: int(n) for i, n in enumerate(totals) if n}
-    return MeasurementRecord(counts, int(seed), basis, int(shots), cumulative)
+    return MeasurementRecord(counts, int(seed), basis, shots, cumulative)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

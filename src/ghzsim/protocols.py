@@ -37,6 +37,7 @@ from .core import (
     _BASIS_LABELS,
     _basis_amplitudes,
     _check_norm,
+    _check_shots,
     _ghz_amplitudes,
     _project,
     _propagators,
@@ -188,7 +189,7 @@ def _interference_outcome(distribution: tuple, mode: str, shots: int,
     shots sample its z readout."""
     full_probs, probs, pair_sums, total_weight = distribution
     counts = None
-    if shots:
+    if _check_shots(shots):
         counts = _sample_probabilities(full_probs, shots, seed, "zzz")
     return ProtocolOutcome(counts, dict(probs), dict(pair_sums), total_weight, mode)
 
@@ -339,7 +340,7 @@ def yyy_experiment(state: StateVector, shots: int = 0, seed: int = None) -> Prot
     probs = dict(zip(_BASIS_LABELS, p.tolist()))
     yyy_exact = sum(prob * sign for prob, sign in zip(probs.values(), _PARITY_SIGNS))
     counts = None
-    if shots:
+    if _check_shots(shots):
         counts = _sample_probabilities(p, shots, seed, "yyy")
         even = sum(c for lab, c in counts.counts.items() if lab in _EVEN_LABELS)
         even_fraction = even / shots

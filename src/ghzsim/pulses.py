@@ -131,27 +131,6 @@ class PreparationReport:
     k13_included: bool
 
 
-def run_schedule(schedule: Schedule, initial: StateVector):
-    """Evolve a state through every segment of a schedule.
-
-    Returns (final state, list of states after each segment).  All segment
-    Hamiltonians are assembled and diagonalized in one stacked call before
-    any duration is checked; nothing is kept between calls.
-    """
-    w, v = _segment_spectrum(schedule.segments, schedule.k12, schedule.k23, schedule.k13)
-    trajectory = [StateVector(amplitudes) for amplitudes in
-                  _evolve_spectral(w, v, [s.duration for s in schedule.segments],
-                                   initial.amplitudes)]
-    return trajectory[-1], trajectory
-
-
-def _segment_spectrum(segments, k12, k23, k13) -> tuple:
-    """Eigenvalues and eigenvectors of each segment's Hamiltonian under the
-    couplings: the schedule's one stacking and diagonalization."""
-    stack = np.array([build_hamiltonian(s.e_c, s.e_j, k12, k23, k13).matrix for s in segments])
-    return _diagonalize(stack, "evolve requires a Hermitian Hamiltonian")
-
-
 def solve_superposition_pulse(e_j2: float, sign: str = "+") -> float:
     """Duration of the middle-qubit rotation opening the superposition.
 
@@ -245,7 +224,8 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     (|000> + sign * i |111>) / sqrt(2).  ``include_k13`` keeps the residual
     next-nearest-neighbour coupling switched on during the run (the timings
     still neglect it, so the report shows the resulting fidelity deficit).
-    run_schedule(schedule, |000>) replays the run to the same final state.
+    Evolving |000> through the returned schedule one segment at a time, with
+    build_hamiltonian and evolve, gives the same final state bit for bit.
 
     The two conditional flips each multiply the flipped branch by +i, so the
     superposition step internally uses the opposite-sign branch; the report
@@ -277,13 +257,16 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     """The sign-independent part of the entangling sequence, one device
     remembered: the untimed superposition segment, both flip segments and
     their FlipSolutions, the couplings, and the read-only eigenvalues and
-    eigenvectors of the three segment Hamiltonians."""
+    eigenvectors of the three segment Hamiltonians: the preparation's one
+    stacked diagonalization."""
     untimed = PulseSegment(0.0, e_c=(0.0, -2.0 * (energies.k12 + energies.k23), 0.0),
                            e_j=(0.0, energies.ej_max[1], 0.0), label="superposition")
     seg_f1, sol1 = _flip_segment(energies, 1)
     seg_f3, sol3 = _flip_segment(energies, 3)
     couplings = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
-    w, v = _segment_spectrum((untimed, seg_f1, seg_f3), *couplings)
+    stack = np.array([build_hamiltonian(s.e_c, s.e_j, *couplings).matrix
+                      for s in (untimed, seg_f1, seg_f3)])
+    w, v = _diagonalize(stack, "evolve requires a Hermitian Hamiltonian")
     w.flags.writeable = v.flags.writeable = False
     return untimed, (seg_f1, seg_f3), (sol1, sol3), couplings, w, v
 

@@ -15,7 +15,6 @@ from ghzsim import (
     PulseSegment,
     StateVector,
     UnphysicalNetworkError,
-    basis_label,
     build_hamiltonian,
     ghz_state,
     h_eff_qubits13,
@@ -27,6 +26,9 @@ from ghzsim import (
     sample,
     solve_conditional_flip,
     solve_superposition_pulse,
+    verify_ghz,
+    verify_mixture_control,
+    yyy_experiment,
 )
 
 # float() would read a bool or a numeric string as a plausible number.
@@ -76,8 +78,8 @@ _GHZ = ghz_state("+")
     (pauli, ("z", np.True_)),
     (project, (StateVector.basis("010"), 2, True)),
     (project, (StateVector.basis("000"), True, 0)),
-    (basis_label, (True,)),
-    (basis_label, (np.True_,)),
+    (yyy_experiment, (_GHZ, True, 1)),
+    (verify_ghz, (None, "ideal", np.True_, 1)),
     (h_eff_qubits13, (PerturbationParams((1.0, 1.0, 1.0)), True)),
     (pauli, (["x"], 2)),
     (project, (StateVector.basis("010"), 2.0, 1)),
@@ -98,8 +100,8 @@ def _assignment(value):
     (solve_conditional_flip, (0.2, "5")),
     (readout_timing_margin, ("1", 1.0)),
     (readout_timing_margin, (0.2, True)),
-    (basis_label, (2.0,)),
-    (basis_label, ("2",)),
+    (verify_mixture_control, (None, "ideal", 2.5, 1)),
+    (yyy_experiment, (_GHZ, "10", 1)),
     (lhv_prediction, (_assignment(1.7),)),
     (lhv_prediction, (_assignment(True),)),
     (lhv_prediction, (_assignment("1"),)),
@@ -115,5 +117,4 @@ def test_scalars_read_as_reals_and_integers_as_integers(call, args):
 
 
 def test_numpy_integers_are_integers():
-    assert basis_label(np.int64(5)) == "101"
     assert lhv_prediction(_assignment(np.int8(1))) == 1

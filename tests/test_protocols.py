@@ -131,6 +131,22 @@ def test_mixture_sampling_deterministic():
         verify_mixture_control(shots=-1, seed=21)
 
 
+_SHOT_PROTOCOLS = {
+    "verify_ghz": lambda shots, seed: verify_ghz(shots=shots, seed=seed),
+    "verify_mixture_control": lambda shots, seed: verify_mixture_control(shots=shots, seed=seed),
+    "yyy_experiment": lambda shots, seed: yyy_experiment(ghz_state("+"), shots, seed),
+}
+
+
+@pytest.mark.parametrize("shots", [0.0, False, None, ""])
+@pytest.mark.parametrize("protocol", sorted(_SHOT_PROTOCOLS))
+def test_protocols_take_no_falsy_non_integer_as_zero_shots(protocol, shots):
+    run = _SHOT_PROTOCOLS[protocol]
+    assert run(0, None).counts is None
+    with pytest.raises(ContractViolationError, match="^shots must be an integer"):
+        run(shots, 7)
+
+
 def test_protocol_outcome_validation():
     good = {"00": 0.5, "11": 0.5}
     ProtocolOutcome(None, good, {}, 1.0, "ideal")

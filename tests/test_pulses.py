@@ -17,7 +17,6 @@ from ghzsim import (
     fidelity,
     ghz_prepare,
     ghz_state,
-    run_schedule,
     solve_conditional_flip,
     solve_superposition_pulse,
 )
@@ -159,12 +158,18 @@ def test_schedule_needs_segments():
         Schedule((), k12=1.0, k23=1.0, k13=0.0)
 
 
+def _replay(schedule, segments=None):
+    """|000> evolved through the schedule's segments one at a time."""
+    state = StateVector.basis("000")
+    for seg in schedule.segments if segments is None else segments:
+        h = build_hamiltonian(seg.e_c, seg.e_j, schedule.k12, schedule.k23, schedule.k13)
+        state = evolve(h, seg.duration, state)
+    return state
+
+
 def test_superposition_step_state(energies):
     state, schedule, report = ghz_prepare(energies, "+")
-    _, trajectory = run_schedule(Schedule(schedule.segments[:1], k12=energies.k12,
-                                          k23=energies.k23, k13=0.0),
-                                 StateVector.basis("000"))
-    after = trajectory[0]
+    after = _replay(schedule, schedule.segments[:1])
     # equal weight on |000> and |010>, nothing anywhere else
     probs = after.probabilities()
     assert probs[0] == pytest.approx(0.5, abs=1e-12)
@@ -221,8 +226,7 @@ def test_ghz_preparation_k13_deficit(energies):
 @pytest.mark.parametrize("include_k13", [False, True])
 def test_returned_schedule_replays_to_returned_state(energies, sign, include_k13):
     state, schedule, _ = ghz_prepare(energies, sign, include_k13=include_k13)
-    replayed, _ = run_schedule(schedule, StateVector.basis("000"))
-    assert np.array_equal(replayed.amplitudes, state.amplitudes)
+    assert _replay(schedule).amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
 def test_ghz_preparation_deterministic(energies):
@@ -276,27 +280,17 @@ def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch, cle
         assert state.amplitudes.tobytes() == fresh[sign][0].amplitudes.tobytes()
         assert (schedule, report) == fresh[sign][1:]
         # the segment-by-segment evolve path gives the same bytes
-        replayed = StateVector.basis("000")
-        for seg in schedule.segments:
-            h = build_hamiltonian(seg.e_c, seg.e_j, schedule.k12, schedule.k23, schedule.k13)
-            replayed = evolve(h, seg.duration, replayed)
-        assert replayed.amplitudes.tobytes() == state.amplitudes.tobytes()
+        assert _replay(schedule).amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
 def test_schedule_couplings_are_read_as_numbers():
+    # A Schedule stores its couplings as given; build_hamiltonian reads them.
     seg = PulseSegment(1.0, (0.0, 0.1, 0.0), (1.0, 0.0, 1.0))
     for bad in ([0.1], "0.1", True, None, math.inf):
         with pytest.raises(ContractViolationError, match=r"^\(k12, k23, k13\)\[0\]: "):
-            run_schedule(Schedule((seg,), bad, 0.1, 0.0), StateVector.basis("000"))
+            _replay(Schedule((seg,), bad, 0.1, 0.0))
 
 
-def test_schedule_reports_an_assembly_overflow_before_any_range():
-    # The first segment cannot be timed and the second's diagonal overflows
-    # float range: every segment is assembled before any range check.
-    untimeable = PulseSegment(1.0, (1e308, 0.0, 0.0), (0.0, 0.0, 0.0))
-    overflowing = PulseSegment(1.0, (1.7e308, 1.7e308, 1.7e308), (0.0, 0.0, 0.0))
-    start = StateVector.basis("000")
-    with pytest.raises(InfeasiblePulseError, match="cannot be timed"):
-        run_schedule(Schedule((untimeable,), 0.0, 0.0, 0.0), start)
+def test_hamiltonian_reports_a_diagonal_overflow():
     with pytest.raises(ContractViolationError, match="^Hamiltonian diagonal overflows float range"):
-        run_schedule(Schedule((untimeable, overflowing), 0.0, 0.0, 0.0), start)
+        build_hamiltonian((1.7e308,) * 3, (0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
