@@ -47,10 +47,10 @@ from .effective import effective_error_scan, fitted_loglog_slope
 from .errors import ConfigError, ContractViolationError, InfeasiblePulseError, SimulationError
 from .protocols import (
     _EVEN_LABELS,
+    _MERMIN_OPERATORS,
     enumerate_lhv_assignments,
     lhv_prediction,
     mermin_expectations,
-    mermin_operator,
     verify_ghz,
     yyy_experiment,
 )
@@ -181,8 +181,9 @@ def _cmd_mermin(cfg: RunConfig) -> dict:
     energies = derive_energies(cfg.network, cfg.settings)
     state, _, report = ghz_prepare(energies, "+", include_k13=cfg.protocol.include_k13)
     values = mermin_expectations(state)
-    product = (mermin_operator("yxx") @ mermin_operator("xyx") @ mermin_operator("xxy")).matrix
-    identity_residual = float(abs(product + mermin_operator("yyy").matrix).max())
+    ops = _MERMIN_OPERATORS
+    product = (ops["yxx"] @ ops["xyx"] @ ops["xxy"]).matrix
+    identity_residual = float(abs(product + ops["yyy"].matrix).max())
     survivors = enumerate_lhv_assignments()
     lhv_value = lhv_prediction(survivors[0])
     quantum_yyy = values["yyy"]

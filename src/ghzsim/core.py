@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ContractViolationError, InfeasiblePulseError, _integer, _reals
+from .errors import ContractViolationError, InfeasiblePulseError, _integer, _real, _reals
 
 N_QUBITS = 3
 DIM = 8
@@ -246,11 +246,11 @@ def _diagonalize(stack: np.ndarray, not_hermitian: str) -> tuple:
 
 def _phases(w: np.ndarray, times) -> np.ndarray:
     """exp(-i * 2*pi * w * t) for each row of eigenvalues w and the matching
-    entry t of ``times``.  eigh sorts w, so each row's largest phase, in the
-    exponent's product order, is read off the ends in Python floats, where
-    overflow gives inf without a warning: if it leaves float range the
-    pulse cannot be timed, and the first such row is named."""
-    times = [float(t) for t in times]
+    entry t of ``times``, a non-bool real.  eigh sorts w, so each row's
+    largest phase, in the exponent's product order, is read off the ends in
+    Python floats, where overflow gives inf without a warning: if it leaves
+    float range the pulse cannot be timed, and the first such row is named."""
+    times = [_real(t, "t must be a real number") for t in times]
     for t, (w_min, w_end) in zip(times, w[:, ::DIM - 1].tolist()):
         w_max = max(-w_min, w_end)
         if not math.isfinite(2.0 * math.pi * w_max * t):

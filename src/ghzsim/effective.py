@@ -299,11 +299,13 @@ def _scan_generators(z: float, which: str) -> tuple:
 def fitted_loglog_slope(table) -> float:
     """Least-squares slope of log(error) against log(zeta).
 
-    Pairs with zeta = 0 or error = 0 carry no logarithmic information and are
-    skipped; the usable pairs must span at least two distinct zeta values,
-    since a line through points at one zeta has no defined slope.
+    Each entry is a (zeta, error) pair of finite reals.  Pairs with zeta = 0
+    or error = 0 carry no logarithmic information and are skipped; the
+    usable pairs must span at least two distinct zeta values, since a line
+    through points at one zeta has no defined slope.
     """
-    pts = [(z, e) for z, e in table if z > 0.0 and e > 0.0]
+    pairs = [_reals(pair, f"table[{i}]", 2) for i, pair in enumerate(table)]
+    pts = [(z, e) for z, e in pairs if z > 0.0 and e > 0.0]
     if len({z for z, _ in pts}) < 2:
         raise ContractViolationError("slope fit needs nonzero errors at two or more distinct "
                                      "nonzero zeta values")

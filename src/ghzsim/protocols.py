@@ -64,11 +64,10 @@ _PROB_SUM_TOL = 1e-9
 # sigma_x on qubit 2 resets the postselected middle qubit; one Operator, so
 # its unitarity is checked once per process.
 _RESET_2 = pauli("x", 2)
-# The states the interference protocols start from, as amplitude arrays,
-# and ideal mode's two inputs as weighted components.
+# The states the interference protocols start from, as amplitude arrays;
+# the mixture as weighted components.
 _GHZ_PLUS = _ghz_amplitudes(1)
 _MIXTURE = tuple((0.5, _basis_amplitudes(label)) for label in ("000", "111"))
-_IDEAL_INPUTS = {"ghz": ((1.0, _GHZ_PLUS),), "mixture": _MIXTURE}
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def _interference_distribution(u2: Operator, u13: Operator, components) -> tuple
     passes the unit-norm test.  The conditional 8-outcome distributions are
     combined, each weighted by its share of the postselected weight, and
     the outer-pair marginal is read off the combination.  Returns
-    (full_probs, probs, pair_sums, total_weight)."""
+    (full_probs, probs, pair_sums, total_weight); full_probs is read-only."""
     _require_unitary(u2, _RESET_2, u13)
     weighted = []
     for weight, amplitudes in components:
@@ -164,6 +163,7 @@ def _interference_distribution(u2: Operator, u13: Operator, components) -> tuple
     full_probs = np.zeros(DIM)
     for w, final in weighted:
         full_probs += w / total_weight * np.abs(final) ** 2
+    full_probs.flags.writeable = False
     outer = full_probs.reshape(2, 2, 2).sum(axis=1)
     probs = {f"{q1}{q3}": float(outer[q1, q3]) for q1 in (0, 1) for q3 in (0, 1)}
     # weight of the correlated and of the anticorrelated outcomes
@@ -172,15 +172,12 @@ def _interference_distribution(u2: Operator, u13: Operator, components) -> tuple
     return full_probs, probs, pair_sums, total_weight
 
 
-@functools.lru_cache(maxsize=4)
-def _ideal_distribution(u2: Operator, u13: Operator, source: str) -> tuple:
-    """_interference_distribution of an ideal pulse pair on one of the
-    _IDEAL_INPUTS, computed once per pair and input; the pulses hash by
-    identity, so a new pair is checked and computed afresh.  The array is
-    read-only and the dicts are copied by every caller."""
-    distribution = _interference_distribution(u2, u13, _IDEAL_INPUTS[source])
-    distribution[0].flags.writeable = False
-    return distribution
+# Ideal mode's two distributions do not depend on the device: computed
+# once, at import, and shared; every caller copies the dicts.
+_IDEAL_DISTRIBUTIONS = {
+    "ghz": _interference_distribution(*_IDEAL_PULSES, ((1.0, _GHZ_PLUS),)),
+    "mixture": _interference_distribution(*_IDEAL_PULSES, _MIXTURE),
+}
 
 
 def _interference_outcome(distribution: tuple, mode: str, shots: int,
@@ -205,15 +202,15 @@ def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int
     verify_mixture_control, which pins p00 + p11 at 1/2 for the matching
     incoherent mixture.
 
-    Ideal mode computes its distribution once per pulse pair and then only
-    samples it.  A repeat call on the same device reuses the last prepared
-    state and the last interference pulses instead of rebuilding them (see
-    ghz_prepare); both are immutable and shared between calls.  Every call
-    returns fresh probabilities and expectations dicts.
+    Ideal mode only samples its distribution, computed at import.  A repeat
+    call on the same device reuses the last prepared state and the last
+    interference pulses instead of rebuilding them (see ghz_prepare); both
+    are immutable and shared between calls.  Every call returns fresh
+    probabilities and expectations dicts.
     """
     _check_mode(mode, energies)
     if mode == "ideal":
-        distribution = _ideal_distribution(*_IDEAL_PULSES, "ghz")
+        distribution = _IDEAL_DISTRIBUTIONS["ghz"]
     else:
         amplitudes = ghz_prepare(energies, "+", include_k13=include_k13)[0].amplitudes
         distribution = _interference_distribution(
@@ -232,15 +229,14 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
     component postselection probabilities.  The mixture spreads the outer
     pair uniformly, so p00 + p11 = 1/2 where the entangled state gives 0.
 
-    Ideal mode computes its distribution once per pulse pair and then only
-    samples it.  A repeat call on the same device reuses the last
-    interference pulses, whichever of the two protocols built them; they are
-    immutable and shared between calls.  Every call returns fresh
-    probabilities and expectations dicts.
+    Ideal mode only samples its distribution, computed at import.  A repeat
+    call on the same device reuses the last interference pulses, whichever
+    of the two protocols built them; they are immutable and shared between
+    calls.  Every call returns fresh probabilities and expectations dicts.
     """
     _check_mode(mode, energies)
     if mode == "ideal":
-        distribution = _ideal_distribution(*_IDEAL_PULSES, "mixture")
+        distribution = _IDEAL_DISTRIBUTIONS["mixture"]
     else:
         distribution = _interference_distribution(
             *_interference_pulses(mode, energies, bool(include_k13)), _MIXTURE)

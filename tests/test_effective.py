@@ -415,3 +415,7 @@ def test_fitted_slope_basics():
         with pytest.raises(ContractViolationError, match="two or more distinct"):
             fitted_loglog_slope(table)
     assert fitted_loglog_slope([(0.05, 0.1), (0.1, 0.2), (0.1, 0.2)]) == pytest.approx(1.0)
+    # each entry is read as a pair of finite reals, and a bad one is named
+    for bad in ((True, 0.5), (0.2, math.inf), (0.2, math.nan), ("0.2", 0.1), (0.2, 0.1, 0.0)):
+        with pytest.raises(ContractViolationError, match=r"table\[1\]"):
+            fitted_loglog_slope([(0.1, 0.01), bad, (0.4, 0.3)])

@@ -11,17 +11,20 @@ from ghzsim import (
     CapacitanceNetwork,
     ContractViolationError,
     ControlSettings,
+    InfeasiblePulseError,
     PerturbationParams,
     PulseSegment,
     StateVector,
     UnphysicalNetworkError,
     build_hamiltonian,
+    evolve,
     ghz_state,
     h_eff_qubits13,
     lhv_prediction,
     mermin_operator,
     pauli,
     project,
+    propagator,
     readout_timing_margin,
     sample,
     solve_conditional_flip,
@@ -93,6 +96,10 @@ def _assignment(value):
     return {key: value for key in ("x1", "x2", "x3", "y1", "y2", "y3")}
 
 
+_H = build_hamiltonian((0.0, 0.1, 0.0), (1.0, 0.0, 1.0), 0.1, 0.1, 0.0)
+_NOT_TIMES = ("0.5", True, b"1", None)
+
+
 @pytest.mark.parametrize("call, args", [
     (solve_superposition_pulse, ("1",)),
     (solve_superposition_pulse, (True,)),
@@ -109,11 +116,20 @@ def _assignment(value):
     (pauli, ("x", 2.0)),
     (project, (StateVector.basis("010"), 2, 1.0)),
     (h_eff_qubits13, (PerturbationParams((1.0, 1.0, 1.0)), 1.0)),
+    *[(propagator, (_H, t)) for t in _NOT_TIMES],
+    *[(evolve, (_H, t, _GHZ)) for t in _NOT_TIMES],
 ])
 def test_scalars_read_as_reals_and_integers_as_integers(call, args):
     with pytest.raises(ContractViolationError) as raised:
         call(*args)
     assert raised.type is ContractViolationError
+
+
+@pytest.mark.parametrize("call, args", [(propagator, (_H, 10 ** 400)),
+                                        (evolve, (_H, -10 ** 400, _GHZ))])
+def test_a_time_beyond_float_range_cannot_be_timed(call, args):
+    with pytest.raises(InfeasiblePulseError, match="cannot be timed"):
+        call(*args)
 
 
 def test_numpy_integers_are_integers():

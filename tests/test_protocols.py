@@ -76,29 +76,34 @@ def test_verify_full_reference_numbers(energies):
 
 def _with_unused_column_doubled(op):
     """``op`` with the column of |011> doubled: no longer unitary, yet it
-    acts as ``op`` on every state the ideal interference sequence feeds it,
-    whose amplitudes on |011> are all zero."""
+    acts as ``op`` on every state the interference sequence feeds it on the
+    reference device, whose amplitudes on |011> are zero to rounding."""
     mat = op.matrix.copy()
     mat[:, 0b011] *= 2.0
     return Operator(mat)
 
 
+def _use_pulses(monkeypatch, pulses):
+    """Make every device's interference pulses ``pulses``."""
+    monkeypatch.setattr(protocols, "_interference_pulses", lambda *args: pulses)
+
+
 @pytest.mark.parametrize("broken", [0, 1], ids=["u2", "u13"])
 @pytest.mark.parametrize("protocol", [verify_ghz, verify_mixture_control])
-def test_interference_refuses_a_non_unitary_pulse(monkeypatch, protocol, broken):
+def test_interference_refuses_a_non_unitary_pulse(monkeypatch, energies, protocol, broken):
     pulses = list(protocols._IDEAL_PULSES)
     pulses[broken] = _with_unused_column_doubled(pulses[broken])
-    monkeypatch.setattr(protocols, "_IDEAL_PULSES", tuple(pulses))
+    _use_pulses(monkeypatch, tuple(pulses))
     with pytest.raises(ContractViolationError, match="unitary"):
-        protocol()
+        protocol(energies, "full")
 
 
-def test_interference_refuses_an_impossible_postselection(monkeypatch):
+def test_interference_refuses_an_impossible_postselection(monkeypatch, energies):
     # An identity u2 never excites qubit 2 of the mixture's |000> component.
     identity = Operator(np.eye(8, dtype=complex))
-    monkeypatch.setattr(protocols, "_IDEAL_PULSES", (identity, protocols._IDEAL_PULSES[1]))
+    _use_pulses(monkeypatch, (identity, protocols._IDEAL_PULSES[1]))
     with pytest.raises(ContractViolationError, match="impossible branch"):
-        verify_mixture_control()
+        verify_mixture_control(energies, "full")
 
 
 def test_verify_sampling_contract():
