@@ -109,14 +109,14 @@ _BASIS_LABELS = tuple(format(i, "03b") for i in range(DIM))
 
 def ghz_state(sign: str = "+") -> StateVector:
     """(|000> + sign * i |111>) / sqrt(2)."""
-    return StateVector(_ghz_amplitudes(_parse_sign(sign)))
+    return StateVector(_pair_amplitudes(0b111, _parse_sign(sign) * 1.0j))
 
 
-def _ghz_amplitudes(s: int) -> np.ndarray:
-    """Read-only amplitudes of ghz_state for a parsed sign s (+1 or -1)."""
+def _pair_amplitudes(index: int, coefficient: complex) -> np.ndarray:
+    """Read-only amplitudes of (|000> + coefficient * |index>) / sqrt(2)."""
     amps = np.zeros(DIM, dtype=complex)
     amps[0] = 1.0 / math.sqrt(2.0)
-    amps[7] = s * 1.0j / math.sqrt(2.0)
+    amps[index] = coefficient / math.sqrt(2.0)
     amps.flags.writeable = False
     return amps
 
@@ -185,13 +185,18 @@ _PAULI_8X8 = {(axis, q): _embed(m, q) for axis, m in _PAULI_2X2.items() for q in
 for _m in _PAULI_8X8.values():
     _m.flags.writeable = False
 
+# The sigma_z eigenvalue of qubit q + 1 in each basis state (row q), read
+# off the embedded Paulis: the one table of which bit is which qubit.
+_Z_SIGNS = np.array([_PAULI_8X8["z", q].diagonal().real for q in (1, 2, 3)])
+_Z_SIGNS.flags.writeable = False
+
 # Where build_hamiltonian writes in a flat 8x8 matrix: each diagonal slot
 # with the sigma_z eigenvalues z1, z2, z3, z1*z2, z2*z3 and z1*z3 of its
 # basis state, and each slot that sigma_x on qubit q + 1 fills, with q.
 _DIAGONAL_SIGNS = tuple((i * (DIM + 1), z1, z2, z3, z1 * z2, z2 * z3, z1 * z3)
-                        for i in range(DIM)
-                        for z1, z2, z3 in [[1.0 - 2.0 * (i >> shift & 1) for shift in (2, 1, 0)]])
-_FLIP_SLOTS = tuple((i * DIM + (i ^ (4 >> q)), q) for i in range(DIM) for q in range(N_QUBITS))
+                        for i, (z1, z2, z3) in enumerate(_Z_SIGNS.T.tolist()))
+_FLIP_SLOTS = tuple((slot, q) for q in range(N_QUBITS)
+                    for slot in np.flatnonzero(_PAULI_8X8["x", q + 1]).tolist())
 
 
 def pauli(axis: str, qubit: int) -> Operator:
@@ -307,8 +312,7 @@ def _project(amplitudes: np.ndarray, qubit: int, outcome: int) -> tuple:
     """project on amplitudes: (renormalized array, outcome probability),
     for a qubit and outcome already checked.  The renormalized array passes
     the unit-norm test."""
-    mask = (np.arange(DIM) >> (N_QUBITS - qubit) & 1) == outcome
-    amps = np.where(mask, amplitudes, 0.0)
+    amps = np.where(_Z_SIGNS[qubit - 1] == 1 - 2 * outcome, amplitudes, 0.0)
     prob = float((np.abs(amps) ** 2).sum())
     if prob < _PROJECT_TOL:
         raise ContractViolationError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import DerivedEnergies
-from .core import _PAULI_8X8, Operator, _propagators, build_hamiltonian
+from .core import _PAULI_8X8, _Z_SIGNS, Operator, _propagators, build_hamiltonian
 from .errors import ContractViolationError, InfeasiblePulseError, _integer, _real, _reals
 
 _SCAN_ZETA_LIMIT = 0.5
@@ -167,7 +167,7 @@ _PHASES = np.exp(1j * _GRID)
 _CELL_STEPS = np.arange(1, 8) * (_GRID[1] - _GRID[0])
 # Rows with sigma_z2 = +1: the scan's outer generator takes each row from the
 # h_eff_qubits13 sector of that row's sigma_z2.
-_QUBIT2_UP = (_PAULI_8X8["z", 2].diagonal().real > 0)[:, None]
+_QUBIT2_UP = (_Z_SIGNS[1] > 0)[:, None]
 
 
 def _phase_minimized_distances(a: np.ndarray, b: np.ndarray) -> list:

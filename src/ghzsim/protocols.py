@@ -35,10 +35,11 @@ from .core import (
     Operator,
     StateVector,
     _BASIS_LABELS,
+    _Z_SIGNS,
     _basis_amplitudes,
     _check_norm,
     _check_shots,
-    _ghz_amplitudes,
+    _pair_amplitudes,
     _project,
     _propagators,
     _readout_probabilities,
@@ -66,7 +67,7 @@ _PROB_SUM_TOL = 1e-9
 _RESET_2 = pauli("x", 2)
 # The states the interference protocols start from, as amplitude arrays;
 # the mixture as weighted components.
-_GHZ_PLUS = _ghz_amplitudes(1)
+_GHZ_PLUS = _pair_amplitudes(0b111, 1.0j)
 _MIXTURE = tuple((0.5, _basis_amplitudes(label)) for label in ("000", "111"))
 
 
@@ -318,9 +319,9 @@ def enumerate_lhv_assignments() -> tuple:
     return tuple(a for a in candidates if _certain_products(a) == (1, 1, 1))
 
 
-# The product of the three y outcomes, (-1) ** (number of 1 bits), for each
+# The product of the three y outcomes, z1 * z2 * z3 (bit 0 reads +1), for each
 # label in basis-index order, and the labels with an even number of 1 bits.
-_PARITY_SIGNS = tuple((-1.0) ** label.count("1") for label in _BASIS_LABELS)
+_PARITY_SIGNS = tuple(_Z_SIGNS.prod(axis=0).tolist())
 _EVEN_LABELS = frozenset(lab for lab, sign in zip(_BASIS_LABELS, _PARITY_SIGNS) if sign > 0)
 
 

@@ -36,7 +36,7 @@ from .core import (
     _diagonalize,
     _evolve_spectral,
     _fidelity,
-    _ghz_amplitudes,
+    _pair_amplitudes,
     _parse_sign,
     build_hamiltonian,
 )
@@ -243,15 +243,6 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     return _prepare(energies, _parse_sign(sign), bool(include_k13))
 
 
-def _pair_state(index: int, coefficient: complex) -> np.ndarray:
-    """Amplitudes of (|000> + coefficient * |index>) / sqrt(2)."""
-    inv = 1.0 / math.sqrt(2.0)
-    amps = [0.0j] * 8
-    amps[0b000] = inv
-    amps[index] = coefficient * inv
-    return np.array(amps, dtype=complex)
-
-
 @functools.lru_cache(maxsize=1)
 def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     """The sign-independent part of the entangling sequence, one device
@@ -280,10 +271,10 @@ def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
     trajectory = _evolve_spectral(w, v, [seg.duration for seg in schedule.segments], _KET_000)
     final = trajectory[-1]
 
-    fid = _fidelity(final, _ghz_amplitudes(s))
+    fid = _fidelity(final, _pair_amplitudes(0b111, s * 1.0j))
     intermediates = (
-        _fidelity(trajectory[0], _pair_state(0b010, 1j * -s)),
-        _fidelity(trajectory[1], _pair_state(0b110, s)),
+        _fidelity(trajectory[0], _pair_amplitudes(0b010, 1j * -s)),
+        _fidelity(trajectory[1], _pair_amplitudes(0b110, s)),
     )
     phase = cmath.phase(final[7]) - cmath.phase(final[0])
     phase = math.remainder(phase, 2.0 * math.pi)

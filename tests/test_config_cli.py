@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzsim import ConfigError, load_config
+from ghzsim import ConfigError, ContractViolationError, cli, load_config
 from ghzsim.cli import build_parser, main
 from ghzsim.config import DEFAULT_CONFIG
 
@@ -361,6 +362,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     weak.write_text("device:\n  josephson_energy_ghz: [0.01, 0.01, 0.01]\n")
     assert main(["prepare", "--config", str(weak)]) == 3
     assert "infeasible pulse" in capsys.readouterr().err
+
+
+def test_cli_contract_violation_exits_4(monkeypatch, capsys):
+    def broken(network, settings):
+        raise ContractViolationError("boom")
+
+    monkeypatch.setattr(cli, "derive_energies", broken)
+    assert main(["derive"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: boom\n"
+    assert captured.out == ""
+
+
+def test_cli_entry_exits_with_the_main_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ghzsim", "timing"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_cli_rejects_negative_seed_flag(capsys):

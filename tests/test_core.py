@@ -27,21 +27,27 @@ from ghzsim import (
     sample,
     verify_ghz,
 )
+from ghzsim import protocols
 from ghzsim.core import (
+    _BASIS_LABELS,
+    _DIAGONAL_SIGNS,
+    _FLIP_SLOTS,
     _PAULI_2X2,
     _PAULI_8X8,
     _ROTATION_2X2,
     _SHOT_CHUNK,
+    _Z_SIGNS,
     _embed,
     _diagonalize,
     _draw_stream,
     _evolve_spectral,
+    _pair_amplitudes,
     _phases,
     _propagators,
     _readout_probabilities,
     _tally,
 )
-from ghzsim.effective import _scan_generators
+from ghzsim.effective import _QUBIT2_UP, _scan_generators
 
 
 def taylor_propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -139,6 +145,34 @@ def test_pauli_table_matches_embedding_and_is_read_only():
         pauli("w", 1)
     with pytest.raises(ContractViolationError):
         pauli("x", 0)
+
+
+def test_layout_tables_follow_the_documented_index_convention():
+    """Index 4*q1 + 2*q2 + q3: qubit q is bit 3 - q, and bit 0 is sigma_z = +1.
+    The tables read off _PAULI_8X8 match the bit arithmetic they replace."""
+    for q in (1, 2, 3):
+        assert _Z_SIGNS[q - 1].tolist() == [1 - 2 * ((i >> (3 - q)) & 1) for i in range(8)]
+    bits = [[1.0 - 2.0 * (i >> shift & 1) for shift in (2, 1, 0)] for i in range(8)]
+    assert _DIAGONAL_SIGNS == tuple((i * 9, z1, z2, z3, z1 * z2, z2 * z3, z1 * z3)
+                                    for i, (z1, z2, z3) in enumerate(bits))
+    assert all(type(v) is float for row in _DIAGONAL_SIGNS for v in row[1:])
+    assert len(_FLIP_SLOTS) == 24
+    assert set(_FLIP_SLOTS) == {(8 * i + (i ^ (4 >> q)), q) for i in range(8) for q in range(3)}
+    assert all(type(slot) is int for slot, _ in _FLIP_SLOTS)
+    assert protocols._PARITY_SIGNS == tuple((-1.0) ** label.count("1") for label in _BASIS_LABELS)
+    assert np.array_equal(_QUBIT2_UP[:, 0], [(i >> 1 & 1) == 0 for i in range(8)])
+    for s in (1, -1):
+        old = np.zeros(8, dtype=complex)
+        old[0] = 1.0 / math.sqrt(2.0)
+        old[7] = s * 1.0j / math.sqrt(2.0)
+        assert _pair_amplitudes(0b111, s * 1j).tobytes() == old.tobytes()
+        assert ghz_state(s).amplitudes.tobytes() == old.tobytes()
+    assert protocols._GHZ_PLUS.tobytes() == _pair_amplitudes(0b111, 1j).tobytes()
+    for arr in (_Z_SIGNS, protocols._GHZ_PLUS, _pair_amplitudes(0b010, -1j),
+                _pair_amplitudes(0b110, 1)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_basis_indexing():

@@ -3,6 +3,7 @@ each malformed one raises the documented error class, never a stray
 TypeError or a plausible-looking conversion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from ghzsim import (
     CapacitanceNetwork,
     ContractViolationError,
     ControlSettings,
+    FlipSolution,
     InfeasiblePulseError,
+    Operator,
     PerturbationParams,
     PulseSegment,
+    Schedule,
     StateVector,
     UnphysicalNetworkError,
     build_hamiltonian,
@@ -134,3 +138,16 @@ def test_a_time_beyond_float_range_cannot_be_timed(call, args):
 
 def test_numpy_integers_are_integers():
     assert lhv_prediction(_assignment(np.int8(1))) == 1
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: StateVector(np.zeros(7)), "state must have 8 amplitudes, got (7,)"),
+    (lambda: Operator(np.eye(4)), "operator must be 8x8, got (4, 4)"),
+    (lambda: Schedule((object(),), 0.0, 0.0, 0.0),
+     "schedule segments must be PulseSegment instances"),
+    (lambda: FlipSolution(1.0, 1.0, 0, 1, (1e-3, 0.0)), "flip residuals (0.001, 0.0) exceed 1e-09"),
+    (lambda: solve_conditional_flip(1.0, 0.0), "conditional flip requires e_j_max > 0, got 0.0"),
+])
+def test_malformed_records_name_what_is_wrong(make, message):
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        make()
