@@ -197,6 +197,10 @@ _DIAGONAL_SIGNS = tuple((i * (DIM + 1), z1, z2, z3, z1 * z2, z2 * z3, z1 * z3)
                         for i, (z1, z2, z3) in enumerate(_Z_SIGNS.T.tolist()))
 _FLIP_SLOTS = tuple((slot, q) for q in range(N_QUBITS)
                     for slot in np.flatnonzero(_PAULI_8X8["x", q + 1]).tolist())
+# The same slots as index arrays, for _assemble to fill a whole stack at once:
+# the diagonal slots, then the flip slots over the qubit each one reads.
+_DIAGONAL_INDEX = np.array([slot for slot, *_ in _DIAGONAL_SIGNS])
+_FLIP_INDEX = np.array(_FLIP_SLOTS).T
 
 
 def pauli(axis: str, qubit: int) -> Operator:
@@ -215,24 +219,38 @@ def build_hamiltonian(e_c, e_j, k12: float, k23: float, k13: float = 0.0) -> Ope
 
     The 1-3 term models the always-on next-nearest-neighbour coupling and is
     zero unless explicitly requested.  Finite energies whose diagonal sum
-    leaves float range raise ContractViolationError.
+    leaves float range raise ContractViolationError.  The checked row is
+    assembled by _assemble, as every chain Hamiltonian of the package is.
     """
-    e_c = _reals(e_c, "e_c", 3)
-    e_j = _reals(e_j, "e_j", 3)
-    k12, k23, k13 = _reals((k12, k23, k13), "(k12, k23, k13)", 3)
-    # Python floats in the term order of the summed Pauli matrices: the
-    # bytes are those of that sum, where a zero drive gives +0.0.
-    c1, c2, c3 = (0.5 * c for c in e_c)
-    h = [0.0] * (DIM * DIM)
-    for slot, z1, z2, z3, z12, z23, z13 in _DIAGONAL_SIGNS:
-        h[slot] = (((0.0 + c1 * z1) + c2 * z2) + c3 * z3) + ((k12 * z12 + k23 * z23) + k13 * z13)
-    if not all(map(math.isfinite, h[::DIM + 1])):
-        raise ContractViolationError(f"Hamiltonian diagonal overflows float range for e_c = "
-                                     f"{e_c} and (k12, k23, k13) = {(k12, k23, k13)}")
-    x = [0.0 - 0.5 * e for e in e_j]
-    for slot, q in _FLIP_SLOTS:
-        h[slot] = x[q]
-    return Operator(np.array(h).astype(complex).reshape(DIM, DIM))
+    row = (_reals(e_c, "e_c", 3), _reals(e_j, "e_j", 3),
+           _reals((k12, k23, k13), "(k12, k23, k13)", 3))
+    return Operator(_assemble((row,))[0])
+
+
+def _assemble(rows) -> np.ndarray:
+    """The (n, 8, 8) complex stack of build_hamiltonian's matrices, one per
+    row (e_c, e_j, (k12, k23, k13)) of finite floats already checked: the
+    package's one assembly.  Each entry is computed in Python floats in the
+    term order of the summed Pauli matrices, so the bytes are those of that
+    sum, where a zero drive gives +0.0; the entries are then written into a
+    zero stack.  The first row whose diagonal leaves float range raises
+    ContractViolationError naming its e_c and couplings."""
+    values = []
+    for e_c, e_j, couplings in rows:
+        c1, c2, c3 = (0.5 * c for c in e_c)
+        k12, k23, k13 = couplings
+        diagonal = [(((0.0 + c1 * z1) + c2 * z2) + c3 * z3) + ((k12 * z12 + k23 * z23) + k13 * z13)
+                    for _, z1, z2, z3, z12, z23, z13 in _DIAGONAL_SIGNS]
+        if not all(map(math.isfinite, diagonal)):
+            raise ContractViolationError(f"Hamiltonian diagonal overflows float range for e_c = "
+                                         f"{e_c} and (k12, k23, k13) = {couplings}")
+        values += diagonal
+        values += [0.0 - 0.5 * e for e in e_j]
+    values = np.reshape(values, (-1, DIM + N_QUBITS))
+    h = np.zeros((len(values), DIM * DIM), dtype=complex)
+    h[:, _DIAGONAL_INDEX] = values[:, :DIM]
+    h[:, _FLIP_INDEX[0]] = values[:, DIM + _FLIP_INDEX[1]]
+    return h.reshape(-1, DIM, DIM)
 
 
 def _hermitian_residual(stack: np.ndarray) -> float:
@@ -266,9 +284,14 @@ def _phases(w: np.ndarray, times) -> np.ndarray:
 
 def _propagators(stack: np.ndarray, times) -> np.ndarray:
     """exp(-i * 2*pi * H * t) for each H in an (n, 8, 8) stack and its t."""
-    w, v = _diagonalize(stack, "propagator requires a Hermitian generator")
-    phases = _phases(w, times)
-    return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return _spectral_propagators(*_diagonalize(stack, "propagator requires a Hermitian generator"),
+                                 times)
+
+
+def _spectral_propagators(w: np.ndarray, v: np.ndarray, times) -> np.ndarray:
+    """exp(-i * 2*pi * H_k * t_k) for each slice k of a diagonalized stack:
+    the phases and products of _propagators, without its eigh."""
+    return (v * _phases(w, times)[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def propagator(h: Operator, t: float) -> Operator:

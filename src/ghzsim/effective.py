@@ -17,17 +17,21 @@ the intended context.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import DerivedEnergies
-from .core import _PAULI_8X8, _Z_SIGNS, Operator, _propagators, build_hamiltonian
+from .core import _PAULI_8X8, _Z_SIGNS, Operator, _assemble, _propagators
 from .errors import ContractViolationError, InfeasiblePulseError, _integer, _real, _reals
 
 _SCAN_ZETA_LIMIT = 0.5
 _SCAN_TARGETS = ("middle", "outer")
 _SCAN_BATCH = 64  # zetas per stacked eigh and lock-step phase search, so memory stays bounded
+# The charging energies of every interference pulse and scanned pulse, and
+# the scan's drives: unit junction energies, with k12 = k23 = 2 * zeta.
+_NO_BIAS = (0.0, 0.0, 0.0)
+_SCAN_DRIVES = {"middle": (0.0, 2.0, 0.0), "outer": (2.0, 0.0, 2.0)}
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,23 @@ def matched_outer_params(params: PerturbationParams) -> PerturbationParams:
     if abs(rate1 - rate3) <= 1e-12 * max(rate1, rate3):
         return params
     eps1, eps2, _ = params.epsilon_j
-    return replace(params, epsilon_j=(eps1, eps2, rate1 / (1.0 + 2.0 * params.zeta32**2)))
+    return PerturbationParams((eps1, eps2, rate1 / (1.0 + 2.0 * params.zeta32**2)),
+                              params.zeta12, params.zeta23, params.zeta32)
+
+
+def _interference_drives(energies: DerivedEnergies) -> tuple:
+    """The interference pulses of a device as the second-order theory times
+    them: the middle-drive params, the rate-matched outer params, the
+    (e_c, e_j) drives of the middle and outer quarter rotations on the
+    exact chain (full mode), and their durations (tau2, tau13)."""
+    middle = PerturbationParams.middle_qubit(energies)
+    outer = PerturbationParams.outer_pair(energies)
+    times = (tau2(middle), tau13(outer))
+    matched = matched_outer_params(outer)
+    eps1, _, eps3 = matched.epsilon_j
+    drives = ((_NO_BIAS, (0.0, energies.ej_max[1], 0.0)),
+              (_NO_BIAS, (2.0 * eps1, 0.0, 2.0 * eps3)))
+    return middle, matched, drives, times
 
 
 _GRID = np.linspace(-math.pi, math.pi, 721)
@@ -253,8 +273,9 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     full chain Hamiltonian and the corresponding effective generator are
     propagated for the quarter-rotation time, and the max-entry norm of their
     difference, minimized over a global phase, is recorded.  The zetas are
-    taken _SCAN_BATCH at a time: a batch's exact and effective generators are
-    propagated in one stacked call, then phase-searched in lock-step.
+    taken _SCAN_BATCH at a time: a batch's exact generators are assembled in
+    one call, and its exact and effective generators are propagated in one
+    stacked call, then phase-searched in lock-step.
     Returns a tuple of (zeta, error) pairs.  ``zeta_values`` is an iterable
     (not a string) of real, non-bool numbers.
     """
@@ -276,24 +297,24 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     table = []
     for start in range(0, len(zetas), _SCAN_BATCH):
         batch = zetas[start:start + _SCAN_BATCH]
-        exact, model, times = zip(*(_scan_generators(z, which) for z in batch))
-        u = _propagators(np.array(exact + model), times + times)
+        model, times = zip(*(_scan_model(z, which) for z in batch))
+        exact = _assemble([(_NO_BIAS, _SCAN_DRIVES[which], (2.0 * z, 2.0 * z, 0.0))
+                           for z in batch])
+        u = _propagators(np.concatenate((exact, model)), times + times)
         table += zip(batch, _phase_minimized_distances(u[:len(batch)], u[len(batch):]))
     return tuple(table)
 
 
-def _scan_generators(z: float, which: str) -> tuple:
-    """Exact and effective generator matrices of the scanned pulse at zeta z,
-    and its duration."""
+def _scan_model(z: float, which: str) -> tuple:
+    """The effective generator matrix of the scanned pulse at zeta z, and
+    its duration."""
     if which == "middle":
         params = PerturbationParams((1.0, 1.0, 1.0), zeta12=z, zeta23=z)
-        h_full = build_hamiltonian((0.0, 0.0, 0.0), (0.0, 2.0, 0.0), k12=2.0 * z, k23=2.0 * z)
-        return h_full.matrix, h_eff_qubit2(params).matrix, tau2(params)
+        return h_eff_qubit2(params).matrix, tau2(params)
     params = PerturbationParams((1.0, 1.0, 1.0), zeta12=z, zeta32=z)
-    h_full = build_hamiltonian((0.0, 0.0, 0.0), (2.0, 0.0, 2.0), k12=2.0 * z, k23=2.0 * z)
     h_eff = np.where(_QUBIT2_UP, h_eff_qubits13(params, +1).matrix,
                      h_eff_qubits13(params, -1).matrix)
-    return h_full.matrix, h_eff, tau13(params)
+    return h_eff, tau13(params)
 
 
 def fitted_loglog_slope(table) -> float:

@@ -45,20 +45,13 @@ from .core import (
     _readout_probabilities,
     _require_unitary,
     _sample_probabilities,
-    build_hamiltonian,
+    _spectral_propagators,
     expectation,
     pauli,
 )
-from .effective import (
-    PerturbationParams,
-    h_eff_qubit2,
-    h_eff_qubits13,
-    matched_outer_params,
-    tau13,
-    tau2,
-)
-from .errors import ContractViolationError, _integer
-from .pulses import ghz_prepare
+from .effective import _interference_drives, h_eff_qubit2, h_eff_qubits13
+from .errors import ContractViolationError, InfeasiblePulseError, _integer
+from .pulses import _device_sequence, ghz_prepare
 
 _MODES = ("ideal", "effective", "full")
 _PROB_SUM_TOL = 1e-9
@@ -124,23 +117,22 @@ def _check_mode(mode: str, energies) -> None:
 @functools.lru_cache(maxsize=1)
 def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool) -> tuple:
     """The quarter rotations (u2, u13) of qubit 2 and of the outer pair in
-    effective or full mode, propagated in one stacked call.  The last
-    device's pulses are kept, so verify_ghz and verify_mixture_control on
-    one device build them once."""
-    middle = PerturbationParams.middle_qubit(energies)
-    outer = PerturbationParams.outer_pair(energies)
-    t2 = tau2(middle)
-    t13 = tau13(outer)
-    matched = matched_outer_params(outer)
+    effective or full mode, timed by the second-order formulas.  Full mode
+    propagates the last two slices of the device's one stacked
+    diagonalization (pulses._device_sequence), which it shares with the
+    preparation's three segments; effective mode diagonalizes its two
+    generators in one call of its own.  The last device's pulses are kept,
+    so verify_ghz and verify_mixture_control on one device build them
+    once."""
     if mode == "effective":
-        h2, h13 = h_eff_qubit2(middle), h_eff_qubits13(matched, +1)
+        middle, matched, _, times = _interference_drives(energies)
+        u2, u13 = _propagators(np.array([h_eff_qubit2(middle).matrix,
+                                         h_eff_qubits13(matched, +1).matrix]), times)
     else:
-        couplings = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
-        h2 = build_hamiltonian((0.0, 0.0, 0.0), (0.0, energies.ej_max[1], 0.0), *couplings)
-        h13 = build_hamiltonian((0.0, 0.0, 0.0),
-                                (2.0 * matched.epsilon_j[0], 0.0, 2.0 * matched.epsilon_j[2]),
-                                *couplings)
-    u2, u13 = _propagators(np.array([h2.matrix, h13.matrix]), (t2, t13))
+        _, times, _, w, v = _device_sequence(energies, include_k13)
+        if isinstance(times, InfeasiblePulseError):
+            raise times.with_traceback(None)
+        u2, u13 = _spectral_propagators(w[-2:], v[-2:], times)
     return Operator(u2), Operator(u13)
 
 
@@ -206,8 +198,10 @@ def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int
     Ideal mode only samples its distribution, computed at import.  A repeat
     call on the same device reuses the last prepared state and the last
     interference pulses instead of rebuilding them (see ghz_prepare); both
-    are immutable and shared between calls.  Every call returns fresh
-    probabilities and expectations dicts.
+    are immutable and shared between calls.  In full mode the pulses are
+    propagated from the device's one stacked diagonalization, which covers
+    the preparation's three segments and the two interference pulses.
+    Every call returns fresh probabilities and expectations dicts.
     """
     _check_mode(mode, energies)
     if mode == "ideal":

@@ -25,21 +25,21 @@ handled internally so only the requested target sign matters to callers.
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .circuit import DerivedEnergies
 from .core import (
     StateVector,
+    _assemble,
     _basis_amplitudes,
     _diagonalize,
     _evolve_spectral,
     _fidelity,
     _pair_amplitudes,
     _parse_sign,
-    build_hamiltonian,
+    build_hamiltonian,  # not called here; bench/test_bench.py reads pulses.build_hamiltonian
 )
+from .effective import _interference_drives
 from .errors import ContractViolationError, InfeasiblePulseError, _real, _reals
 
 _RESIDUAL_TOL = 1e-9
@@ -236,39 +236,65 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     the sequence.  The state, schedule and report are immutable, so the
     objects are shared between such calls.  The sign sets only the
     superposition pulse's duration, so the last device's flip timings and
-    its one stacked diagonalization of the three segment Hamiltonians are
-    kept as well: the other sign on the same device (equal energies and
-    ``include_k13``) reuses them and only propagates again.
+    its one stacked diagonalization are kept as well: the other sign on the
+    same device (equal energies and ``include_k13``) reuses them and only
+    propagates again.  That diagonalization covers the three segments and
+    the two full-mode interference pulses of verify_ghz and
+    verify_mixture_control, so verifying the device diagonalizes nothing
+    more.
     """
     return _prepare(energies, _parse_sign(sign), bool(include_k13))
 
 
 @functools.lru_cache(maxsize=1)
 def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
-    """The sign-independent part of the entangling sequence, one device
-    remembered: the untimed superposition segment, both flip segments and
-    their FlipSolutions, the couplings, and the read-only eigenvalues and
-    eigenvectors of the three segment Hamiltonians: the preparation's one
-    stacked diagonalization."""
-    untimed = PulseSegment(0.0, e_c=(0.0, -2.0 * (energies.k12 + energies.k23), 0.0),
-                           e_j=(0.0, energies.ej_max[1], 0.0), label="superposition")
-    seg_f1, sol1 = _flip_segment(energies, 1)
-    seg_f3, sol3 = _flip_segment(energies, 3)
-    couplings = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
-    stack = np.array([build_hamiltonian(s.e_c, s.e_j, *couplings).matrix
-                      for s in (untimed, seg_f1, seg_f3)])
-    w, v = _diagonalize(stack, "evolve requires a Hermitian Hamiltonian")
-    w.flags.writeable = v.flags.writeable = False
-    return untimed, (seg_f1, seg_f3), (sol1, sol3), couplings, w, v
+    """What the sign does not change, one device remembered: (preparation,
+    pulse_times, couplings, w, v).  ``preparation`` holds the untimed
+    superposition segment, both flip segments and their FlipSolutions, and
+    ``pulse_times`` the durations of the two full-mode interference pulses
+    (protocols._interference_pulses).  All five generators share the
+    couplings: one assembly and one eigh give the read-only ``w``, ``v`` of
+    the (5, 8, 8) stack, segments first.  A part that cannot be timed holds
+    its InfeasiblePulseError and leaves its rows out, for the caller that
+    needs it to raise: a device without interference timing still
+    prepares, and one without flips still runs the mixture control."""
+    rows = []
+    try:
+        untimed = PulseSegment(0.0, e_c=(0.0, -2.0 * (energies.k12 + energies.k23), 0.0),
+                               e_j=(0.0, energies.ej_max[1], 0.0), label="superposition")
+        seg_f1, sol1 = _flip_segment(energies, 1)
+        seg_f3, sol3 = _flip_segment(energies, 3)
+        preparation = untimed, (seg_f1, seg_f3), (sol1, sol3)
+        rows += [(s.e_c, s.e_j) for s in (untimed, seg_f1, seg_f3)]
+    except InfeasiblePulseError as exc:
+        preparation = exc
+    try:
+        _, _, drives, pulse_times = _interference_drives(energies)
+        rows += drives
+    except InfeasiblePulseError as exc:
+        pulse_times = exc
+    couplings = w = v = None
+    if rows:
+        couplings = _reals((energies.k12, energies.k23, energies.k13 if include_k13 else 0.0),
+                           "(k12, k23, k13)", 3)
+        w, v = _diagonalize(_assemble([(e_c, e_j, couplings) for e_c, e_j in rows]),
+                            "evolve requires a Hermitian Hamiltonian")
+        w.flags.writeable = v.flags.writeable = False
+    return preparation, pulse_times, couplings, w, v
 
 
 @functools.lru_cache(maxsize=1)
 def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
     """ghz_prepare for a parsed sign s (+1 or -1), one device remembered."""
     t_sup = solve_superposition_pulse(energies.ej_max[1], -s)
-    untimed, flips, solutions, couplings, w, v = _device_sequence(energies, include_k13)
-    schedule = Schedule((replace(untimed, duration=t_sup), *flips), *couplings)
-    trajectory = _evolve_spectral(w, v, [seg.duration for seg in schedule.segments], _KET_000)
+    preparation, _, couplings, w, v = _device_sequence(energies, include_k13)
+    if isinstance(preparation, InfeasiblePulseError):
+        raise preparation.with_traceback(None)
+    untimed, flips, solutions = preparation
+    schedule = Schedule((PulseSegment(t_sup, untimed.e_c, untimed.e_j, untimed.label), *flips),
+                        *couplings)
+    trajectory = _evolve_spectral(w[:3], v[:3], [seg.duration for seg in schedule.segments],
+                                  _KET_000)
     final = trajectory[-1]
 
     fid = _fidelity(final, _pair_amplitudes(0b111, s * 1.0j))

@@ -519,6 +519,19 @@ def test_cli_pulse_outside_float_range_is_infeasible(tmp_path, capsys, command, 
     assert captured.out == ""
 
 
+def test_cli_device_without_interference_timing_prepares_but_is_not_verified(tmp_path, capsys):
+    # a weak middle junction gives zeta12 = 1.401: the preparation does not
+    # need the second-order timing, the full-mode interference pulses do
+    path = tmp_path / "weak_middle.yaml"
+    path.write_text("device: {josephson_energy_ghz: [5.6, 1.0, 5.6]}\n")
+    assert main(["prepare", "--config", str(path)]) == 0
+    assert "fidelity: 0.99999999999999" in capsys.readouterr().out
+    assert main(["verify", "--mode", "full", "--config", str(path)]) == 3
+    assert capsys.readouterr() == ("", "infeasible pulse: the second-order pulse timing needs "
+                                       "zeta12 < 1, but the device gives "
+                                       "zeta12 = 1.4010192909218728\n")
+
+
 # In-schema magnitudes at the edges of float range, plus values each field rejects.
 _EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e-160, 1e200, 1e300, 5e307, 1.7e308, float("nan"),
              float("-inf"), True, "x")

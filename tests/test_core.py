@@ -37,6 +37,7 @@ from ghzsim.core import (
     _ROTATION_2X2,
     _SHOT_CHUNK,
     _Z_SIGNS,
+    _assemble,
     _embed,
     _diagonalize,
     _draw_stream,
@@ -47,7 +48,7 @@ from ghzsim.core import (
     _readout_probabilities,
     _tally,
 )
-from ghzsim.effective import _QUBIT2_UP, _scan_generators
+from ghzsim.effective import _NO_BIAS, _QUBIT2_UP, _SCAN_DRIVES, _scan_model
 
 
 def taylor_propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -131,6 +132,44 @@ def test_hamiltonian_bit_identical_to_kron_sum():
     for case in cases:
         h = build_hamiltonian(*case).matrix
         assert h.tobytes() == kron_hamiltonian(*case).tobytes(), case
+
+
+def test_stacked_assembly_equals_build_hamiltonian_bit_for_bit():
+    # one _assemble call over many rows, each with its own couplings, gives
+    # every row the bytes of its own checked build_hamiltonian and of the
+    # Kronecker sum
+    rng = np.random.default_rng(20261020)
+    pool = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-300, 3.25]
+    rows = [((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+            ((-0.0, -0.0, -0.0), (-0.0, -0.0, -0.0), (-0.0, -0.0, -0.0))]
+    for i in range(240):
+        if i % 2:
+            values = rng.choice(pool, 9).tolist()
+        else:
+            values = (rng.normal(size=9) * 10.0 ** rng.uniform(-3.0, 3.0, 9)).tolist()
+        if i % 3 == 0:
+            values[8] = 0.0  # k13 off
+        rows.append((tuple(values[:3]), tuple(values[3:6]), tuple(values[6:])))
+    stack = _assemble(rows)
+    assert stack.shape == (len(rows), 8, 8) and stack.dtype == complex
+    for got, (e_c, e_j, couplings) in zip(stack, rows):
+        assert got.tobytes() == build_hamiltonian(e_c, e_j, *couplings).matrix.tobytes()
+        assert got.tobytes() == kron_hamiltonian(e_c, e_j, *couplings).tobytes()
+    # a zero drive or coupling gives +0.0, never -0.0
+    assert not np.signbit(stack[1].view(float)).any()
+    assert _assemble([]).shape == (0, 8, 8)
+
+
+def test_stacked_assembly_names_the_row_that_overflows():
+    good = ((0.1, 0.2, 0.3), (1.0, 1.0, 1.0), (0.5, 0.5, 0.0))
+    bad = ((1.7e308, 1.7e308, 1.7e308), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    message = ("^Hamiltonian diagonal overflows float range for e_c = "
+               r"\(1\.7e\+308, 1\.7e\+308, 1\.7e\+308\) and "
+               r"\(k12, k23, k13\) = \(0\.0, 0\.0, 0\.0\)$")
+    with pytest.raises(ContractViolationError, match=message):
+        _assemble([good, bad, good])
+    with pytest.raises(ContractViolationError, match=message):
+        build_hamiltonian(bad[0], bad[1], *bad[2])
 
 
 def test_pauli_table_matches_embedding_and_is_read_only():
@@ -304,7 +343,8 @@ def _hermitian_stack(seed: int):
     times = rng.uniform(0.0, 10.0, 40).tolist()
     for z in (0.0, 0.05, 0.2, 0.45):
         for which in ("middle", "outer"):
-            h_full, h_eff, t = _scan_generators(z, which)
+            h_eff, t = _scan_model(z, which)
+            (h_full,) = _assemble([(_NO_BIAS, _SCAN_DRIVES[which], (2.0 * z, 2.0 * z, 0.0))])
             matrices += [h_full, h_eff]
             times += [t, t]
     order = rng.permutation(len(matrices))

@@ -12,6 +12,7 @@ from ghzsim import (
     CapacitanceNetwork,
     ControlSettings,
     InfeasiblePulseError,
+    PerturbationParams,
     StateVector,
     apply,
     build_hamiltonian,
@@ -20,10 +21,14 @@ from ghzsim import (
     fidelity,
     ghz_prepare,
     ghz_state,
+    matched_outer_params,
     mermin_expectations,
     mermin_operator,
     pauli,
     project,
+    propagator,
+    tau13,
+    tau2,
     verify_ghz,
     verify_mixture_control,
 )
@@ -244,6 +249,24 @@ def test_array_path_equals_the_stepwise_public_path(include_k13):
                     (verify_mixture_control(energies, mode, include_k13=include_k13), mixture)):
                 assert (got.probabilities, got.postselect_probability) \
                     == _stepwise_interference(pulses, components)
+
+
+@pytest.mark.parametrize("include_k13", [False, True])
+def test_full_mode_pulses_equal_the_public_propagators(include_k13, clear_memos):
+    # the last two slices of the device's stacked diagonalization give the
+    # bytes of build_hamiltonian + propagator, one pulse at a time
+    for energies in _devices(20, 20261020):
+        clear_memos()
+        ghz_prepare(energies, "-", include_k13=include_k13)
+        middle = PerturbationParams.middle_qubit(energies)
+        outer = PerturbationParams.outer_pair(energies)
+        eps = matched_outer_params(outer).epsilon_j
+        k13 = energies.k13 if include_k13 else 0.0
+        drives = ((0.0, energies.ej_max[1], 0.0), (2.0 * eps[0], 0.0, 2.0 * eps[2]))
+        for got, e_j, t in zip(_interference_pulses("full", energies, include_k13), drives,
+                               (tau2(middle), tau13(outer))):
+            h = build_hamiltonian((0.0, 0.0, 0.0), e_j, energies.k12, energies.k23, k13)
+            assert got.matrix.tobytes() == propagator(h, t).matrix.tobytes()
 
 
 def test_ideal_mode_recomputes_nothing_per_call(monkeypatch, clear_memos):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ghzsim import (
+    CapacitanceNetwork,
     ContractViolationError,
+    ControlSettings,
     InfeasiblePulseError,
     PulseSegment,
     Schedule,
@@ -19,6 +21,8 @@ from ghzsim import (
     ghz_state,
     solve_conditional_flip,
     solve_superposition_pulse,
+    verify_ghz,
+    verify_mixture_control,
 )
 from ghzsim import pulses
 
@@ -257,6 +261,8 @@ def _prepare_fresh(clear_memos, energies, sign):
 def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch, clear_memos):
     fresh = {sign: _prepare_fresh(clear_memos, energies, sign) for sign in ("+", "-")}
     clear_memos()
+    verified = (verify_ghz(energies, "full"), verify_mixture_control(energies, "full"))
+    clear_memos()
     shapes, flips = [], []
     eigh, solve = np.linalg.eigh, pulses.solve_conditional_flip
 
@@ -270,11 +276,14 @@ def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch, cle
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(pulses, "solve_conditional_flip", counted_flip)
-    # the signs differ only in the superposition pulse's duration
+    # the signs differ only in the superposition pulse's duration, and the
+    # full-mode interference pulses are the stack's last two slices
     runs = {sign: ghz_prepare(energies, sign) for sign in ("-", "+")}
+    again = (verify_ghz(energies, "full"), verify_mixture_control(energies, "full"))
     *_, w, v = pulses._device_sequence(energies, False)
-    assert shapes == [(3, 8, 8)]
+    assert shapes == [(5, 8, 8)]
     assert len(flips) == 2
+    assert [repr(out) for out in again] == [repr(out) for out in verified]
     assert not w.flags.writeable and not v.flags.writeable
     for sign, (state, schedule, report) in runs.items():
         assert state.amplitudes.tobytes() == fresh[sign][0].amplitudes.tobytes()
@@ -294,3 +303,41 @@ def test_schedule_couplings_are_read_as_numbers():
 def test_hamiltonian_reports_a_diagonal_overflow():
     with pytest.raises(ContractViolationError, match="^Hamiltonian diagonal overflows float range"):
         build_hamiltonian((1.7e308,) * 3, (0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
+
+
+def _reference_device_with(josephson=(5.6, 5.6, 5.6), couplers=(30.0, 30.0)):
+    network = CapacitanceNetwork((600.0, 600.0, 600.0), (0.6, 0.6, 0.6), couplers)
+    return derive_energies(network, ControlSettings((0.5,) * 3, (0.5,) * 3, josephson))
+
+
+def test_a_device_whose_pulses_cannot_be_timed_still_prepares(clear_memos):
+    # a weak middle junction leaves zeta12 above 1: no second-order timing
+    # for the interference pulses, which the preparation does not use
+    energies = _reference_device_with(josephson=(5.6, 1.0, 5.6))
+    refusal = ("^the second-order pulse timing needs zeta12 < 1, "
+               "but the device gives zeta12 = 1.4010192909218728$")
+    clear_memos()
+    state, schedule, report = ghz_prepare(energies, "+")
+    assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert _replay(schedule).amplitudes.tobytes() == state.amplitudes.tobytes()
+    for _ in range(2):
+        for protocol in (verify_ghz, verify_mixture_control):
+            with pytest.raises(InfeasiblePulseError, match=refusal):
+                protocol(energies, "full")
+    # the device's stack holds the three segments alone
+    *_, w, v = pulses._device_sequence(energies, False)
+    assert w.shape == (3, 8) and v.shape == (3, 8, 8)
+
+
+def test_a_device_that_cannot_be_prepared_still_runs_the_mixture_control(clear_memos):
+    # without coupler 1-2 the first flip cannot be timed, but the mixture
+    # control needs only the interference pulses
+    energies = _reference_device_with(couplers=(0.0, 30.0))
+    clear_memos()
+    control = verify_mixture_control(energies, "full")
+    *_, w, v = pulses._device_sequence(energies, False)
+    assert w.shape == (2, 8) and v.shape == (2, 8, 8)
+    for _ in range(2):
+        with pytest.raises(InfeasiblePulseError, match="^conditional flip of qubit 1 needs"):
+            ghz_prepare(energies, "+")
+    assert control.expectations["p00_plus_p11"] == pytest.approx(0.5, abs=0.05)
