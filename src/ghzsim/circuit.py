@@ -40,6 +40,12 @@ _COND_LIMIT = 1e12
 _CROSSTALK_THRESHOLD = 0.05
 
 
+def _refused(name: str, values: tuple, ok, requirement: str) -> UnphysicalNetworkError:
+    """The error naming the first entry of ``values`` that fails ``ok``."""
+    i = next(i for i, v in enumerate(values) if not ok(v))
+    return UnphysicalNetworkError(f"{name}[{i}]: {requirement}, got {values[i]}")
+
+
 @dataclass(frozen=True)
 class CapacitanceNetwork:
     """Capacitance values of the three-box chain, all in aF.
@@ -59,9 +65,9 @@ class CapacitanceNetwork:
                                                   UnphysicalNetworkError))
         for name in ("c_junction", "c_gate"):
             if min(getattr(self, name)) <= 0.0:
-                raise UnphysicalNetworkError(f"{name} entries must be strictly positive")
+                raise _refused(name, getattr(self, name), lambda c: c > 0.0, "must be > 0")
         if min(self.c_coupler) < 0.0:
-            raise UnphysicalNetworkError("c_coupler entries must be non-negative")
+            raise _refused("c_coupler", self.c_coupler, lambda c: c >= 0.0, "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,16 +104,17 @@ class ControlSettings:
         for name in ("gate_charge", "flux", "epsilon_j"):
             object.__setattr__(self, name, _reals(getattr(self, name), name, 3,
                                                   UnphysicalNetworkError))
-        for n in self.gate_charge:
+        for i, n in enumerate(self.gate_charge):
             if not 0.0 <= n <= 1.0:
-                raise UnphysicalNetworkError(f"gate_charge entries must lie in [0, 1], got {n}")
+                raise UnphysicalNetworkError(f"gate_charge[{i}]: must lie in [0, 1], got {n}")
         if min(self.epsilon_j) <= 0.0:
-            raise UnphysicalNetworkError("epsilon_j entries must be strictly positive")
-        if not all(math.isfinite(math.pi * f) for f in self.flux):
-            raise UnphysicalNetworkError(f"flux entries must keep pi * flux finite, got {self.flux}")
-        if not all(math.isfinite(2.0 * eps) for eps in self.epsilon_j):
-            raise UnphysicalNetworkError(f"epsilon_j entries must keep 2 * eps_j finite, "
-                                         f"got {self.epsilon_j}")
+            raise _refused("epsilon_j", self.epsilon_j, lambda e: e > 0.0, "must be > 0")
+        if not math.isfinite(math.pi * max(map(abs, self.flux))):  # the largest overflows first
+            raise _refused("flux", self.flux, lambda f: math.isfinite(math.pi * f),
+                           "must keep pi * flux finite")
+        if not math.isfinite(2.0 * max(self.epsilon_j)):
+            raise _refused("epsilon_j", self.epsilon_j, lambda e: math.isfinite(2.0 * e),
+                           "must keep 2 * eps_j finite")
 
 
 @dataclass(frozen=True)

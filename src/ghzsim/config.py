@@ -65,6 +65,10 @@ class _Loader(yaml.SafeLoader):
 _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
     r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
+# Each field of CapacitanceNetwork, then of ControlSettings, under its YAML key.
+_DEVICE_KEYS = {"c_junction": "junction_capacitance_af", "c_gate": "gate_capacitance_af",
+                "c_coupler": "coupler_capacitance_af", "gate_charge": "gate_charge",
+                "flux": "flux", "epsilon_j": "josephson_energy_ghz"}
 _SIGNS = {"plus": "+", "minus": "-"}
 _FORMATS = ("table", "csv", "structured")
 _SCAN_PARAMETERS = ("zeta", "coupler")
@@ -159,23 +163,12 @@ def load_config(path: str = None, overrides: dict = None) -> RunConfig:
 
 def _build(raw: dict, source: str) -> RunConfig:
     dev = raw["device"]
-    network = _network(dev)
-    settings_kwargs = {
-        "gate_charge": _reals(dev["gate_charge"], "device.gate_charge", 3, ConfigError),
-        "flux": _reals(dev["flux"], "device.flux", 3, ConfigError),
-        "epsilon_j": _reals(dev["josephson_energy_ghz"], "device.josephson_energy_ghz", 3,
-                            ConfigError),
-    }
-    for i, n in enumerate(settings_kwargs["gate_charge"]):
-        if not 0.0 <= n <= 1.0:
-            raise ConfigError(f"device.gate_charge[{i}]: must lie in [0, 1], got {n}")
-    for i, e in enumerate(settings_kwargs["epsilon_j"]):
-        if e <= 0.0:
-            raise ConfigError(f"device.josephson_energy_ghz[{i}]: must be > 0, got {e}")
-    try:
-        settings = ControlSettings(**settings_kwargs)
+    values = [dev[key] for key in _DEVICE_KEYS.values()]
+    try:  # the dataclasses validate these; each message starts with the field's name
+        network, settings = CapacitanceNetwork(*values[:3]), ControlSettings(*values[3:])
     except UnphysicalNetworkError as exc:
-        raise ConfigError(f"device: {exc}") from exc
+        name = re.match(r"\w+", str(exc)).group()
+        raise ConfigError(f"device.{_DEVICE_KEYS[name]}{str(exc)[len(name):]}") from exc
     raw_time = dev["readout_time_ns"]
     readout_time = _real(raw_time, "device.readout_time_ns: expected a number", ConfigError)
     if not math.isfinite(readout_time):
@@ -229,17 +222,3 @@ def _build(raw: dict, source: str) -> RunConfig:
     output = OutputConfig(fmt, out_path)
 
     return RunConfig(network, settings, readout_time, protocol, scan, output, source)
-
-
-def _network(dev: dict) -> CapacitanceNetwork:
-    kwargs = {
-        "c_junction": _reals(dev["junction_capacitance_af"], "device.junction_capacitance_af", 3,
-                             ConfigError),
-        "c_gate": _reals(dev["gate_capacitance_af"], "device.gate_capacitance_af", 3, ConfigError),
-        "c_coupler": _reals(dev["coupler_capacitance_af"], "device.coupler_capacitance_af", 2,
-                            ConfigError),
-    }
-    try:
-        return CapacitanceNetwork(**kwargs)
-    except UnphysicalNetworkError as exc:
-        raise ConfigError(f"device: {exc}") from exc

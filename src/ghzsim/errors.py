@@ -21,11 +21,14 @@ class ConfigError(SimulationError):
 
 
 class UnphysicalNetworkError(ConfigError):
-    """Capacitance values describe a network with no valid electrostatics.
+    """Device values with no valid electrostatics or control.
 
-    Raised when a required capacitance is non-positive or when the effective
-    determinant of the network is not positive, which would make the inverse
-    capacitance matrix ill-defined.
+    Raised when a required capacitance is non-positive or a coupler negative,
+    when the network determinant is not positive (the inverse capacitance
+    matrix would be ill-defined) or its screening leaves float range, and for
+    a gate charge outside [0, 1], an eps_J that is not positive or whose
+    2 * eps_J overflows, or a flux whose pi * flux overflows.  Each message on
+    a field's entries starts with the field's name, as ``gate_charge[1]: ...``.
     """
 
 

@@ -157,7 +157,7 @@ def solve_conditional_flip(k: float, e_j_max: float, max_n: int = 64) -> FlipSol
     and t = a / (pi * e_j) for the smallest n with e_j under ``e_j_max``.
     m is always 0: advancing 2*pi*m further caps n / (m + 1/4) below the
     4 * max_n of m = 0, so it always needs a stronger drive.  A k too small
-    to time in floating point is infeasible as well.
+    or too large to time in floating point is infeasible as well.
     """
     k = _real(k, "k must be a real number")
     e_j_max = _real(e_j_max, "e_j_max must be a real number")
@@ -173,11 +173,14 @@ def solve_conditional_flip(k: float, e_j_max: float, max_n: int = 64) -> FlipSol
             continue
         t = a / (math.pi * e_j)
         if math.isfinite(t):
-            gamma = math.sqrt((2.0 * k) ** 2 + (0.5 * e_j) ** 2)
-            residuals = (
-                abs(math.sin(math.pi * e_j * t) - 1.0),
-                abs(math.cos(2.0 * math.pi * gamma * t) - 1.0),
-            )
+            try:
+                gamma = math.sqrt((2.0 * k) ** 2 + (0.5 * e_j) ** 2)
+                residuals = (
+                    abs(math.sin(math.pi * e_j * t) - 1.0),
+                    abs(math.cos(2.0 * math.pi * gamma * t) - 1.0),
+                )
+            except (OverflowError, ValueError):  # (2k)^2 or an angle out of float range
+                residuals = (math.inf,)
             if max(residuals) < _RESIDUAL_TOL:
                 return FlipSolution(e_j, t, 0, n, residuals)
         raise InfeasiblePulseError(

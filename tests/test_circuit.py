@@ -208,33 +208,41 @@ def test_readout_timing_margin(energies):
         readout_timing_margin(1.0, -2.0)
 
 
-@pytest.mark.parametrize(
-    "junction,gate,coupler",
-    [
-        ((0.0, 600.0, 600.0), (0.6,) * 3, (30.0, 30.0)),
-        ((-5.0, 600.0, 600.0), (0.6,) * 3, (30.0, 30.0)),
-        ((600.0,) * 3, (0.0, 0.6, 0.6), (30.0, 30.0)),
-        ((600.0,) * 3, (0.6,) * 3, (-1.0, 30.0)),
-        ((600.0, 600.0), (0.6,) * 3, (30.0, 30.0)),
-        ((600.0,) * 3, (0.6,) * 3, (30.0, 30.0, 30.0)),
-        ((600.0,) * 3, (0.6,) * 3, (math.nan, 30.0)),
-    ],
-)
+# Each invalid network and the whole message it raises, which names the field
+# and its first bad entry.
+_BAD_NETWORKS = {
+    ((0.0, 600.0, 600.0), (0.6,) * 3, (30.0, 30.0)): r"^c_junction\[0\]: must be > 0, got 0\.0$",
+    ((-5.0, 600.0, 600.0), (0.6,) * 3, (30.0, 30.0)): r"^c_junction\[0\]: must be > 0, got -5\.0$",
+    ((600.0,) * 3, (0.0, 0.6, 0.6), (30.0, 30.0)): r"^c_gate\[0\]: must be > 0, got 0\.0$",
+    ((600.0,) * 3, (0.6,) * 3, (-1.0, 30.0)): r"^c_coupler\[0\]: must be >= 0, got -1\.0$",
+    ((600.0, 600.0), (0.6,) * 3, (30.0, 30.0)):
+        r"^c_junction: expected a list of 3 numbers, got \(600\.0, 600\.0\)$",
+    ((600.0,) * 3, (0.6,) * 3, (30.0, 30.0, 30.0)):
+        r"^c_coupler: expected a list of 2 numbers, got \(30\.0, 30\.0, 30\.0\)$",
+    ((600.0,) * 3, (0.6,) * 3, (math.nan, 30.0)): r"^c_coupler\[0\]: must be finite, got nan$",
+}
+
+
+@pytest.mark.parametrize("junction,gate,coupler", list(_BAD_NETWORKS))
 def test_network_validation(junction, gate, coupler):
-    with pytest.raises(UnphysicalNetworkError):
+    with pytest.raises(UnphysicalNetworkError, match=_BAD_NETWORKS[junction, gate, coupler]):
         CapacitanceNetwork(junction, gate, coupler)
 
 
 def test_settings_validation():
-    with pytest.raises(UnphysicalNetworkError):
+    with pytest.raises(UnphysicalNetworkError, match=r"^gate_charge\[0\]: must lie in \[0, 1\], "
+                                                     r"got 1\.2$"):
         ControlSettings((1.2, 0.5, 0.5), (0.5,) * 3, (5.6,) * 3)
-    with pytest.raises(UnphysicalNetworkError):
+    with pytest.raises(UnphysicalNetworkError, match=r"^epsilon_j\[0\]: must be > 0, got 0\.0$"):
         ControlSettings((0.5,) * 3, (0.5,) * 3, (0.0, 5.6, 5.6))
-    with pytest.raises(UnphysicalNetworkError):
+    with pytest.raises(UnphysicalNetworkError,
+                       match=r"^gate_charge: expected a list of 3 numbers, got \(0\.5, 0\.5\)$"):
         ControlSettings((0.5, 0.5), (0.5,) * 3, (5.6,) * 3)
-    with pytest.raises(UnphysicalNetworkError, match="pi \\* flux"):
+    with pytest.raises(UnphysicalNetworkError,
+                       match=r"^flux\[2\]: must keep pi \* flux finite, got 1\.7e\+308$"):
         ControlSettings((0.5,) * 3, (0.5, 0.5, 1.7e308), (5.6,) * 3)
-    with pytest.raises(UnphysicalNetworkError, match="2 \\* eps_j finite"):
+    with pytest.raises(UnphysicalNetworkError,
+                       match=r"^epsilon_j\[2\]: must keep 2 \* eps_j finite, got 1\.7e\+308$"):
         ControlSettings((0.5,) * 3, (0.5,) * 3, (5.6, 5.6, 1.7e308))
     assert ControlSettings((0.5,) * 3, (0.5,) * 3, (8.9e307,) * 3).epsilon_j == (8.9e307,) * 3
 

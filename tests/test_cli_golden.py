@@ -11,6 +11,11 @@ in process through ``main(argv)`` from the repository root, so the
 ``source:`` line of ``configs/reference_device.yaml`` is stable, and asserts
 byte equality.
 
+The files were captured on OpenBLAS core ``SkylakeX`` with numpy's SIMD
+dispatch ``X86_V3, X86_V4, AVX512_ICL, AVX512_SPR`` (numpy 2.4.6, bundled
+scipy-openblas 0.3.31).  Other kernels move the last bits of some printed
+floats, so a pin may fail there while each invocation still repeats itself.
+
 These files change only when the output is meant to change; any such change
 is listed in CHANGES.md.  To rewrite them after an intended change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.

@@ -2,8 +2,10 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzsim import ConfigError, ContractViolationError, cli, load_config
+from ghzsim import (CapacitanceNetwork, ConfigError, ContractViolationError, ControlSettings, cli,
+                    config, load_config)
 from ghzsim.cli import build_parser, main
 from ghzsim.config import DEFAULT_CONFIG
 
@@ -105,14 +108,11 @@ _INVALID_DOCUMENTS = {
          "protocol.seed: expected an integer or null, got 1.5"),
     "output: {path: 3}\n": ("output.path", "output.path: expected a string or null, got 3"),
     "device:\n  junction_capacitance_af: [-1.0, 600.0, 600.0]\n":
-        ("c_junction entries must be strictly positive",
-         "device: c_junction entries must be strictly positive"),
+        ("junction_capacitance_af[0]", "device.junction_capacitance_af[0]: must be > 0, got -1.0"),
     "device:\n  coupler_capacitance_af: [-1.0, 30.0]\n":
-        ("c_coupler entries must be non-negative",
-         "device: c_coupler entries must be non-negative"),
+        ("coupler_capacitance_af[0]", "device.coupler_capacitance_af[0]: must be >= 0, got -1.0"),
     "device:\n  flux: [1.0e308, 0.5, 0.5]\n":
-        ("pi * flux finite",
-         "device: flux entries must keep pi * flux finite, got (1e+308, 0.5, 0.5)"),
+        ("pi * flux finite", "device.flux[0]: must keep pi * flux finite, got 1e+308"),
     "device:\n  josephson_energy_ghz: 5.6\n":
         ("josephson_energy_ghz",
          "device.josephson_energy_ghz: expected a list of 3 numbers, got 5.6"),
@@ -152,6 +152,45 @@ def test_config_validation_errors(tmp_path, capsys, text, fragment):
     assert fragment in line
     assert main(["derive", "--config", str(path)]) == 2
     assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+
+def test_device_keys_name_every_dataclass_field():
+    # one table maps each field of the two device dataclasses to its YAML key
+    fields = [f.name for cls in (CapacitanceNetwork, ControlSettings)
+              for f in dataclasses.fields(cls)]
+    assert list(config._DEVICE_KEYS) == fields
+    assert sorted(config._DEVICE_KEYS.values()) == sorted(set(DEFAULT_CONFIG["device"])
+                                                         - {"readout_time_ns"})
+
+
+# A value each device field refuses for its range, and the reason it prints.
+_OUT_OF_RANGE = {
+    "junction_capacitance_af": (-1.0, "must be > 0, got -1.0"),
+    "gate_capacitance_af": (0.0, "must be > 0, got 0.0"),
+    "coupler_capacitance_af": (-1.0, "must be >= 0, got -1.0"),
+    "gate_charge": (1.5, "must lie in [0, 1], got 1.5"),
+    "flux": (-1e308, "must keep pi * flux finite, got -1e+308"),
+    "josephson_energy_ghz": (0.0, "must be > 0, got 0.0"),
+}
+
+
+def _bad_device_entries():
+    """(key, value, stderr line after ``device.<key>``): each device list
+    too short, and with its second entry a string, a nan and out of range."""
+    for key, (value, reason) in _OUT_OF_RANGE.items():
+        default = DEFAULT_CONFIG["device"][key]
+        yield key, default[:-1], f": expected a list of {len(default)} numbers, got {default[:-1]}"
+        for bad, line in (("x", "expected a number, got 'x'"), (math.nan, "must be finite, got nan"),
+                          (value, reason)):
+            yield key, [default[0], bad, *default[2:]], f"[1]: {line}"
+
+
+@pytest.mark.parametrize("key, value, rest", list(_bad_device_entries()))
+def test_cli_device_errors_name_the_yaml_key_and_entry(tmp_path, capsys, key, value, rest):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump({"device": {key: value}}))
+    assert main(["derive", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: device.{key}{rest}\n")
 
 
 _BEYOND_FLOAT = "1" + "0" * 400  # a YAML integer that no float can hold
@@ -485,8 +524,8 @@ def test_cli_josephson_maximum_out_of_float_range_is_a_config_error(tmp_path, ca
     path = tmp_path / "huge.yaml"
     path.write_text("device: {josephson_energy_ghz: [1.7e308, 1.7e308, 1.7e308]}\n")
     assert main(command + ["--config", str(path)]) == 2
-    assert capsys.readouterr() == ("", "config error: device: epsilon_j entries must keep "
-                                       "2 * eps_j finite, got (1.7e+308, 1.7e+308, 1.7e+308)\n")
+    assert capsys.readouterr() == ("", "config error: device.josephson_energy_ghz[0]: must keep "
+                                       "2 * eps_j finite, got 1.7e+308\n")
 
 
 def _josephson(eps: str) -> str:
@@ -585,6 +624,9 @@ def _run_document(directory, command, doc):
         code = main([command, "--config", str(path)])
     prefix = {0: "", 2: "config error: ", 3: "infeasible pulse: ", 4: "error: "}[code]
     assert err.getvalue().startswith(prefix)
+    # every device error names its key, as device.<key>, but a section that is no mapping
+    assert (not err.getvalue().startswith("config error: device: ")
+            or err.getvalue() == "config error: device: expected a mapping\n")
     assert bool(err.getvalue()) == (code != 0)
     return code, out.getvalue()
 
@@ -658,7 +700,6 @@ def test_every_cli_flag_names_a_config_field():
 
 def test_cli_choices_are_the_config_lists():
     # argparse offers exactly the values config validation accepts
-    from ghzsim import config
     accepted = {"mode": config._MODES, "sign": tuple(config._SIGNS), "format": config._FORMATS}
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))

@@ -9,6 +9,7 @@ from ghzsim import (
     CapacitanceNetwork,
     ContractViolationError,
     ControlSettings,
+    DerivedEnergies,
     InfeasiblePulseError,
     PulseSegment,
     Schedule,
@@ -122,10 +123,13 @@ def test_conditional_flip_matches_the_double_search():
         solve_conditional_flip(1.0, 10.0, max_m=16)
 
 
-@pytest.mark.parametrize("k, e_j_max", [(1e-320, 1e-320), (1e-161, 10.0)])
+@pytest.mark.parametrize("k, e_j_max", [(1e-320, 1e-320), (1e-161, 10.0), (6.6e153, 1e300),
+                                        (1e154, 1e300), (1e200, 1e300)])
 def test_conditional_flip_outside_float_range_is_infeasible(k, e_j_max):
     # t overflows to inf, or (2k)^2 is subnormal and the closure residual
-    # loses its digits: neither flip can be timed.
+    # loses its digits; from k = 6.49e153 GHz (2k)^2 + (e_j/2)^2 overflows,
+    # so the closure angle is infinite, and from 6.71e153 (2k)^2 itself
+    # overflows: no such flip can be timed.
     with pytest.raises(InfeasiblePulseError, match="cannot be timed in floating point"):
         solve_conditional_flip(k, e_j_max)
 
@@ -341,3 +345,18 @@ def test_a_device_that_cannot_be_prepared_still_runs_the_mixture_control(clear_m
         with pytest.raises(InfeasiblePulseError, match="^conditional flip of qubit 1 needs"):
             ghz_prepare(energies, "+")
     assert control.expectations["p00_plus_p11"] == pytest.approx(0.5, abs=0.05)
+
+
+def test_a_device_whose_couplings_overflow_the_flip_timing_is_infeasible(clear_memos):
+    # k12 = k23 = 1e306 GHz: the flips' (2k)^2 overflows, and the interference
+    # pulses that the mixture control alone needs time tau2 at 0.0 ns
+    energies = DerivedEnergies((0.0,) * 3, (0.0,) * 3, (1.7e308,) * 3, 1e306, 1e306, 0.0,
+                               1e306 / 1.7e308, 1e306 / 1.7e308)
+    flip = r"^conditional flip for k = 1e\+306 GHz cannot be timed in floating point$"
+    clear_memos()
+    with pytest.raises(InfeasiblePulseError, match=flip):
+        ghz_prepare(energies, "+")
+    with pytest.raises(InfeasiblePulseError, match=flip):
+        verify_ghz(energies, "full")
+    with pytest.raises(InfeasiblePulseError, match=r"^tau2 = 0\.0 ns cannot be timed"):
+        verify_mixture_control(energies, "full")
