@@ -20,15 +20,31 @@ Command output is a pure function of that configuration: identical
 invocations produce byte-identical bytes, with all randomness drawn from the
 configured seed.
 
-Exit codes: 0 success, 2 configuration problem, 3 no pulse that fits the
+Exit codes: 0 success, 1 stdout closed or its reader gone (one line on
+stderr, no traceback), 2 configuration problem, 3 no pulse that fits the
 search bounds and floating point, 4 violated internal contract.
+
+Where a command's wall time goes (medians over the seven commands on the
+reference device, 2 shared CPUs, Python 3.11, numpy 2.4): interpreter start
+65 ms, ``import numpy`` 105 ms, ``import yaml`` 20 ms, ghzsim's import 75 ms
+(35 ms of it compiling the modules, which happens on every run when no
+``__pycache__`` is written), the command itself 13 ms, and shutdown 10 ms.
+Shutdown was 45 ms before ``entry`` froze the collector: the interpreter's
+final collections traversed the roughly 23 000 objects that numpy, yaml and
+ghzsim leave alive, all of which die with the process.  ``entry`` does not
+end with ``os._exit``: that would skip ``atexit`` handlers and the flushing
+of every other stream to save at most the 10 ms shutdown still takes.
 """
 
 import argparse
+import contextlib
 import csv
+import errno
+import gc
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -395,5 +411,34 @@ def main(argv=None) -> int:
         return 4
 
 
+class _ClosedStdout(io.TextIOBase):
+    """Stands in for a stdout whose descriptor was closed at startup: any
+    write fails as a write to the closed descriptor would."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
 def entry():
-    raise SystemExit(main())
+    """The ``ghzsim`` console script: run ``main``, flush its output and exit
+    with its code.  A stdout that is closed, or whose reader has gone, exits 1
+    with one line on stderr."""
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:  # main reports its file errors as config errors; this is stdout's
+        # The interpreter flushes stdout again at shutdown; point it at the
+        # null device so that flush cannot fail a second time.
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(OSError):
+            print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        code = 1
+    # The output is written and the process is about to end.  Freezing moves
+    # every live object into the permanent generation, so the collections the
+    # interpreter runs at shutdown have almost nothing to traverse; flushing,
+    # atexit handlers and module teardown still run.
+    gc.freeze()
+    raise SystemExit(code)

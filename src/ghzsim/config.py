@@ -187,7 +187,7 @@ def _build(raw: dict, source: str) -> RunConfig:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError(f"protocol.seed: expected an integer or null, got {seed!r}")
     if seed is not None and seed < 0:
-        raise ConfigError(f"protocol.seed must be non-negative, got {seed}")
+        raise ConfigError(f"protocol.seed: must be non-negative, got {seed}")
     if shots > 0 and seed is None:
         raise ConfigError("protocol.seed: required whenever protocol.shots > 0")
     sign = _SIGNS[_choice(proto_raw["sign"], "protocol.sign", tuple(_SIGNS))]

@@ -3,9 +3,12 @@
 import argparse
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +22,8 @@ from ghzsim import (CapacitanceNetwork, ConfigError, ContractViolationError, Con
 from ghzsim.cli import build_parser, main
 from ghzsim.config import DEFAULT_CONFIG
 
-REFERENCE_YAML = Path(__file__).resolve().parents[1] / "configs" / "reference_device.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_YAML = ROOT / "configs" / "reference_device.yaml"
 
 
 def test_builtin_defaults():
@@ -85,7 +89,7 @@ _INVALID_DOCUMENTS = {
         ("protocol.shots: at most 10000000",
          "protocol.shots: at most 10000000 shots, got 100000000000"),
     "protocol:\n  seed: -1\n":
-        ("seed must be non-negative", "protocol.seed must be non-negative, got -1"),
+        ("protocol.seed: must be non-negative", "protocol.seed: must be non-negative, got -1"),
     "protocol:\n  include_k13: 1\n":
         ("protocol.include_k13", "protocol.include_k13: expected a boolean, got 1"),
     "scan:\n  values: [0.6]\n":
@@ -415,23 +419,92 @@ def test_cli_contract_violation_exits_4(monkeypatch, capsys):
 
 
 def test_cli_entry_exits_with_the_main_code(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["ghzsim", "timing"])
-    with pytest.raises(SystemExit) as exc:
-        cli.entry()
-    assert exc.value.code == 0
-    assert capsys.readouterr().out
+    # gc.freeze is replaced by a recorder, so this process is never frozen
+    events = []
+
+    def recorded_main():
+        code = main()
+        events.append(("main returned", code))
+        return code
+
+    monkeypatch.setattr(cli, "main", recorded_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    for argv, code in ((["timing"], 0), (["yyy", "--shots", "10", "--seed", "-1"], 2)):
+        events.clear()
+        monkeypatch.setattr(sys, "argv", ["ghzsim", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code
+        assert events == [("main returned", code), "freeze"]
+        captured = capsys.readouterr()
+        assert bool(captured.out) == (code == 0)
+        assert bool(captured.err) == (code == 2)
+
+
+def _child(argv, env=(), **kwargs):
+    """Run ``argv`` from the repository root with ghzsim importable, ``env``
+    laid over this process's environment (a value of None unsets the name)."""
+    merged = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    merged.update(env)
+    return subprocess.run(argv, cwd=ROOT, timeout=120, check=False,
+                          env={k: v for k, v in merged.items() if v is not None}, **kwargs)
+
+
+def test_console_run_prints_the_golden_bytes():
+    # the in-process goldens call main() and never pass through entry()
+    proc = _child([sys.executable, "-m", "ghzsim", "derive", "--format", "csv"],
+                  capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (ROOT / "tests" / "golden" / "cli" / "derive.csv.txt").read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_console_run_into_a_closed_pipe_exits_1_in_one_line(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child([sys.executable, "-m", "ghzsim", "derive"],
+                      env={"PYTHONUNBUFFERED": unbuffered}, stdout=write_end,
+                      stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write to stdout: Broken pipe\n"
+
+
+def test_console_run_without_stdout_exits_1_in_one_line(tmp_path):
+    command = [sys.executable, "-m", "ghzsim", "derive"]
+    proc = _child(["/bin/sh", "-c", 'exec "$@" >&-', "sh", *command], capture_output=True)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write to stdout: Bad file descriptor\n"
+    # a run that writes its output to a file does not need stdout
+    out = tmp_path / "derive.txt"
+    proc = _child(["/bin/sh", "-c", 'exec "$@" >&-', "sh", *command, "--output", str(out)],
+                  capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_text(encoding="utf-8").startswith("command: derive\n")
+
+
+def test_importing_the_library_leaves_the_collector_alone():
+    # only entry() freezes; sampling imports numpy.random when it first draws
+    code = ("import gc, sys, ghzsim; print(gc.get_freeze_count(), gc.isenabled()); "
+            "import ghzsim.cli; print('numpy.random' in sys.modules)")
+    proc = _child([sys.executable, "-c", code], capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"0 True\nFalse\n"
 
 
 def test_cli_rejects_negative_seed_flag(capsys):
     assert main(["yyy", "--shots", "10", "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "config error: protocol.seed must be non-negative, got -1\n"
+    assert capsys.readouterr().err == "config error: protocol.seed: must be non-negative, got -1\n"
 
 
 def test_cli_rejects_negative_seed_in_config(tmp_path, capsys):
     path = tmp_path / "seed.yaml"
     path.write_text("protocol:\n  shots: 10\n  seed: -1\n")
     assert main(["yyy", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "config error: protocol.seed must be non-negative, got -1\n"
+    assert capsys.readouterr().err == "config error: protocol.seed: must be non-negative, got -1\n"
 
 
 def test_cli_flags_complete_the_file_before_validation(tmp_path, capsys):
@@ -452,7 +525,7 @@ def test_cli_rejects_negative_seed_without_sampling(tmp_path, capsys, command):
     path = tmp_path / "seed.yaml"
     path.write_text("protocol:\n  seed: -1\n")
     assert main([command, "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "config error: protocol.seed must be non-negative, got -1\n"
+    assert capsys.readouterr().err == "config error: protocol.seed: must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("command, qubit, coupling", [

@@ -88,14 +88,23 @@ _PIPELINE_SHA256 = "fd5e6dc420f538520c8a50ed544db82181bab753c0873c9a51967e1f75e0
 _SAMPLED_SHA256 = "74467956dc3cc9aec3ac84663434283af4b5faccd510b14cc95678f0e0aa4b0b"
 
 
-@pytest.mark.parametrize("run, pinned", [
-    (lambda energies, seed: _pipeline(energies), _PIPELINE_SHA256),
-    (_sampled, _SAMPLED_SHA256),
-], ids=["exact", "sampled"])
-def test_pipeline_repr_is_pinned(run, pinned):
+_PINNED_RUNS = {
+    "exact": (lambda energies, seed: _pipeline(energies), _PIPELINE_SHA256),
+    "sampled": (_sampled, _SAMPLED_SHA256),
+}
+
+
+def _pipeline_digest(run):
+    """sha256 over the pinned devices of ``run(energies, seed)``."""
     digest = hashlib.sha256()
     for seed, energies in enumerate(_devices(24, 20261018)):
         digest.update(run(energies, seed).encode())
+    return digest
+
+
+@pytest.mark.parametrize("run, pinned", list(_PINNED_RUNS.values()), ids=list(_PINNED_RUNS))
+def test_pipeline_repr_is_pinned(run, pinned):
+    digest = _pipeline_digest(run)
     assert digest.hexdigest() == pinned
 
 
