@@ -22,13 +22,23 @@ configured seed.
 
 Exit codes: 0 success, 1 stdout closed or its reader gone (one line on
 stderr, no traceback), 2 configuration problem, 3 no pulse that fits the
-search bounds and floating point, 4 violated internal contract.
+search bounds and floating point, 4 violated internal contract.  A stderr
+that is closed, or whose reader has gone, loses the error line but not the
+code.
 
 Where a command's wall time goes (medians over the seven commands on the
 reference device, 2 shared CPUs, Python 3.11, numpy 2.4): interpreter start
-65 ms, ``import numpy`` 105 ms, ``import yaml`` 20 ms, ghzsim's import 75 ms
-(35 ms of it compiling the modules, which happens on every run when no
-``__pycache__`` is written), the command itself 13 ms, and shutdown 10 ms.
+65 ms, ``import numpy`` 105 ms, ``import yaml`` 20 ms, ghzsim's modules
+33-67 ms, the command itself 13 ms, and shutdown 10 ms.  ``import ghzsim``
+loads the errors, circuit and config layers, and each handler imports the
+layers it runs: ``derive`` and ``timing`` need no more (33 ms with this
+module), the zeta ``scan`` adds core and effective (19 ms), ``prepare`` and
+the coupler scan add pulses (8 ms), and ``verify``, ``mermin`` and ``yyy``
+add protocols (7 ms).  Of the 67 ms for all eight modules, 37 ms compile
+them, which happens on every run when no ``__pycache__`` is written, 24 ms
+build the 19 frozen dataclasses, and 6 ms fill the module tables.  The json
+and csv modules load only for their formats.
+
 Shutdown was 45 ms before ``entry`` froze the collector: the interpreter's
 final collections traversed the roughly 23 000 objects that numpy, yaml and
 ghzsim leave alive, all of which die with the process.  ``entry`` does not
@@ -38,11 +48,9 @@ of every other stream to save at most the 10 ms shutdown still takes.
 
 import argparse
 import contextlib
-import csv
 import errno
 import gc
 import io
-import json
 import math
 import os
 import sys
@@ -57,20 +65,14 @@ from .circuit import (
     effective_capacitances,
     readout_timing_margin,
 )
-from .config import _FORMATS, _MODES, _SIGNS, DEFAULT_CONFIG, RunConfig, load_config
-from .core import ghz_state
-from .effective import effective_error_scan, fitted_loglog_slope
-from .errors import ConfigError, ContractViolationError, InfeasiblePulseError, SimulationError
-from .protocols import (
-    _EVEN_LABELS,
-    _MERMIN_OPERATORS,
-    enumerate_lhv_assignments,
-    lhv_prediction,
-    mermin_expectations,
-    verify_ghz,
-    yyy_experiment,
+from .config import _FORMATS, _SIGNS, DEFAULT_CONFIG, RunConfig, load_config
+from .errors import (
+    _MODES,
+    ConfigError,
+    ContractViolationError,
+    InfeasiblePulseError,
+    SimulationError,
 )
-from .pulses import ghz_prepare
 
 # Each flag sets the config field of its own name; _overrides finds the section.
 _FLAGS = {
@@ -151,6 +153,8 @@ def _cmd_derive(cfg: RunConfig) -> dict:
 
 
 def _cmd_prepare(cfg: RunConfig) -> dict:
+    from .pulses import ghz_prepare
+
     energies = derive_energies(cfg.network, cfg.settings)
     _, schedule, report = ghz_prepare(energies, cfg.protocol.sign,
                                       include_k13=cfg.protocol.include_k13)
@@ -180,6 +184,8 @@ def _cmd_prepare(cfg: RunConfig) -> dict:
 
 
 def _cmd_verify(cfg: RunConfig) -> dict:
+    from .protocols import verify_ghz
+
     p = cfg.protocol
     energies = None if p.mode == "ideal" else derive_energies(cfg.network, cfg.settings)
     outcome = verify_ghz(energies, p.mode, p.shots, p.seed, include_k13=p.include_k13)
@@ -194,6 +200,14 @@ def _cmd_verify(cfg: RunConfig) -> dict:
 
 
 def _cmd_mermin(cfg: RunConfig) -> dict:
+    from .protocols import (
+        _MERMIN_OPERATORS,
+        enumerate_lhv_assignments,
+        lhv_prediction,
+        mermin_expectations,
+    )
+    from .pulses import ghz_prepare
+
     energies = derive_energies(cfg.network, cfg.settings)
     state, _, report = ghz_prepare(energies, "+", include_k13=cfg.protocol.include_k13)
     values = mermin_expectations(state)
@@ -224,6 +238,9 @@ def _cmd_mermin(cfg: RunConfig) -> dict:
 
 
 def _cmd_yyy(cfg: RunConfig) -> dict:
+    from .core import ghz_state
+    from .protocols import _EVEN_LABELS, yyy_experiment
+
     p = cfg.protocol
     outcome = yyy_experiment(ghz_state("+"), p.shots, p.seed)
     even_count = None
@@ -242,6 +259,8 @@ def _cmd_yyy(cfg: RunConfig) -> dict:
 def _cmd_scan(cfg: RunConfig) -> dict:
     scan = cfg.scan
     if scan.parameter == "zeta":
+        from .effective import effective_error_scan, fitted_loglog_slope
+
         table = effective_error_scan(scan.values, scan.target)
         rows = [{"zeta": z, "error": e} for z, e in table]
         try:
@@ -254,6 +273,8 @@ def _cmd_scan(cfg: RunConfig) -> dict:
             "rows": rows,
             "fitted_log_log_slope": slope,
         }
+    from .pulses import ghz_prepare
+
     rows = []
     for value in scan.values:
         network = CapacitanceNetwork(cfg.network.c_junction, cfg.network.c_gate,
@@ -342,6 +363,8 @@ def _render_table(doc: dict) -> str:
 
 
 def _render_csv(doc: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if _is_record_list(doc.get("rows")):
@@ -374,6 +397,8 @@ def _jsonable(value):
 
 
 def _render_structured(doc: dict) -> str:
+    import json
+
     return json.dumps(_jsonable(doc), indent=2) + "\n"
 
 
@@ -401,14 +426,34 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _diagnose(f"config error: {exc}")
         return 2
     except InfeasiblePulseError as exc:
-        print(f"infeasible pulse: {exc}", file=sys.stderr)
+        _diagnose(f"infeasible pulse: {exc}")
         return 3
     except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return 4
+
+
+def _diagnose(line: str) -> None:
+    """Write one line to stderr.  A stderr that is closed, or whose reader has
+    gone, drops it (``print`` would fall back to stdout): the exit code still
+    says what failed."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_null_device(sys.stderr)
+
+
+def _to_null_device(stream) -> None:
+    """Point ``stream``'s descriptor at the null device after a failed write:
+    the interpreter flushes stdout and stderr again at shutdown, and that
+    flush must not fail a second time."""
+    with contextlib.suppress(OSError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 class _ClosedStdout(io.TextIOBase):
@@ -429,12 +474,8 @@ def entry():
         code = main()
         sys.stdout.flush()
     except OSError as exc:  # main reports its file errors as config errors; this is stdout's
-        # The interpreter flushes stdout again at shutdown; point it at the
-        # null device so that flush cannot fail a second time.
-        with contextlib.suppress(OSError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        with contextlib.suppress(OSError):
-            print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        _to_null_device(sys.stdout)
+        _diagnose(f"error: cannot write to stdout: {exc.strerror}")
         code = 1
     # The output is written and the process is about to end.  Freezing moves
     # every live object into the permanent generation, so the collections the

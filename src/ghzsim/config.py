@@ -23,9 +23,15 @@ from dataclasses import dataclass
 import yaml
 
 from .circuit import CapacitanceNetwork, ControlSettings
-from .effective import _SCAN_TARGETS, _SCAN_ZETA_LIMIT
-from .errors import ConfigError, UnphysicalNetworkError, _real, _reals
-from .protocols import _MODES
+from .errors import (
+    _MODES,
+    _SCAN_TARGETS,
+    _SCAN_ZETA_LIMIT,
+    ConfigError,
+    UnphysicalNetworkError,
+    _real,
+    _reals,
+)
 
 DEFAULT_CONFIG = {
     "device": {

@@ -23,10 +23,16 @@ import numpy as np
 
 from .circuit import DerivedEnergies
 from .core import _PAULI_8X8, _Z_SIGNS, Operator, _assemble, _propagators
-from .errors import ContractViolationError, InfeasiblePulseError, _integer, _real, _reals
+from .errors import (
+    _SCAN_TARGETS,
+    _SCAN_ZETA_LIMIT,
+    ContractViolationError,
+    InfeasiblePulseError,
+    _integer,
+    _real,
+    _reals,
+)
 
-_SCAN_ZETA_LIMIT = 0.5
-_SCAN_TARGETS = ("middle", "outer")
 _SCAN_BATCH = 64  # zetas per stacked eigh and lock-step phase search, so memory stays bounded
 # The charging energies of every interference pulse and scanned pulse, and
 # the scan's drives: unit junction energies, with k12 = k23 = 2 * zeta.

@@ -4,12 +4,19 @@ Every failure mode that callers are expected to handle derives from
 SimulationError.  The CLI maps these onto process exit codes, so the split
 between configuration problems, pulse-search failures and internal contract
 violations is part of the public interface.  The readers of caller-supplied
-numbers live here too, so that every layer checks them alike.
+numbers live here too, so that every layer checks them alike, and so do the
+word lists that both the config and the layer checking them accept.
 """
 
 import math
 
 import numpy as np
+
+# Verification modes (protocols), error-scan targets and the zeta bound
+# (effective): config validates against them without loading either layer.
+_MODES = ("ideal", "effective", "full")
+_SCAN_TARGETS = ("middle", "outer")
+_SCAN_ZETA_LIMIT = 0.5
 
 
 class SimulationError(Exception):

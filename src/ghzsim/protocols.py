@@ -50,10 +50,9 @@ from .core import (
     pauli,
 )
 from .effective import _interference_drives, h_eff_qubit2, h_eff_qubits13
-from .errors import ContractViolationError, InfeasiblePulseError, _integer
+from .errors import _MODES, ContractViolationError, InfeasiblePulseError, _integer
 from .pulses import _device_sequence, ghz_prepare
 
-_MODES = ("ideal", "effective", "full")
 _PROB_SUM_TOL = 1e-9
 # sigma_x on qubit 2 resets the postselected middle qubit; one Operator, so
 # its unitarity is checked once per process.

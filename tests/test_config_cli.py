@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import dataclasses
 import gc
+import importlib
 import io
 import json
 import math
@@ -17,6 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghzsim
 from ghzsim import (CapacitanceNetwork, ConfigError, ContractViolationError, ControlSettings, cli,
                     config, load_config)
 from ghzsim.cli import build_parser, main
@@ -493,6 +495,81 @@ def test_importing_the_library_leaves_the_collector_alone():
     proc = _child([sys.executable, "-c", code], capture_output=True)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == b"0 True\nFalse\n"
+
+
+def _imports(*args):
+    """Every module a ``python *args`` child imports."""
+    proc = _child([sys.executable, "-X", "importtime", *args], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.split("|")[2].strip() for line in proc.stderr.decode().splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["derive"], ("core", "effective", "pulses", "protocols")),
+    (["timing"], ("core", "effective", "pulses", "protocols")),
+    (["scan"], ("pulses", "protocols")),
+])
+def test_each_command_imports_only_the_layers_it_runs(argv, unused):
+    imported = _imports("-m", "ghzsim", *argv)
+    assert {"ghzsim.circuit", "ghzsim.config", "ghzsim.cli"} <= imported
+    assert {f"ghzsim.{layer}" for layer in unused} & imported == set()
+    # a table needs neither renderer's module
+    assert {"json", "csv"} & imported == set()
+    if argv == ["scan"]:
+        assert {"ghzsim.core", "ghzsim.effective"} <= imported
+
+
+def test_importing_the_library_still_imports_numpy_and_yaml():
+    # the benchmark reads both lines out of `-X importtime -c "import ghzsim"`
+    assert {"ghzsim", "numpy", "yaml"} <= _imports("-c", "import ghzsim")
+
+
+def _exports():
+    """name -> defining module for every name ``ghzsim`` exports: each public
+    class and function the layers define, and the config's two entry points."""
+    exports = {"RunConfig": config, "load_config": config}
+    for layer in ("circuit", "core", "effective", "errors", "protocols", "pulses"):
+        module = importlib.import_module(f"ghzsim.{layer}")
+        exports.update({name: module for name, value in vars(module).items()
+                        if not name.startswith("_")
+                        and getattr(value, "__module__", None) == module.__name__})
+    return exports
+
+
+def test_the_namespace_resolves_every_export_to_its_defining_module():
+    exports = _exports()
+    assert len(exports) == 57
+    for name, module in exports.items():
+        assert getattr(ghzsim, name) is getattr(module, name), name
+    layers = ("core", "effective", "protocols", "pulses")
+    assert {*exports, *layers} <= set(dir(ghzsim))
+    with pytest.raises(AttributeError, match="has no attribute 'teleport'"):
+        ghzsim.teleport  # noqa: B018
+    # a layer is an attribute of the package before anything imports it
+    code = ("import ghzsim, sys; "
+            f"print([getattr(ghzsim, m) is sys.modules['ghzsim.' + m] for m in {layers!r}])")
+    proc = _child([sys.executable, "-c", code], capture_output=True)
+    assert (proc.returncode, proc.stdout) == (0, b"[True, True, True, True]\n"), proc.stderr
+
+
+@pytest.mark.parametrize("stderr", ["closed", "broken pipe"])
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_config_error_without_a_stderr_still_exits_2(stderr, unbuffered):
+    # the error line is dropped: never moved to stdout, never turned into exit 1
+    command = [sys.executable, "-m", "ghzsim", "yyy", "--shots", "3", "--seed", "-1"]
+    env = {"PYTHONUNBUFFERED": unbuffered}
+    if stderr == "closed":
+        proc = _child(["/bin/sh", "-c", 'exec "$@" 2>&-', "sh", *command], env=env,
+                      stdout=subprocess.PIPE)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _child(command, env=env, stdout=subprocess.PIPE, stderr=write_end)
+        finally:
+            os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 def test_cli_rejects_negative_seed_flag(capsys):
