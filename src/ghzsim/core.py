@@ -393,18 +393,19 @@ def sample(state: StateVector, shots: int, seed: int, basis: str = "zzz") -> Mea
     to an outcome by inverse-CDF lookup over the cumulative Born
     probabilities in basis-index order.  The uniforms are drawn in chunks,
     which reproduces the stream of a single ``random(shots)`` call bit for
-    bit, and only the histogram is kept: each chunk is tallied by counting
-    the draws below each cumulative edge, which gives the same histogram as
-    the inverse-CDF lookup.  ``outcomes`` replays that lookup from the same
-    stream when first read.  Identical (state, shots, seed, basis)
-    therefore reproduce identical records.  ``basis`` must be a ``str``
-    such as 'yxx' (qubit 1 leftmost), and ``shots`` and ``seed`` must be
-    non-negative integers (not bools); anything else, a seed of None
-    included, raises ContractViolationError.
+    bit, and only the histogram is kept: the draws below each cumulative
+    edge are counted chunk by chunk and the counts are differenced once per
+    call, which gives the same histogram as the inverse-CDF lookup.
+    ``outcomes`` replays that lookup from the same stream when first read.
+    Identical (state, shots, seed, basis) therefore reproduce identical
+    records.  ``basis`` must be a ``str`` such as 'yxx' (qubit 1 leftmost),
+    and ``shots`` and ``seed`` must be non-negative integers (not bools);
+    anything else, a seed of None included, raises ContractViolationError.
     """
     if not isinstance(basis, str) or len(basis) != N_QUBITS or any(ch not in "xyz" for ch in basis):
         raise ContractViolationError(f"basis must be 3 characters from 'xyz', got {basis!r}")
-    return _sample_probabilities(_readout_probabilities(state, basis), shots, seed, basis)
+    return _sample_cumulative(_cumulative(_readout_probabilities(state, basis)), shots, seed,
+                              basis)
 
 
 @lru_cache(maxsize=None)
@@ -437,18 +438,32 @@ def _index_stream(cumulative: tuple, shots: int, seed: int):
         yield np.minimum(np.searchsorted(edges, draws, side="right"), DIM - 1)
 
 
-def _tally(draws: np.ndarray, cumulative: tuple) -> np.ndarray:
-    """Outcome counts of one chunk, equal to the bincount of its
-    _index_stream indices.  For non-decreasing edges, index <= k < DIM - 1
-    exactly when draw < cumulative[k], so each count is a difference of
-    how many draws fall below consecutive edges; index DIM - 1 takes the
-    rest, past-the-end draws included.  An edge repeated by a
-    zero-probability outcome is counted once.  The draws lie in [0, 1), so
-    none falls below an edge at or below 0.0 and such an edge is not
-    compared; an edge at or above 1.0 still is."""
+def _cumulative(probs: np.ndarray) -> tuple:
+    """The normalized cumulative table of probabilities in basis-index
+    order, as MeasurementRecord.cumulative stores it: the one place a
+    sampling table is built."""
+    return tuple(np.cumsum(probs / probs.sum()).tolist())
+
+
+def _tally(chunks, cumulative: tuple) -> list:
+    """Outcome counts over the draw arrays ``chunks``, equal to the bincount
+    of their _index_stream indices.  For non-decreasing edges, index <= k <
+    DIM - 1 exactly when draw < cumulative[k], so each count is a difference
+    of how many draws fall below consecutive edges; index DIM - 1 takes the
+    rest, past-the-end draws included.  The draws lie in [0, 1): none falls
+    below an edge at or below 0.0 and every one below an edge at or above
+    1.0, so only the distinct edges strictly inside (0, 1) are compared,
+    once per chunk, and the counts are differenced once, at the end."""
     edges = cumulative[:DIM - 1]
-    below = {edge: np.count_nonzero(draws < edge) if edge > 0.0 else 0 for edge in set(edges)}
-    return np.diff([0, *(below[edge] for edge in edges), draws.size])
+    inner = tuple({edge for edge in edges if 0.0 < edge < 1.0})
+    counts = [0] * len(inner)
+    total = 0
+    for draws in chunks:
+        total += draws.size
+        counts = [n + int(np.count_nonzero(draws < edge)) for n, edge in zip(counts, inner)]
+    below = dict(zip(inner, counts))
+    running = [0, *(below.get(edge, total if edge >= 1.0 else 0) for edge in edges), total]
+    return [b - a for a, b in zip(running, running[1:])]
 
 
 def _check_shots(shots) -> int:
@@ -460,21 +475,17 @@ def _check_shots(shots) -> int:
     return int(shots)
 
 
-def _sample_probabilities(probs: np.ndarray, shots: int, seed: int,
-                          basis: str) -> MeasurementRecord:
-    """The sampling stream of sample(), over probabilities in basis-index
-    order (normalized here): one PCG64 uniform per shot, tallied against
-    the cumulative edges."""
+def _sample_cumulative(cumulative: tuple, shots: int, seed: int,
+                       basis: str) -> MeasurementRecord:
+    """The sampling stream of sample(), over a table built by _cumulative:
+    one PCG64 uniform per shot, tallied against the cumulative edges."""
     shots = _check_shots(shots)
     if seed is None:
         raise ContractViolationError("sampling requires a seed")
     if not _integer(seed) or seed < 0:
         raise ContractViolationError(f"seed must be a non-negative integer, got {seed!r}")
-    cumulative = tuple(np.cumsum(probs / probs.sum()).tolist())
-    totals = np.zeros(DIM, dtype=np.int64)
-    for draws in _draw_stream(shots, seed):
-        totals += _tally(draws, cumulative)
-    counts = {_BASIS_LABELS[i]: int(n) for i, n in enumerate(totals) if n}
+    totals = _tally(_draw_stream(shots, seed), cumulative)
+    counts = {_BASIS_LABELS[i]: n for i, n in enumerate(totals) if n}
     return MeasurementRecord(counts, int(seed), basis, shots, cumulative)
 
 

@@ -39,12 +39,13 @@ from .core import (
     _basis_amplitudes,
     _check_norm,
     _check_shots,
+    _cumulative,
     _pair_amplitudes,
     _project,
     _propagators,
     _readout_probabilities,
     _require_unitary,
-    _sample_probabilities,
+    _sample_cumulative,
     _spectral_propagators,
     expectation,
     pauli,
@@ -165,21 +166,27 @@ def _interference_distribution(u2: Operator, u13: Operator, components) -> tuple
 
 
 # Ideal mode's two distributions do not depend on the device: computed
-# once, at import, and shared; every caller copies the dicts.
+# once, at import, and shared, with their sampling tables; every caller
+# copies the dicts.
 _IDEAL_DISTRIBUTIONS = {
     "ghz": _interference_distribution(*_IDEAL_PULSES, ((1.0, _GHZ_PLUS),)),
     "mixture": _interference_distribution(*_IDEAL_PULSES, _MIXTURE),
 }
+_IDEAL_CUMULATIVE = {name: _cumulative(distribution[0])
+                     for name, distribution in _IDEAL_DISTRIBUTIONS.items()}
 
 
-def _interference_outcome(distribution: tuple, mode: str, shots: int,
-                          seed: int) -> ProtocolOutcome:
+def _interference_outcome(distribution: tuple, mode: str, shots: int, seed: int,
+                          cumulative: tuple = None) -> ProtocolOutcome:
     """A ProtocolOutcome of an interference distribution, with fresh dicts;
-    shots sample its z readout."""
+    shots sample its z readout from ``cumulative``, its sampling table,
+    which is built here when not given and only when there are shots."""
     full_probs, probs, pair_sums, total_weight = distribution
     counts = None
     if _check_shots(shots):
-        counts = _sample_probabilities(full_probs, shots, seed, "zzz")
+        if cumulative is None:
+            cumulative = _cumulative(full_probs)
+        counts = _sample_cumulative(cumulative, shots, seed, "zzz")
     return ProtocolOutcome(counts, dict(probs), dict(pair_sums), total_weight, mode)
 
 
@@ -194,21 +201,21 @@ def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int
     verify_mixture_control, which pins p00 + p11 at 1/2 for the matching
     incoherent mixture.
 
-    Ideal mode only samples its distribution, computed at import.  A repeat
-    call on the same device reuses the last prepared state and the last
-    interference pulses instead of rebuilding them (see ghz_prepare); both
-    are immutable and shared between calls.  In full mode the pulses are
+    Ideal mode only samples its distribution and its cumulative table, both
+    computed at import.  A repeat call on the same device reuses the last
+    prepared state and the last interference pulses instead of rebuilding
+    them (see ghz_prepare); both are immutable and shared between calls.  In full mode the pulses are
     propagated from the device's one stacked diagonalization, which covers
     the preparation's three segments and the two interference pulses.
     Every call returns fresh probabilities and expectations dicts.
     """
     _check_mode(mode, energies)
     if mode == "ideal":
-        distribution = _IDEAL_DISTRIBUTIONS["ghz"]
-    else:
-        amplitudes = ghz_prepare(energies, "+", include_k13=include_k13)[0].amplitudes
-        distribution = _interference_distribution(
-            *_interference_pulses(mode, energies, bool(include_k13)), ((1.0, amplitudes),))
+        return _interference_outcome(_IDEAL_DISTRIBUTIONS["ghz"], mode, shots, seed,
+                                     _IDEAL_CUMULATIVE["ghz"])
+    amplitudes = ghz_prepare(energies, "+", include_k13=include_k13)[0].amplitudes
+    distribution = _interference_distribution(
+        *_interference_pulses(mode, energies, bool(include_k13)), ((1.0, amplitudes),))
     return _interference_outcome(distribution, mode, shots, seed)
 
 
@@ -223,17 +230,17 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
     component postselection probabilities.  The mixture spreads the outer
     pair uniformly, so p00 + p11 = 1/2 where the entangled state gives 0.
 
-    Ideal mode only samples its distribution, computed at import.  A repeat
-    call on the same device reuses the last interference pulses, whichever
-    of the two protocols built them; they are immutable and shared between
-    calls.  Every call returns fresh probabilities and expectations dicts.
+    Ideal mode only samples its distribution and its cumulative table, both
+    computed at import.  A repeat call on the same device reuses the last
+    interference pulses, whichever of the two protocols built them; they
+    are immutable and shared between calls.  Every call returns fresh probabilities and expectations dicts.
     """
     _check_mode(mode, energies)
     if mode == "ideal":
-        distribution = _IDEAL_DISTRIBUTIONS["mixture"]
-    else:
-        distribution = _interference_distribution(
-            *_interference_pulses(mode, energies, bool(include_k13)), _MIXTURE)
+        return _interference_outcome(_IDEAL_DISTRIBUTIONS["mixture"], mode, shots, seed,
+                                     _IDEAL_CUMULATIVE["mixture"])
+    distribution = _interference_distribution(
+        *_interference_pulses(mode, energies, bool(include_k13)), _MIXTURE)
     return _interference_outcome(distribution, mode, shots, seed)
 
 
@@ -331,7 +338,7 @@ def yyy_experiment(state: StateVector, shots: int = 0, seed: int = None) -> Prot
     yyy_exact = sum(prob * sign for prob, sign in zip(probs.values(), _PARITY_SIGNS))
     counts = None
     if _check_shots(shots):
-        counts = _sample_probabilities(p, shots, seed, "yyy")
+        counts = _sample_cumulative(_cumulative(p), shots, seed, "yyy")
         even = sum(c for lab, c in counts.counts.items() if lab in _EVEN_LABELS)
         even_fraction = even / shots
     else:

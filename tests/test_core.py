@@ -584,8 +584,8 @@ def _lookup_counts(draws, cumulative):
 def test_tally_sends_a_draw_on_an_edge_up():
     cumulative = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
     draws = np.array(cumulative[:7] + (0.0,))
-    assert _tally(draws, cumulative).tolist() == [1, 1, 1, 1, 1, 1, 1, 1]
-    assert _tally(np.nextafter(draws, 0.0), cumulative).tolist() == [2, 1, 1, 1, 1, 1, 1, 0]
+    assert _tally([draws], cumulative) == [1, 1, 1, 1, 1, 1, 1, 1]
+    assert _tally([np.nextafter(draws, 0.0)], cumulative) == [2, 1, 1, 1, 1, 1, 1, 0]
 
 
 def test_tally_puts_draws_past_the_last_edge_on_index_7():
@@ -593,25 +593,28 @@ def test_tally_puts_draws_past_the_last_edge_on_index_7():
     last = np.nextafter(1.0, 0.0)
     cumulative = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, np.nextafter(last, 0.0))
     draws = np.array([0.05, 0.75, last, 1.0])
-    assert _tally(draws, cumulative).tolist() == [1, 0, 0, 0, 0, 0, 0, 3]
-    assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
+    assert _tally([draws], cumulative) == [1, 0, 0, 0, 0, 0, 0, 3]
+    assert _tally([draws], cumulative) == _lookup_counts(draws, cumulative).tolist()
 
 
 def test_tally_skips_zero_probability_outcomes():
     # zero weights on 001, 010, 101 and 111 give duplicate edges
     cumulative = (0.25, 0.25, 0.25, 0.5, 0.75, 0.75, 1.0, 1.0)
     draws = np.array([0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 0.25])
-    assert _tally(draws, cumulative).tolist() == [1, 0, 0, 3, 2, 0, 2, 0]
-    assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
+    assert _tally([draws], cumulative) == [1, 0, 0, 3, 2, 0, 2, 0]
+    assert _tally([draws], cumulative) == _lookup_counts(draws, cumulative).tolist()
+    assert _tally([draws[:3], draws[3:]], cumulative) == [1, 0, 0, 3, 2, 0, 2, 0]
 
 
 def test_tally_with_an_edge_at_one():
-    # a cumulative table that reaches 1.0 before its last entry
+    # a cumulative table that reaches 1.0 before its last entry; the stream
+    # draws from [0, 1), so every draw lies below that edge
     cumulative = (0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    draws = np.array([0.5, np.nextafter(1.0, 0.0), 0.0, 1.0])
-    assert _tally(draws, cumulative).tolist() == [1, 2, 0, 0, 0, 0, 0, 1]
-    assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
-    assert _tally(np.array([]), cumulative).tolist() == [0] * 8
+    draws = np.array([0.5, np.nextafter(1.0, 0.0), 0.0])
+    assert _tally([draws], cumulative) == [1, 2, 0, 0, 0, 0, 0, 0]
+    assert _tally([draws], cumulative) == _lookup_counts(draws, cumulative).tolist()
+    assert _tally([np.array([])], cumulative) == [0] * 8
+    assert _tally([], cumulative) == [0] * 8
 
 
 def test_tally_of_a_stream_chunk_with_leading_zero_edges():
@@ -619,12 +622,24 @@ def test_tally_of_a_stream_chunk_with_leading_zero_edges():
     cumulative = tuple(np.cumsum(_readout_probabilities(ghz_state("+"), "yyy")).tolist())
     assert cumulative[0] == 0.0
     draws = next(_draw_stream(_SHOT_CHUNK, 17))
-    assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
+    assert _tally([draws], cumulative) == _lookup_counts(draws, cumulative).tolist()
     # two zero edges, a draw of exactly 0.0 and a signed zero
     cumulative = (0.0, -0.0, 0.25, 0.25, 0.5, 0.75, 0.75, 1.0)
     draws = np.append(draws, [0.0, 0.0])
-    assert _tally(draws, cumulative).tolist() == _lookup_counts(draws, cumulative).tolist()
-    assert _tally(draws, cumulative)[:2].tolist() == [0, 0]
+    assert _tally([draws], cumulative) == _lookup_counts(draws, cumulative).tolist()
+    assert _tally([draws], cumulative)[:2] == [0, 0]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(inner=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6),
+       top=st.sampled_from([1.0, float(np.nextafter(1.0, 2.0))]),
+       shots=st.integers(_SHOT_CHUNK - 3, 2 * _SHOT_CHUNK + 3),
+       seed=st.integers(0, 2**63 - 1))
+def test_tally_of_tables_that_reach_one_before_the_last_entry(inner, top, shots, seed):
+    # edges at 1.0, or one ulp above it, are not compared: every draw lies below
+    cumulative = (*sorted(inner), *[top] * (8 - len(inner)))
+    want = _lookup_counts(np.random.default_rng(seed).random(shots), cumulative).tolist()
+    assert _tally(_draw_stream(shots, seed), cumulative) == want
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -286,10 +286,32 @@ def test_ideal_mode_recomputes_nothing_per_call(monkeypatch, clear_memos):
     clear_memos()
 
     def refuse(*args):
-        raise AssertionError("ideal mode recomputed its distribution")
+        raise AssertionError("ideal mode recomputed its distribution or its table")
 
     monkeypatch.setattr("ghzsim.protocols._interference_distribution", refuse)
+    monkeypatch.setattr("ghzsim.protocols._cumulative", refuse)
     assert [fn(**kwargs) for fn, kwargs in calls] == want
+
+
+@pytest.mark.parametrize("mode", ["effective", "full"])
+def test_device_modes_build_no_table_without_shots(monkeypatch, clear_memos, mode):
+    (energies,) = _devices(1, 12)
+    want = [verify_ghz(energies, mode), verify_mixture_control(energies, mode)]
+    clear_memos()
+
+    def refuse(*args):
+        raise AssertionError("a table was built for a run without shots")
+
+    monkeypatch.setattr("ghzsim.protocols._cumulative", refuse)
+    monkeypatch.setattr("ghzsim.core._cumulative", refuse)
+    assert [verify_ghz(energies, mode), verify_mixture_control(energies, mode)] == want
+
+
+@pytest.mark.parametrize("fn, name", [(verify_ghz, "ghz"), (verify_mixture_control, "mixture")])
+def test_ideal_tables_are_the_cumulative_sums_of_their_distributions(fn, name):
+    p = _IDEAL_DISTRIBUTIONS[name][0]
+    fresh = tuple(np.cumsum(p / p.sum()).tolist())
+    assert repr(fn(shots=10, seed=3).counts.cumulative) == repr(fresh)
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
