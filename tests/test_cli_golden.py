@@ -5,8 +5,12 @@ the seven commands in all three formats on the built-in device, ``derive``
 and ``timing`` in all three formats on a device without its 1-2 coupler
 (the only output that prints infinite floats and drops a timing row),
 ``verify`` in full and effective mode in all three formats on an asymmetric
-device (the only one whose outer-rate match changes a Josephson energy), plus
-the invocations that acceptance criterion 11 runs twice.  The test runs each one
+device (the only one whose outer-rate match changes a Josephson energy),
+``derive`` in all three formats on a device away from its idle point, the
+coupler ``scan`` in all three formats, ``verify`` in effective mode and in
+full mode with K13 on, and ``prepare`` of the minus sign with K13 on, all on
+the built-in device, plus the invocations that acceptance criterion 11 runs
+twice.  The test runs each one
 in process through ``main(argv)`` from the repository root, so the
 ``source:`` line of ``configs/reference_device.yaml`` is stable, and asserts
 byte equality.
@@ -61,6 +65,20 @@ CASES.update({
         "--format", fmt]
     for mode in ("full", "effective")
     for fmt in ("table", "csv", "structured")
+})
+CASES.update({
+    f"off_idle_device.derive.{fmt}": [
+        "derive", "--config", "tests/configs/off_idle_device.yaml", "--format", fmt]
+    for fmt in ("table", "csv", "structured")
+})
+CASES.update({
+    f"coupler_scan.{fmt}": ["scan", "--config", "tests/configs/coupler_scan.yaml", "--format", fmt]
+    for fmt in ("table", "csv", "structured")
+})
+CASES.update({
+    "verify_effective": ["verify", "--mode", "effective"],
+    "verify_full_k13": ["verify", "--mode", "full", "--include-k13"],
+    "prepare_minus_k13": ["prepare", "--sign", "minus", "--include-k13"],
 })
 CASES.update({
     "criterion11.derive": ["derive"],
