@@ -19,9 +19,10 @@ The interference protocols (verify_ghz, verify_mixture_control) take a mode:
 "ideal" uses closed-form quarter rotations on the exact entangled state,
 "effective" the second-order generators, and "full" the exact chain
 Hamiltonian timed by the second-order formulas, as a timed experiment would.
+The device's pulses come timed and propagated from ghzsim.pulses; this
+module only runs the experiments on them and remembers no device.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,17 +43,14 @@ from .core import (
     _cumulative,
     _pair_amplitudes,
     _project,
-    _propagators,
     _readout_probabilities,
     _require_unitary,
     _sample_cumulative,
-    _spectral_propagators,
     expectation,
     pauli,
 )
-from .effective import _interference_drives, h_eff_qubit2, h_eff_qubits13
-from .errors import _MODES, ContractViolationError, InfeasiblePulseError, _integer
-from .pulses import _device_sequence, ghz_prepare
+from .errors import _MODES, ContractViolationError, _integer
+from .pulses import _interference_pulses, ghz_prepare
 
 _PROB_SUM_TOL = 1e-9
 # sigma_x on qubit 2 resets the postselected middle qubit; one Operator, so
@@ -112,28 +110,6 @@ def _check_mode(mode: str, energies) -> None:
         raise ContractViolationError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode != "ideal" and energies is None:
         raise ContractViolationError(f"mode {mode!r} needs device energies")
-
-
-@functools.lru_cache(maxsize=1)
-def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool) -> tuple:
-    """The quarter rotations (u2, u13) of qubit 2 and of the outer pair in
-    effective or full mode, timed by the second-order formulas.  Full mode
-    propagates the last two slices of the device's one stacked
-    diagonalization (pulses._device_sequence), which it shares with the
-    preparation's three segments; effective mode diagonalizes its two
-    generators in one call of its own.  The last device's pulses are kept,
-    so verify_ghz and verify_mixture_control on one device build them
-    once."""
-    if mode == "effective":
-        middle, matched, _, times = _interference_drives(energies)
-        u2, u13 = _propagators(np.array([h_eff_qubit2(middle).matrix,
-                                         h_eff_qubits13(matched, +1).matrix]), times)
-    else:
-        _, times, _, w, v = _device_sequence(energies, include_k13)
-        if isinstance(times, InfeasiblePulseError):
-            raise times.with_traceback(None)
-        u2, u13 = _spectral_propagators(w[-2:], v[-2:], times)
-    return Operator(u2), Operator(u13)
 
 
 def _interference_distribution(u2: Operator, u13: Operator, components) -> tuple:
@@ -202,12 +178,10 @@ def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int
     incoherent mixture.
 
     Ideal mode only samples its distribution and its cumulative table, both
-    computed at import.  A repeat call on the same device reuses the last
-    prepared state and the last interference pulses instead of rebuilding
-    them (see ghz_prepare); both are immutable and shared between calls.  In full mode the pulses are
-    propagated from the device's one stacked diagonalization, which covers
-    the preparation's three segments and the two interference pulses.
-    Every call returns fresh probabilities and expectations dicts.
+    computed at import.  The prepared state and the full-mode pulses come
+    from the pulses memo of the last device (see ghz_prepare), immutable
+    and shared between calls; effective mode builds its pulses on each
+    call.  Every call returns fresh probabilities and expectations dicts.
     """
     _check_mode(mode, energies)
     if mode == "ideal":
@@ -231,9 +205,9 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
     pair uniformly, so p00 + p11 = 1/2 where the entangled state gives 0.
 
     Ideal mode only samples its distribution and its cumulative table, both
-    computed at import.  A repeat call on the same device reuses the last
-    interference pulses, whichever of the two protocols built them; they
-    are immutable and shared between calls.  Every call returns fresh probabilities and expectations dicts.
+    computed at import.  Full mode reads its pulses from the pulses memo of
+    the last device, as verify_ghz does; effective mode builds them on each
+    call.  Every call returns fresh probabilities and expectations dicts.
     """
     _check_mode(mode, energies)
     if mode == "ideal":

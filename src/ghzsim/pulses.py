@@ -20,6 +20,13 @@ Each conditional flip imprints a phase +i on the flipped branch, and the
 charging energy of the middle qubit is biased during qubit 1's flip to cancel
 the spectator coupling phase between the two branches; both details are
 handled internally so only the requested target sign matters to callers.
+
+This module times and propagates every pulse of a device, the three
+segments above and the interference quarter rotations of ghzsim.protocols
+(_interference_pulses), and remembers the last device: its flip timings,
+one diagonalization of all five generators, the full-mode interference
+pulses and the last preparation.  Effective-mode pulses are rebuilt on each
+call.
 """
 
 import cmath
@@ -27,8 +34,11 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import DerivedEnergies
 from .core import (
+    Operator,
     StateVector,
     _assemble,
     _basis_amplitudes,
@@ -37,9 +47,11 @@ from .core import (
     _fidelity,
     _pair_amplitudes,
     _parse_sign,
+    _propagators,
+    _spectral_propagators,
     build_hamiltonian,  # not called here; bench/test_bench.py reads pulses.build_hamiltonian
 )
-from .effective import _interference_drives
+from .effective import _interference_drives, h_eff_qubit2, h_eff_qubits13
 from .errors import ContractViolationError, InfeasiblePulseError, _real, _reals
 
 _RESIDUAL_TOL = 1e-9
@@ -241,10 +253,9 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     superposition pulse's duration, so the last device's flip timings and
     its one stacked diagonalization are kept as well: the other sign on the
     same device (equal energies and ``include_k13``) reuses them and only
-    propagates again.  That diagonalization covers the three segments and
-    the two full-mode interference pulses of verify_ghz and
-    verify_mixture_control, so verifying the device diagonalizes nothing
-    more.
+    propagates again.  The same memo holds the two full-mode interference
+    pulses of verify_ghz and verify_mixture_control, propagated from that
+    diagonalization, so verifying the device builds nothing more.
     """
     return _prepare(energies, _parse_sign(sign), bool(include_k13))
 
@@ -252,14 +263,14 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
 @functools.lru_cache(maxsize=1)
 def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     """What the sign does not change, one device remembered: (preparation,
-    pulse_times, couplings, w, v).  ``preparation`` holds the untimed
+    pulses, couplings, w, v).  ``preparation`` holds the untimed
     superposition segment, both flip segments and their FlipSolutions, and
-    ``pulse_times`` the durations of the two full-mode interference pulses
-    (protocols._interference_pulses).  All five generators share the
-    couplings: one assembly and one eigh give the read-only ``w``, ``v`` of
-    the (5, 8, 8) stack, segments first.  A part that cannot be timed holds
-    its InfeasiblePulseError and leaves its rows out, for the caller that
-    needs it to raise: a device without interference timing still
+    ``pulses`` the read-only full-mode interference pulses (u2, u13).  All
+    five generators share the couplings: one assembly and one eigh give the
+    read-only ``w``, ``v`` of the (5, 8, 8) stack, segments first; the
+    pulses propagate its last two slices.  A part that cannot be timed
+    holds its InfeasiblePulseError, and its rows stay out, for the caller
+    that needs it to raise: a device without interference timing still
     prepares, and one without flips still runs the mixture control."""
     rows = []
     try:
@@ -283,7 +294,29 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
         w, v = _diagonalize(_assemble([(e_c, e_j, couplings) for e_c, e_j in rows]),
                             "evolve requires a Hermitian Hamiltonian")
         w.flags.writeable = v.flags.writeable = False
-    return preparation, pulse_times, couplings, w, v
+    pulses = pulse_times
+    if not isinstance(pulse_times, InfeasiblePulseError):
+        try:
+            pulses = tuple(map(Operator, _spectral_propagators(w[-2:], v[-2:], pulse_times)))
+        except InfeasiblePulseError as exc:
+            pulses = exc
+    return preparation, pulses, couplings, w, v
+
+
+def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool) -> tuple:
+    """The quarter rotations (u2, u13) of qubit 2 and of the outer pair in
+    effective or full mode, timed by the second-order formulas.  Full mode
+    reads them from the device memo (_device_sequence), or raises its
+    stored refusal; effective mode diagonalizes and propagates its two
+    generators on each call."""
+    if mode == "effective":
+        middle, matched, _, times = _interference_drives(energies)
+        stack = np.array([h_eff_qubit2(middle).matrix, h_eff_qubits13(matched, +1).matrix])
+        return tuple(map(Operator, _propagators(stack, times)))
+    pulses = _device_sequence(energies, include_k13)[1]
+    if isinstance(pulses, InfeasiblePulseError):
+        raise pulses.with_traceback(None)
+    return pulses
 
 
 @functools.lru_cache(maxsize=1)

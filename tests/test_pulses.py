@@ -11,6 +11,7 @@ from ghzsim import (
     ControlSettings,
     DerivedEnergies,
     InfeasiblePulseError,
+    Operator,
     PulseSegment,
     Schedule,
     StateVector,
@@ -267,8 +268,8 @@ def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch, cle
     clear_memos()
     verified = (verify_ghz(energies, "full"), verify_mixture_control(energies, "full"))
     clear_memos()
-    shapes, flips = [], []
-    eigh, solve = np.linalg.eigh, pulses.solve_conditional_flip
+    shapes, flips, operators = [], [], []
+    eigh, solve, construct = np.linalg.eigh, pulses.solve_conditional_flip, Operator.__init__
 
     def counted(a):
         shapes.append(np.shape(a))
@@ -278,15 +279,22 @@ def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch, cle
         flips.append(args)
         return solve(*args)
 
+    def counted_operator(self, *args):
+        operators.append(args)
+        construct(self, *args)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(pulses, "solve_conditional_flip", counted_flip)
+    monkeypatch.setattr(Operator, "__init__", counted_operator)
     # the signs differ only in the superposition pulse's duration, and the
-    # full-mode interference pulses are the stack's last two slices
+    # full-mode interference pulses are the stack's last two slices, built
+    # into two Operators once for both protocols
     runs = {sign: ghz_prepare(energies, sign) for sign in ("-", "+")}
     again = (verify_ghz(energies, "full"), verify_mixture_control(energies, "full"))
     *_, w, v = pulses._device_sequence(energies, False)
     assert shapes == [(5, 8, 8)]
     assert len(flips) == 2
+    assert len(operators) == 2
     assert [repr(out) for out in again] == [repr(out) for out in verified]
     assert not w.flags.writeable and not v.flags.writeable
     for sign, (state, schedule, report) in runs.items():
