@@ -65,7 +65,7 @@ from .circuit import (
     effective_capacitances,
     readout_timing_margin,
 )
-from .config import _FORMATS, _SIGNS, DEFAULT_CONFIG, RunConfig, load_config
+from .config import _FORMATS, _SIGNS, DEFAULT_CONFIG, RunConfig, _require_idle_point, load_config
 from .errors import (
     _MODES,
     ConfigError,
@@ -135,6 +135,13 @@ def _timing(energies: DerivedEnergies, t_measure: float) -> dict:
     return {"t_measure_ns": t_measure, "rows": rows}
 
 
+def _idle_energies(cfg: RunConfig) -> DerivedEnergies:
+    """The device's energies for a command that runs pulses on it, which
+    refuses a device away from its idle point."""
+    _require_idle_point(cfg.settings)
+    return derive_energies(cfg.network, cfg.settings)
+
+
 def _cmd_derive(cfg: RunConfig) -> dict:
     energies = derive_energies(cfg.network, cfg.settings)
     cross = crosstalk_ratio(energies)
@@ -155,7 +162,7 @@ def _cmd_derive(cfg: RunConfig) -> dict:
 def _cmd_prepare(cfg: RunConfig) -> dict:
     from .pulses import ghz_prepare
 
-    energies = derive_energies(cfg.network, cfg.settings)
+    energies = _idle_energies(cfg)
     _, schedule, report = ghz_prepare(energies, cfg.protocol.sign,
                                       include_k13=cfg.protocol.include_k13)
     flip_rows = []
@@ -187,7 +194,7 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     from .protocols import verify_ghz
 
     p = cfg.protocol
-    energies = None if p.mode == "ideal" else derive_energies(cfg.network, cfg.settings)
+    energies = None if p.mode == "ideal" else _idle_energies(cfg)
     outcome = verify_ghz(energies, p.mode, p.shots, p.seed, include_k13=p.include_k13)
     return _with_counts({
         "mode": outcome.mode,
@@ -208,8 +215,7 @@ def _cmd_mermin(cfg: RunConfig) -> dict:
     )
     from .pulses import ghz_prepare
 
-    energies = derive_energies(cfg.network, cfg.settings)
-    state, _, report = ghz_prepare(energies, "+", include_k13=cfg.protocol.include_k13)
+    state, _, report = ghz_prepare(_idle_energies(cfg), "+", include_k13=cfg.protocol.include_k13)
     values = mermin_expectations(state)
     ops = _MERMIN_OPERATORS
     product = (ops["yxx"] @ ops["xyx"] @ ops["xxy"]).matrix
@@ -275,6 +281,7 @@ def _cmd_scan(cfg: RunConfig) -> dict:
         }
     from .pulses import ghz_prepare
 
+    _require_idle_point(cfg.settings)
     rows = []
     for value in scan.values:
         network = CapacitanceNetwork(cfg.network.c_junction, cfg.network.c_gate,

@@ -167,6 +167,19 @@ def load_config(path: str = None, overrides: dict = None) -> RunConfig:
     return _build(merged, source)
 
 
+def _require_idle_point(settings: ControlSettings) -> None:
+    """Refuse a device away from its idle point, every gate charge 0.5 and
+    every flux a half-integer: the pulse sequences set every charging and
+    Josephson energy themselves and assume that both vanish between them."""
+    for i, n in enumerate(settings.gate_charge):
+        if n != 0.5:
+            raise ConfigError(f"device.gate_charge[{i}]: pulses need the idle gate charge 0.5, "
+                              f"got {n}")
+    for i, f in enumerate(settings.flux):
+        if f % 1.0 != 0.5:
+            raise ConfigError(f"device.flux[{i}]: pulses need a half-integer idle flux, got {f}")
+
+
 def _build(raw: dict, source: str) -> RunConfig:
     dev = raw["device"]
     values = [dev[key] for key in _DEVICE_KEYS.values()]

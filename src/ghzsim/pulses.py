@@ -55,6 +55,9 @@ from .effective import _interference_drives, h_eff_qubit2, h_eff_qubits13
 from .errors import ContractViolationError, InfeasiblePulseError, _real, _reals
 
 _RESIDUAL_TOL = 1e-9
+# The largest phase (rad) a pulse may accumulate (_check_resolution): a
+# double resolves 1e6 rad to about 1e-10 rad, below _RESIDUAL_TOL.
+_PHASE_LIMIT = 1e6
 _KET_000 = _basis_amplitudes("000")
 
 
@@ -260,6 +263,17 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     return _prepare(energies, _parse_sign(sign), bool(include_k13))
 
 
+def _check_resolution(label: str, energies: tuple, t: float) -> None:
+    """Refuse a pulse held for ``t`` ns whose largest phase, bounded by
+    2*pi*sum(|E|)*t over its generator's ``energies`` (e_c, e_j and the
+    couplings), exceeds _PHASE_LIMIT: floating point cannot resolve the
+    phases that are meant to cancel."""
+    phase = 2.0 * math.pi * (sum(map(abs, energies)) * t)
+    if not phase <= _PHASE_LIMIT:
+        raise InfeasiblePulseError(f"the {label} pulse accumulates phases up to {phase!r} rad "
+                                   f"in {t!r} ns, which cannot be resolved in floating point")
+
+
 @functools.lru_cache(maxsize=1)
 def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     """What the sign does not change, one device remembered: (preparation,
@@ -273,24 +287,30 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     that needs it to raise: a device without interference timing still
     prepares, and one without flips still runs the mixture control."""
     rows = []
+    ks = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
     try:
         untimed = PulseSegment(0.0, e_c=(0.0, -2.0 * (energies.k12 + energies.k23), 0.0),
                                e_j=(0.0, energies.ej_max[1], 0.0), label="superposition")
         seg_f1, sol1 = _flip_segment(energies, 1)
         seg_f3, sol3 = _flip_segment(energies, 3)
+        t_longest = solve_superposition_pulse(energies.ej_max[1], "-")
+        for seg, t in ((untimed, t_longest), (seg_f1, sol1.t), (seg_f3, sol3.t)):
+            _check_resolution(seg.label, seg.e_c + seg.e_j + ks, t)
         preparation = untimed, (seg_f1, seg_f3), (sol1, sol3)
         rows += [(s.e_c, s.e_j) for s in (untimed, seg_f1, seg_f3)]
     except InfeasiblePulseError as exc:
         preparation = exc
     try:
         _, _, drives, pulse_times = _interference_drives(energies)
+        for label, (e_c, e_j), t in zip(("interference-q2", "interference-q13"), drives,
+                                        pulse_times):
+            _check_resolution(label, e_c + e_j + ks, t)
         rows += drives
     except InfeasiblePulseError as exc:
         pulse_times = exc
     couplings = w = v = None
     if rows:
-        couplings = _reals((energies.k12, energies.k23, energies.k13 if include_k13 else 0.0),
-                           "(k12, k23, k13)", 3)
+        couplings = _reals(ks, "(k12, k23, k13)", 3)
         w, v = _diagonalize(_assemble([(e_c, e_j, couplings) for e_c, e_j in rows]),
                             "evolve requires a Hermitian Hamiltonian")
         w.flags.writeable = v.flags.writeable = False

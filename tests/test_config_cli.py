@@ -721,6 +721,59 @@ def test_cli_device_without_interference_timing_prepares_but_is_not_verified(tmp
                                        "zeta12 = 1.4010192909218728\n")
 
 
+@pytest.mark.parametrize("command", [["prepare"], ["mermin"], ["verify", "--mode", "full"],
+                                     ["verify", "--mode", "effective"]])
+def test_cli_flip_whose_phases_cannot_be_resolved_is_infeasible(tmp_path, capsys, command):
+    # A 1e-300 aF coupler times qubit 1's flip at 4.7e300 ns, through which
+    # the middle qubit's bias of -2*K23 turns phases that floating point
+    # cannot resolve: it used to print fidelity 0.24999999999999983.
+    path = tmp_path / "weak_coupler.yaml"
+    path.write_text("device: {coupler_capacitance_af: [1e-300, 30]}\n")
+    assert main(command + ["--config", str(path)]) == 3
+    assert capsys.readouterr() == ("", "infeasible pulse: the conditional-flip-q1 pulse "
+                                       "accumulates phases up to 2.607410330055633e+302 rad in "
+                                       "4.7222192054961867e+300 ns, which cannot be resolved in "
+                                       "floating point\n")
+
+
+_OFF_IDLE = {
+    "gate_charge": ("device: {gate_charge: [0.5, 0.3, 0.5]}",
+                    "device.gate_charge[1]: pulses need the idle gate charge 0.5, got 0.3"),
+    "flux": ("device: {flux: [0.5, 0.5, 0.4]}",
+             "device.flux[2]: pulses need a half-integer idle flux, got 0.4"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_OFF_IDLE))
+@pytest.mark.parametrize("command", [["prepare"], ["mermin"], ["verify", "--mode", "full"],
+                                     ["verify", "--mode", "effective"], ["scan"]])
+def test_cli_pulse_commands_refuse_a_device_away_from_its_idle_point(tmp_path, capsys, command,
+                                                                     field):
+    text, message = _OFF_IDLE[field]
+    if command == ["scan"]:
+        text += "\nscan: {parameter: coupler}"
+    path = tmp_path / "off_idle.yaml"
+    path.write_text(text + "\n")
+    assert main(command + ["--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [["derive"], ["timing"], ["yyy"], ["verify"], ["scan"]])
+def test_cli_commands_without_pulses_run_away_from_the_idle_point(capsys, command):
+    # the ideal verification and the zeta scan never read the device
+    assert main(command + ["--config", str(ROOT / "tests/configs/off_idle_device.yaml")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_any_half_integer_flux_is_the_idle_point(tmp_path, capsys):
+    path = tmp_path / "half_integer.yaml"
+    path.write_text("device: {flux: [1.5, -0.5, 2.5]}\n")
+    assert main(["prepare", "--config", str(path)]) == 0
+    shifted = capsys.readouterr().out
+    assert main(["prepare"]) == 0
+    assert shifted.replace(str(path), "builtin reference device") == capsys.readouterr().out
+
+
 # In-schema magnitudes at the edges of float range, plus values each field rejects.
 _EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e-160, 1e200, 1e300, 5e307, 1.7e308, float("nan"),
              float("-inf"), True, "x")

@@ -341,6 +341,19 @@ def test_a_device_whose_pulses_cannot_be_timed_still_prepares(clear_memos):
     assert w.shape == (3, 8) and v.shape == (3, 8, 8)
 
 
+def test_a_device_whose_interference_pulse_overflows_still_prepares(clear_memos):
+    # the outer pulse's 2*pi*w*t overflows from eps_J = 1.43e307 GHz: the
+    # device memo stores that refusal in place of the pulses it propagates
+    energies = _reference_device_with(josephson=(1.5e307,) * 3)
+    clear_memos()
+    state, schedule, report = ghz_prepare(energies, "+")
+    assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+    for _ in range(2):
+        for protocol in (verify_ghz, verify_mixture_control):
+            with pytest.raises(InfeasiblePulseError, match="cannot be timed in floating point$"):
+                protocol(energies, "full")
+
+
 def test_a_device_that_cannot_be_prepared_still_runs_the_mixture_control(clear_memos):
     # without coupler 1-2 the first flip cannot be timed, but the mixture
     # control needs only the interference pulses
