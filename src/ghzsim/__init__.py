@@ -54,6 +54,10 @@ _LAZY_LAYERS = {
                "solve_conditional_flip", "solve_superposition_pulse"),
 }
 _LAZY = {name: layer for layer, names in _LAZY_LAYERS.items() for name in names}
+# A star import binds every export: each class and function imported above,
+# then each lazy name, which loads its layer.
+__all__ = [*(name for name, value in globals().items()
+             if callable(value) and not name.startswith("_")), *_LAZY]
 
 
 def __getattr__(name):

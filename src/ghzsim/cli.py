@@ -26,24 +26,15 @@ search bounds and floating point, 4 violated internal contract.  A stderr
 that is closed, or whose reader has gone, loses the error line but not the
 code.
 
-Where a command's wall time goes (medians over the seven commands on the
-reference device, 2 shared CPUs, Python 3.11, numpy 2.4): interpreter start
-65 ms, ``import numpy`` 105 ms, ``import yaml`` 20 ms, ghzsim's modules
-33-67 ms, the command itself 13 ms, and shutdown 10 ms.  ``import ghzsim``
-loads the errors, circuit and config layers, and each handler imports the
-layers it runs: ``derive`` and ``timing`` need no more (33 ms with this
-module), the zeta ``scan`` adds core and effective (19 ms), ``prepare`` and
-the coupler scan add pulses (8 ms), and ``verify``, ``mermin`` and ``yyy``
-add protocols (7 ms).  Of the 67 ms for all eight modules, 37 ms compile
-them, which happens on every run when no ``__pycache__`` is written, 24 ms
-build the 19 frozen dataclasses, and 6 ms fill the module tables.  The json
-and csv modules load only for their formats.
-
-Shutdown was 45 ms before ``entry`` froze the collector: the interpreter's
-final collections traversed the roughly 23 000 objects that numpy, yaml and
-ghzsim leave alive, all of which die with the process.  ``entry`` does not
-end with ``os._exit``: that would skip ``atexit`` handlers and the flushing
-of every other stream to save at most the 10 ms shutdown still takes.
+Most of a command's wall time is spent before and after it runs: the
+README's "Where a command's time goes" holds the measured figures.  That is
+why ``import ghzsim`` loads only the errors, circuit and config layers and
+each handler imports the layers it runs, and why ``entry`` freezes the
+collector: the interpreter's final collections would otherwise traverse
+the objects numpy, yaml and ghzsim leave alive, all of which die with the
+process.  ``entry`` does not end with ``os._exit``: that would skip
+``atexit`` handlers and the flushing of every other stream to save the
+little that shutdown still takes.
 """
 
 import argparse

@@ -15,12 +15,14 @@ Measurement bases follow the package convention: outcome bit 0 corresponds
 to Pauli eigenvalue +1, and the basis-change unitaries satisfy
 S_a sigma_a S_a^dag = sigma_z exactly (checked in the test suite).
 
-The interference protocols (verify_ghz, verify_mixture_control) take a mode:
-"ideal" uses closed-form quarter rotations on the exact entangled state,
-"effective" the second-order generators, and "full" the exact chain
-Hamiltonian timed by the second-order formulas, as a timed experiment would.
-The device's pulses come timed and propagated from ghzsim.pulses; this
-module only runs the experiments on them and remembers no device.
+The interference protocols (verify_ghz, verify_mixture_control) run one
+experiment, _interference_experiment, on the prepared state or on the
+mixture, and take a mode: "ideal" uses closed-form quarter rotations on the
+exact entangled state, "effective" the second-order generators, and "full"
+the exact chain Hamiltonian timed by the second-order formulas, as a timed
+experiment would.  The device's pulses come timed and propagated from
+ghzsim.pulses, and a refused device raises a fresh InfeasiblePulseError on
+every call; this module only runs the experiments and remembers no device.
 """
 
 import itertools
@@ -105,13 +107,6 @@ def _ideal_quarter(qubit: int) -> Operator:
 _IDEAL_PULSES = (_ideal_quarter(2), _ideal_quarter(1) @ _ideal_quarter(3))
 
 
-def _check_mode(mode: str, energies) -> None:
-    if mode not in _MODES:
-        raise ContractViolationError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode != "ideal" and energies is None:
-        raise ContractViolationError(f"mode {mode!r} needs device energies")
-
-
 def _interference_distribution(u2: Operator, u13: Operator, components) -> tuple:
     """The outcome distribution of the interference sequence on weighted
     (weight, amplitudes) components: quarter-rotate qubit 2, postselect it
@@ -142,27 +137,37 @@ def _interference_distribution(u2: Operator, u13: Operator, components) -> tuple
 
 
 # Ideal mode's two distributions do not depend on the device: computed
-# once, at import, and shared, with their sampling tables; every caller
+# once, at import, each with its sampling table, and shared; every caller
 # copies the dicts.
-_IDEAL_DISTRIBUTIONS = {
+_IDEAL = {name: (distribution, _cumulative(distribution[0])) for name, distribution in {
     "ghz": _interference_distribution(*_IDEAL_PULSES, ((1.0, _GHZ_PLUS),)),
     "mixture": _interference_distribution(*_IDEAL_PULSES, _MIXTURE),
-}
-_IDEAL_CUMULATIVE = {name: _cumulative(distribution[0])
-                     for name, distribution in _IDEAL_DISTRIBUTIONS.items()}
+}.items()}
 
 
-def _interference_outcome(distribution: tuple, mode: str, shots: int, seed: int,
-                          cumulative: tuple = None) -> ProtocolOutcome:
-    """A ProtocolOutcome of an interference distribution, with fresh dicts;
-    shots sample its z readout from ``cumulative``, its sampling table,
-    which is built here when not given and only when there are shots."""
+def _interference_experiment(name: str, energies, mode: str, shots: int, seed: int,
+                             include_k13) -> ProtocolOutcome:
+    """The interference experiment of verify_ghz (``name`` "ghz") or of
+    verify_mixture_control ("mixture"), with fresh dicts.  Ideal mode reads
+    its distribution and table from _IDEAL.  The other modes prepare the
+    entangled state (for "ghz") before the pulses, so a device refused in
+    both reports the preparation's refusal, and build a table only when
+    there are shots."""
+    if mode not in _MODES:
+        raise ContractViolationError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode == "ideal":
+        distribution, table = _IDEAL[name]
+    elif energies is None:
+        raise ContractViolationError(f"mode {mode!r} needs device energies")
+    else:
+        components = _MIXTURE if name == "mixture" else (
+            (1.0, ghz_prepare(energies, "+", include_k13=include_k13)[0].amplitudes),)
+        pulses = _interference_pulses(mode, energies, bool(include_k13))
+        distribution, table = _interference_distribution(*pulses, components), None
     full_probs, probs, pair_sums, total_weight = distribution
     counts = None
     if _check_shots(shots):
-        if cumulative is None:
-            cumulative = _cumulative(full_probs)
-        counts = _sample_cumulative(cumulative, shots, seed, "zzz")
+        counts = _sample_cumulative(table or _cumulative(full_probs), shots, seed, "zzz")
     return ProtocolOutcome(counts, dict(probs), dict(pair_sums), total_weight, mode)
 
 
@@ -183,14 +188,7 @@ def verify_ghz(energies: DerivedEnergies = None, mode: str = "ideal", shots: int
     and shared between calls; effective mode builds its pulses on each
     call.  Every call returns fresh probabilities and expectations dicts.
     """
-    _check_mode(mode, energies)
-    if mode == "ideal":
-        return _interference_outcome(_IDEAL_DISTRIBUTIONS["ghz"], mode, shots, seed,
-                                     _IDEAL_CUMULATIVE["ghz"])
-    amplitudes = ghz_prepare(energies, "+", include_k13=include_k13)[0].amplitudes
-    distribution = _interference_distribution(
-        *_interference_pulses(mode, energies, bool(include_k13)), ((1.0, amplitudes),))
-    return _interference_outcome(distribution, mode, shots, seed)
+    return _interference_experiment("ghz", energies, mode, shots, seed, include_k13)
 
 
 def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal",
@@ -209,13 +207,7 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
     the last device, as verify_ghz does; effective mode builds them on each
     call.  Every call returns fresh probabilities and expectations dicts.
     """
-    _check_mode(mode, energies)
-    if mode == "ideal":
-        return _interference_outcome(_IDEAL_DISTRIBUTIONS["mixture"], mode, shots, seed,
-                                     _IDEAL_CUMULATIVE["mixture"])
-    distribution = _interference_distribution(
-        *_interference_pulses(mode, energies, bool(include_k13)), _MIXTURE)
-    return _interference_outcome(distribution, mode, shots, seed)
+    return _interference_experiment("mixture", energies, mode, shots, seed, include_k13)
 
 
 def mermin_operator(pattern: str) -> Operator:

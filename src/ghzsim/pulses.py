@@ -283,9 +283,11 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     five generators share the couplings: one assembly and one eigh give the
     read-only ``w``, ``v`` of the (5, 8, 8) stack, segments first; the
     pulses propagate its last two slices.  A part that cannot be timed
-    holds its InfeasiblePulseError, and its rows stay out, for the caller
-    that needs it to raise: a device without interference timing still
-    prepares, and one without flips still runs the mixture control."""
+    holds its refusal's message, and its rows stay out; the caller that
+    needs it raises a fresh InfeasiblePulseError, so no error object, and
+    no caller's frame, outlives its call: a device without interference
+    timing still prepares, and one without flips still runs the mixture
+    control."""
     rows = []
     ks = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
     try:
@@ -299,7 +301,7 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
         preparation = untimed, (seg_f1, seg_f3), (sol1, sol3)
         rows += [(s.e_c, s.e_j) for s in (untimed, seg_f1, seg_f3)]
     except InfeasiblePulseError as exc:
-        preparation = exc
+        preparation = str(exc)
     try:
         _, _, drives, pulse_times = _interference_drives(energies)
         for label, (e_c, e_j), t in zip(("interference-q2", "interference-q13"), drives,
@@ -307,7 +309,7 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
             _check_resolution(label, e_c + e_j + ks, t)
         rows += drives
     except InfeasiblePulseError as exc:
-        pulse_times = exc
+        pulse_times = str(exc)
     couplings = w = v = None
     if rows:
         couplings = _reals(ks, "(k12, k23, k13)", 3)
@@ -315,11 +317,11 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
                             "evolve requires a Hermitian Hamiltonian")
         w.flags.writeable = v.flags.writeable = False
     pulses = pulse_times
-    if not isinstance(pulse_times, InfeasiblePulseError):
+    if not isinstance(pulse_times, str):
         try:
             pulses = tuple(map(Operator, _spectral_propagators(w[-2:], v[-2:], pulse_times)))
         except InfeasiblePulseError as exc:
-            pulses = exc
+            pulses = str(exc)
     return preparation, pulses, couplings, w, v
 
 
@@ -327,15 +329,15 @@ def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool
     """The quarter rotations (u2, u13) of qubit 2 and of the outer pair in
     effective or full mode, timed by the second-order formulas.  Full mode
     reads them from the device memo (_device_sequence), or raises its
-    stored refusal; effective mode diagonalizes and propagates its two
+    stored refusal anew; effective mode diagonalizes and propagates its two
     generators on each call."""
     if mode == "effective":
         middle, matched, _, times = _interference_drives(energies)
         stack = np.array([h_eff_qubit2(middle).matrix, h_eff_qubits13(matched, +1).matrix])
         return tuple(map(Operator, _propagators(stack, times)))
     pulses = _device_sequence(energies, include_k13)[1]
-    if isinstance(pulses, InfeasiblePulseError):
-        raise pulses.with_traceback(None)
+    if isinstance(pulses, str):
+        raise InfeasiblePulseError(pulses)
     return pulses
 
 
@@ -344,8 +346,8 @@ def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
     """ghz_prepare for a parsed sign s (+1 or -1), one device remembered."""
     t_sup = solve_superposition_pulse(energies.ej_max[1], -s)
     preparation, _, couplings, w, v = _device_sequence(energies, include_k13)
-    if isinstance(preparation, InfeasiblePulseError):
-        raise preparation.with_traceback(None)
+    if isinstance(preparation, str):
+        raise InfeasiblePulseError(preparation)
     untimed, flips, solutions = preparation
     schedule = Schedule((PulseSegment(t_sup, untimed.e_c, untimed.e_j, untimed.label), *flips),
                         *couplings)

@@ -553,6 +553,15 @@ def test_the_namespace_resolves_every_export_to_its_defining_module():
     assert (proc.returncode, proc.stdout) == (0, b"[True, True, True, True]\n"), proc.stderr
 
 
+def test_a_star_import_binds_every_export_and_nothing_else():
+    code = "from ghzsim import *; print(sorted(name for name in dir() if name[0] != '_'))"
+    proc = _child([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    bound = proc.stdout.decode()
+    assert "importlib" not in bound
+    assert bound == f"{sorted(_exports())}\n"
+
+
 @pytest.mark.parametrize("stderr", ["closed", "broken pipe"])
 @pytest.mark.parametrize("unbuffered", ["1", None])
 def test_config_error_without_a_stderr_still_exits_2(stderr, unbuffered):
@@ -789,8 +798,11 @@ def _documents(out_path: str):
         "junction_capacitance_af": _entries(),
         "gate_capacitance_af": _entries(),
         "coupler_capacitance_af": _entries(size=2),
-        "gate_charge": _entries(st.one_of(st.floats(0.0, 1.0), _NUMBERS)),
-        "flux": _entries(),
+        # the idle point, drawn often, so more documents reach the pulse commands
+        "gate_charge": st.one_of(st.just([0.5] * 3),
+                                 _entries(st.one_of(st.floats(0.0, 1.0), _NUMBERS))),
+        "flux": st.one_of(st.lists(st.sampled_from((0.5, -0.5, 1.5)), min_size=3, max_size=3),
+                          _entries()),
         "josephson_energy_ghz": _entries(),
         "readout_time_ns": _NUMBERS,
     })

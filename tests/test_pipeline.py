@@ -2,8 +2,10 @@
 correlations on drawn devices, pinned byte for byte."""
 
 import cmath
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from ghzsim import (
     verify_mixture_control,
 )
 from ghzsim.protocols import (
-    _IDEAL_DISTRIBUTIONS,
+    _IDEAL,
     _IDEAL_PULSES,
     _MERMIN_OPERATORS,
     _interference_pulses,
@@ -153,6 +155,27 @@ def test_repeated_verification_equals_a_fresh_one(clear_memos):
             assert verify_ghz(dev, mode, include_k13=k13) == fresh[verify_ghz, dev, mode, k13]
 
 
+class _Local:
+    """A caller's local, for a weak reference to watch."""
+
+
+def _refused(call) -> InfeasiblePulseError:
+    with pytest.raises(InfeasiblePulseError) as info:
+        call()
+    return info.value
+
+
+def _local_of_a_refused_caller(call) -> weakref.ref:
+    """Run ``call`` in a caller that catches its refusal and returns; a weak
+    reference to one of that caller's locals."""
+    local = _Local()
+    try:
+        call()
+    except InfeasiblePulseError:
+        pass
+    return weakref.ref(local)
+
+
 def test_infeasible_device_raises_on_every_call():
     network = CapacitanceNetwork((600.0, 600.0, 600.0), (0.6, 0.6, 0.6), (0.0, 30.0))
     settings = ControlSettings((0.5, 0.5, 0.5), (0.5, 0.5, 0.5), (5.6, 5.6, 5.6))
@@ -162,6 +185,31 @@ def test_infeasible_device_raises_on_every_call():
             ghz_prepare(energies, "+")
         with pytest.raises(InfeasiblePulseError, match="k12"):
             verify_ghz(energies, "full")
+    # couplers (0, 300) aF: no flips (k12 = 0) and no interference timing
+    # (zeta23 = 1.44); verify_ghz reports the preparation's refusal first
+    network = CapacitanceNetwork((600.0, 600.0, 600.0), (0.6, 0.6, 0.6), (0.0, 300.0))
+    both = derive_energies(network, settings)
+    refusals = {
+        "k12": (lambda: ghz_prepare(both, "+"), lambda: verify_ghz(both, "full"),
+                lambda: verify_ghz(both, "effective")),
+        "zeta23": (lambda: verify_mixture_control(both, "full"),),
+    }
+    for _ in range(3):
+        for match, calls in refusals.items():
+            for call in calls:
+                with pytest.raises(InfeasiblePulseError, match=match):
+                    call()
+    # each call raises its own error, which keeps nothing of an earlier caller
+    for call in (refusals["k12"][0], refusals["zeta23"][0]):
+        assert _refused(call) is not _refused(call)
+        try:
+            raise ValueError("the caller's own failure")
+        except ValueError:
+            assert isinstance(_refused(call).__context__, ValueError)
+        assert _refused(call).__context__ is None
+        ref = _local_of_a_refused_caller(call)
+        gc.collect()
+        assert ref() is None
 
 
 def test_shared_results_are_read_only():
@@ -171,7 +219,7 @@ def test_shared_results_are_read_only():
     matrices = [op.matrix for op in _interference_pulses("full", dev, False)]
     matrices += [op.matrix for op in _IDEAL_PULSES]
     matrices += [op.matrix for op in _MERMIN_OPERATORS.values()]
-    ideal_probs = [distribution[0] for distribution in _IDEAL_DISTRIBUTIONS.values()]
+    ideal_probs = [distribution[0] for distribution, _ in _IDEAL.values()]
     for arr in [state.amplitudes, *matrices, *ideal_probs]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -309,7 +357,7 @@ def test_device_modes_build_no_table_without_shots(monkeypatch, clear_memos, mod
 
 @pytest.mark.parametrize("fn, name", [(verify_ghz, "ghz"), (verify_mixture_control, "mixture")])
 def test_ideal_tables_are_the_cumulative_sums_of_their_distributions(fn, name):
-    p = _IDEAL_DISTRIBUTIONS[name][0]
+    p = _IDEAL[name][0][0]
     fresh = tuple(np.cumsum(p / p.sum()).tolist())
     assert repr(fn(shots=10, seed=3).counts.cumulative) == repr(fresh)
 
