@@ -24,6 +24,7 @@ from .errors import (
     DegenerateControlError,
     GateChargeRangeWarning,
     UnphysicalNetworkError,
+    _duration,
     _real,
     _reals,
 )
@@ -292,11 +293,9 @@ def readout_timing_margin(k_coupling: float, t_measure: float) -> TimingMargin:
     the two-step readout argument to hold; the estimate is order-of-magnitude.
     """
     k_coupling = _real(k_coupling, "k_coupling must be a real number")
-    t_measure = _real(t_measure, "t_measure must be a real number")
-    if k_coupling <= 0.0:
-        raise ContractViolationError("readout_timing_margin requires k_coupling > 0")
-    if t_measure < 0.0:
-        raise ContractViolationError("readout_timing_margin requires t_measure >= 0")
+    t_measure = _duration(t_measure, "t_measure")
+    if not 0.0 < 2.0 * math.pi * k_coupling < math.inf:
+        raise ContractViolationError(f"2 * pi * k_coupling must lie in (0, inf), got {k_coupling}")
     t_c = 1.0 / (2.0 * math.pi * k_coupling)
     margin = t_measure / t_c
     return TimingMargin(k_coupling, t_c, margin, margin < 1.0)

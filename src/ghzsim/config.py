@@ -16,7 +16,6 @@ which must be non-negative and is required whenever shots > 0.
 """
 
 import copy
-import math
 import re
 from dataclasses import dataclass
 
@@ -26,11 +25,13 @@ from .circuit import CapacitanceNetwork, ControlSettings
 from .errors import (
     _MODES,
     _SCAN_TARGETS,
-    _SCAN_ZETA_LIMIT,
     ConfigError,
     UnphysicalNetworkError,
-    _real,
+    _choice,
+    _count,
+    _duration,
     _reals,
+    _zetas,
 )
 
 DEFAULT_CONFIG = {
@@ -133,12 +134,6 @@ def _merge(base: dict, override: dict, path: str) -> dict:
     return out
 
 
-def _choice(raw, field, allowed):
-    if raw not in allowed:
-        raise ConfigError(f"{field}: expected one of {allowed}, got {raw!r}")
-    return raw
-
-
 def load_config(path: str = None, overrides: dict = None) -> RunConfig:
     """Load and validate a run configuration.
 
@@ -188,18 +183,11 @@ def _build(raw: dict, source: str) -> RunConfig:
     except UnphysicalNetworkError as exc:
         name = re.match(r"\w+", str(exc)).group()
         raise ConfigError(f"device.{_DEVICE_KEYS[name]}{str(exc)[len(name):]}") from exc
-    raw_time = dev["readout_time_ns"]
-    readout_time = _real(raw_time, "device.readout_time_ns: expected a number", ConfigError)
-    if not math.isfinite(readout_time):
-        raise ConfigError(f"device.readout_time_ns: must be finite, got {raw_time!r}")
-    if readout_time < 0.0:
-        raise ConfigError(f"device.readout_time_ns: must be >= 0.0, got {raw_time!r}")
+    readout_time = _duration(dev["readout_time_ns"], "device.readout_time_ns", ConfigError)
 
     proto_raw = raw["protocol"]
-    mode = _choice(proto_raw["mode"], "protocol.mode", _MODES)
-    shots = proto_raw["shots"]
-    if isinstance(shots, bool) or not isinstance(shots, int) or shots < 0:
-        raise ConfigError(f"protocol.shots: expected a non-negative integer, got {shots!r}")
+    mode = _choice(proto_raw["mode"], "protocol.mode", _MODES, ConfigError)
+    shots = _count(proto_raw["shots"], "protocol.shots", ConfigError)
     if shots > _MAX_SHOTS:
         raise ConfigError(f"protocol.shots: at most {_MAX_SHOTS} shots, got {shots}")
     seed = proto_raw["seed"]
@@ -209,24 +197,21 @@ def _build(raw: dict, source: str) -> RunConfig:
         raise ConfigError(f"protocol.seed: must be non-negative, got {seed}")
     if shots > 0 and seed is None:
         raise ConfigError("protocol.seed: required whenever protocol.shots > 0")
-    sign = _SIGNS[_choice(proto_raw["sign"], "protocol.sign", tuple(_SIGNS))]
+    sign = _SIGNS[_choice(proto_raw["sign"], "protocol.sign", tuple(_SIGNS), ConfigError)]
     include_k13 = proto_raw["include_k13"]
     if not isinstance(include_k13, bool):
         raise ConfigError(f"protocol.include_k13: expected a boolean, got {include_k13!r}")
     protocol = ProtocolConfig(mode, shots, seed, sign, include_k13)
 
     scan_raw = raw["scan"]
-    parameter = _choice(scan_raw["parameter"], "scan.parameter", _SCAN_PARAMETERS)
-    target = _choice(scan_raw["target"], "scan.target", _SCAN_TARGETS)
+    parameter = _choice(scan_raw["parameter"], "scan.parameter", _SCAN_PARAMETERS, ConfigError)
+    target = _choice(scan_raw["target"], "scan.target", _SCAN_TARGETS, ConfigError)
     values_raw = scan_raw["values"]
     if not isinstance(values_raw, (list, tuple)) or not values_raw:
         raise ConfigError(f"scan.values: expected a non-empty list, got {values_raw!r}")
     values = _reals(values_raw, "scan.values", len(values_raw), ConfigError)
     if parameter == "zeta":
-        for i, v in enumerate(values):
-            if not 0.0 <= v < _SCAN_ZETA_LIMIT:
-                raise ConfigError(f"scan.values[{i}]: zeta must lie in "
-                                  f"[0, {_SCAN_ZETA_LIMIT}), got {v}")
+        _zetas(values, "scan.values", ConfigError)
     else:
         for i, v in enumerate(values):
             if v <= 0.0:
@@ -234,7 +219,7 @@ def _build(raw: dict, source: str) -> RunConfig:
     scan = ScanConfig(parameter, target, values)
 
     out_raw = raw["output"]
-    fmt = _choice(out_raw["format"], "output.format", _FORMATS)
+    fmt = _choice(out_raw["format"], "output.format", _FORMATS, ConfigError)
     out_path = out_raw["path"]
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError(f"output.path: expected a string or null, got {out_path!r}")

@@ -17,7 +17,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ContractViolationError, InfeasiblePulseError, _integer, _real, _reals
+from .errors import (
+    ContractViolationError,
+    InfeasiblePulseError,
+    _choice,
+    _count,
+    _integer,
+    _real,
+    _reals,
+)
 
 N_QUBITS = 3
 DIM = 8
@@ -89,22 +97,16 @@ def _check_norm(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
+# The 3-bit labels in basis-index order: '000', '001', ..., '111'.
+_BASIS_LABELS = tuple(format(i, "03b") for i in range(DIM))
+
+
 def _basis_amplitudes(label: str) -> np.ndarray:
     """Read-only amplitudes of a computational basis state such as '010'."""
     amps = np.zeros(DIM, dtype=complex)
-    amps[_basis_index(label)] = 1.0
+    amps[_BASIS_LABELS.index(_choice(label, "label", _BASIS_LABELS))] = 1.0
     amps.flags.writeable = False
     return amps
-
-
-def _basis_index(label: str) -> int:
-    if not isinstance(label, str) or len(label) != N_QUBITS or any(ch not in "01" for ch in label):
-        raise ContractViolationError(f"basis label must be a 3-bit string, got {label!r}")
-    return int(label, 2)
-
-
-# The 3-bit labels in basis-index order: '000', '001', ..., '111'.
-_BASIS_LABELS = tuple(format(i, "03b") for i in range(DIM))
 
 
 def ghz_state(sign: str = "+") -> StateVector:
@@ -205,8 +207,7 @@ _FLIP_INDEX = np.array(_FLIP_SLOTS).T
 
 def pauli(axis: str, qubit: int) -> Operator:
     """Single-qubit Pauli operator embedded in the 8-dimensional register."""
-    if not isinstance(axis, str) or axis not in _PAULI_2X2:
-        raise ContractViolationError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+    _choice(axis, "axis", tuple(_PAULI_2X2))
     _check_qubit(qubit)
     return Operator(_PAULI_8X8[axis, qubit])
 
@@ -402,10 +403,15 @@ def sample(state: StateVector, shots: int, seed: int, basis: str = "zzz") -> Mea
     and ``shots`` and ``seed`` must be non-negative integers (not bools);
     anything else, a seed of None included, raises ContractViolationError.
     """
-    if not isinstance(basis, str) or len(basis) != N_QUBITS or any(ch not in "xyz" for ch in basis):
-        raise ContractViolationError(f"basis must be 3 characters from 'xyz', got {basis!r}")
+    _pauli_word(basis, "basis")
     return _sample_cumulative(_cumulative(_readout_probabilities(state, basis)), shots, seed,
                               basis)
+
+
+def _pauli_word(word: str, name: str) -> None:
+    """Refuse all but a ``str`` of 3 axes from 'xyz': sample's basis, a Mermin pattern."""
+    if not isinstance(word, str) or len(word) != N_QUBITS or any(ch not in "xyz" for ch in word):
+        raise ContractViolationError(f"{name} must be 3 characters from 'xyz', got {word!r}")
 
 
 @lru_cache(maxsize=None)
@@ -466,27 +472,14 @@ def _tally(chunks, cumulative: tuple) -> list:
     return [b - a for a, b in zip(running, running[1:])]
 
 
-def _check_shots(shots) -> int:
-    """The shot count as an int: a non-negative integer, not a bool."""
-    if not _integer(shots):
-        raise ContractViolationError(f"shots must be an integer, got {shots!r}")
-    if shots < 0:
-        raise ContractViolationError(f"shots must be non-negative, got {shots}")
-    return int(shots)
-
-
 def _sample_cumulative(cumulative: tuple, shots: int, seed: int,
                        basis: str) -> MeasurementRecord:
     """The sampling stream of sample(), over a table built by _cumulative:
     one PCG64 uniform per shot, tallied against the cumulative edges."""
-    shots = _check_shots(shots)
-    if seed is None:
-        raise ContractViolationError("sampling requires a seed")
-    if not _integer(seed) or seed < 0:
-        raise ContractViolationError(f"seed must be a non-negative integer, got {seed!r}")
+    shots, seed = _count(shots, "shots"), _count(seed, "seed")
     totals = _tally(_draw_stream(shots, seed), cumulative)
     counts = {_BASIS_LABELS[i]: n for i, n in enumerate(totals) if n}
-    return MeasurementRecord(counts, int(seed), basis, shots, cumulative)
+    return MeasurementRecord(counts, seed, basis, shots, cumulative)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -25,12 +25,13 @@ from .circuit import DerivedEnergies
 from .core import _PAULI_8X8, _Z_SIGNS, Operator, _assemble, _propagators
 from .errors import (
     _SCAN_TARGETS,
-    _SCAN_ZETA_LIMIT,
     ContractViolationError,
     InfeasiblePulseError,
+    _choice,
     _integer,
     _real,
     _reals,
+    _zetas,
 )
 
 _SCAN_BATCH = 64  # zetas per stacked eigh and lock-step phase search, so memory stays bounded
@@ -285,8 +286,7 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     Returns a tuple of (zeta, error) pairs.  ``zeta_values`` is an iterable
     (not a string) of real, non-bool numbers.
     """
-    if which not in _SCAN_TARGETS:
-        raise ContractViolationError(f"which must be 'middle' or 'outer', got {which!r}")
+    _choice(which, "which", _SCAN_TARGETS)
     try:
         zetas = None if isinstance(zeta_values, (str, bytes)) else tuple(zeta_values)
     except TypeError:
@@ -294,12 +294,7 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     if zetas is None:
         raise ContractViolationError(f"zeta_values must be an iterable of numbers, "
                                      f"got {zeta_values!r}")
-    zetas = tuple(_real(z, "scan zeta values must be real numbers") for z in zetas)
-    for z in zetas:
-        if not 0.0 <= z < _SCAN_ZETA_LIMIT:
-            raise ContractViolationError(
-                f"scan zeta values must satisfy 0 <= zeta < {_SCAN_ZETA_LIMIT}, got {z}"
-            )
+    zetas = _zetas(_reals(zetas, "zeta_values", len(zetas)), "zeta_values")
     table = []
     for start in range(0, len(zetas), _SCAN_BATCH):
         batch = zetas[start:start + _SCAN_BATCH]

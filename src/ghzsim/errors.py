@@ -4,8 +4,10 @@ Every failure mode that callers are expected to handle derives from
 SimulationError.  The CLI maps these onto process exit codes, so the split
 between configuration problems, pulse-search failures and internal contract
 violations is part of the public interface.  The readers of caller-supplied
-numbers live here too, so that every layer checks them alike, and so do the
-word lists that both the config and the layer checking them accept.
+values live here too, one rule each: a number, a list of numbers, a word,
+a count, the scan's zetas and a duration.  The config calls each rule with
+the field's YAML path and ConfigError, the library with its parameter name,
+so both accept the same values and say why alike.
 """
 
 import math
@@ -88,3 +90,35 @@ def _reals(values, name: str, length: int, error=ContractViolationError) -> tupl
             raise error(f"{name}[{i}]: must be finite, got {entries[i]!r}")
         reals.append(v)
     return tuple(reals)
+
+
+def _choice(value, name: str, allowed: tuple, error=ContractViolationError) -> str:
+    """``value``, a ``str`` in ``allowed``: the one check of a word."""
+    if not isinstance(value, str) or value not in allowed:
+        raise error(f"{name}: expected one of {allowed}, got {value!r}")
+    return value
+
+
+def _count(value, name: str, error=ContractViolationError) -> int:
+    """``value``, a non-negative ``_integer``, as an ``int``."""
+    if not _integer(value) or value < 0:
+        raise error(f"{name}: expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _zetas(values: tuple, name: str, error=ContractViolationError) -> tuple:
+    """``values``, floats that each lie in [0, _SCAN_ZETA_LIMIT)."""
+    for i, z in enumerate(values):
+        if not 0.0 <= z < _SCAN_ZETA_LIMIT:
+            raise error(f"{name}[{i}]: zeta must lie in [0, {_SCAN_ZETA_LIMIT}), got {z}")
+    return values
+
+
+def _duration(value, name: str, error=ContractViolationError) -> float:
+    """``value`` as a float: a finite non-bool real >= 0."""
+    t = _real(value, f"{name}: expected a number", error)
+    if not math.isfinite(t):
+        raise error(f"{name}: must be finite, got {value!r}")
+    if t < 0.0:
+        raise error(f"{name}: must be >= 0.0, got {value!r}")
+    return t

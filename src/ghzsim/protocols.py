@@ -41,9 +41,9 @@ from .core import (
     _Z_SIGNS,
     _basis_amplitudes,
     _check_norm,
-    _check_shots,
     _cumulative,
     _pair_amplitudes,
+    _pauli_word,
     _project,
     _readout_probabilities,
     _require_unitary,
@@ -51,7 +51,7 @@ from .core import (
     expectation,
     pauli,
 )
-from .errors import _MODES, ContractViolationError, _integer
+from .errors import _MODES, ContractViolationError, _choice, _count, _integer
 from .pulses import _interference_pulses, ghz_prepare
 
 _PROB_SUM_TOL = 1e-9
@@ -82,8 +82,7 @@ class ProtocolOutcome:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ContractViolationError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        _choice(self.mode, "mode", _MODES)
         total = sum(self.probabilities.values())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ContractViolationError(f"probabilities sum to {total}, expected 1")
@@ -153,9 +152,7 @@ def _interference_experiment(name: str, energies, mode: str, shots: int, seed: i
     entangled state (for "ghz") before the pulses, so a device refused in
     both reports the preparation's refusal, and build a table only when
     there are shots."""
-    if mode not in _MODES:
-        raise ContractViolationError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode == "ideal":
+    if _choice(mode, "mode", _MODES) == "ideal":
         distribution, table = _IDEAL[name]
     elif energies is None:
         raise ContractViolationError(f"mode {mode!r} needs device energies")
@@ -166,7 +163,7 @@ def _interference_experiment(name: str, energies, mode: str, shots: int, seed: i
         distribution, table = _interference_distribution(*pulses, components), None
     full_probs, probs, pair_sums, total_weight = distribution
     counts = None
-    if _check_shots(shots):
+    if _count(shots, "shots"):
         counts = _sample_cumulative(table or _cumulative(full_probs), shots, seed, "zzz")
     return ProtocolOutcome(counts, dict(probs), dict(pair_sums), total_weight, mode)
 
@@ -212,8 +209,7 @@ def verify_mixture_control(energies: DerivedEnergies = None, mode: str = "ideal"
 
 def mermin_operator(pattern: str) -> Operator:
     """Three-qubit Pauli product such as 'yxx' (qubit 1 leftmost)."""
-    if not isinstance(pattern, str) or len(pattern) != 3 or any(ch not in "xyz" for ch in pattern):
-        raise ContractViolationError(f"pattern must be 3 characters from 'xyz', got {pattern!r}")
+    _pauli_word(pattern, "pattern")
     return pauli(pattern[0], 1) @ pauli(pattern[1], 2) @ pauli(pattern[2], 3)
 
 
@@ -303,7 +299,7 @@ def yyy_experiment(state: StateVector, shots: int = 0, seed: int = None) -> Prot
     probs = dict(zip(_BASIS_LABELS, p.tolist()))
     yyy_exact = sum(prob * sign for prob, sign in zip(probs.values(), _PARITY_SIGNS))
     counts = None
-    if _check_shots(shots):
+    if _count(shots, "shots"):
         counts = _sample_cumulative(_cumulative(p), shots, seed, "yyy")
         even = sum(c for lab, c in counts.counts.items() if lab in _EVEN_LABELS)
         even_fraction = even / shots

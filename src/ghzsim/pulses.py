@@ -52,7 +52,7 @@ from .core import (
     build_hamiltonian,  # not called here; bench/test_bench.py reads pulses.build_hamiltonian
 )
 from .effective import _interference_drives, h_eff_qubit2, h_eff_qubits13
-from .errors import ContractViolationError, InfeasiblePulseError, _real, _reals
+from .errors import ContractViolationError, InfeasiblePulseError, _duration, _real, _reals
 
 _RESIDUAL_TOL = 1e-9
 # The largest phase (rad) a pulse may accumulate (_check_resolution): a
@@ -73,10 +73,7 @@ class PulseSegment:
     label: str = ""
 
     def __post_init__(self):
-        d = _real(self.duration, "segment duration must be a real number")
-        if not math.isfinite(d) or d < 0.0:
-            raise ContractViolationError(f"segment duration must be finite and >= 0, got {d}")
-        object.__setattr__(self, "duration", d)
+        object.__setattr__(self, "duration", _duration(self.duration, "duration"))
         for name in ("e_c", "e_j"):
             object.__setattr__(self, name, _reals(getattr(self, name), name, 3))
 

@@ -13,14 +13,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghzsim
-from ghzsim import (CapacitanceNetwork, ConfigError, ContractViolationError, ControlSettings, cli,
-                    config, load_config)
+from ghzsim import (CapacitanceNetwork, ConfigError, ContractViolationError, ControlSettings,
+                    ProtocolOutcome, cli, config, effective_error_scan, ghz_state, load_config,
+                    readout_timing_margin, yyy_experiment)
 from ghzsim.cli import build_parser, main
 from ghzsim.config import DEFAULT_CONFIG
 
@@ -226,6 +228,43 @@ def test_config_reads_exponent_notation(tmp_path, text, values):
     path = tmp_path / "exponent.yaml"
     path.write_text(text)
     assert load_config(str(path)).scan.values == values
+
+
+# Each rule config and library share: the override that sets a value in the
+# config, and a library call that reads the same value.  Shot counts above
+# config's cap, and config's own seed rules, are left out.
+_SHARED_RULES = {
+    "shots": (lambda v: {"protocol": {"shots": v, "seed": 1}},
+              lambda v: yyy_experiment(ghz_state("+"), v, 1)),
+    "mode": (lambda v: {"protocol": {"mode": v}},
+             lambda v: ProtocolOutcome(None, {"000": 1.0}, {}, 1.0, v)),
+    "target": (lambda v: {"scan": {"target": v}}, lambda v: effective_error_scan((0.1,), v)),
+    "zeta": (lambda v: {"scan": {"values": [v]}}, lambda v: effective_error_scan((v,))),
+    "readout_time": (lambda v: {"device": {"readout_time_ns": v}},
+                     lambda v: readout_timing_margin(0.2, v)),
+}
+_SHARED_VALUES = (-1, 0, 3, 2.5, True, None, "3", np.int64(3), math.nan, math.inf, 0.49, 0.5,
+                  "ideal", "full", "middle", np.str_("outer"))
+
+
+def _refusal(call, value, error):
+    """The reason ``call(value)`` gives for raising ``error``, the text after
+    the value's name, or None when it accepts the value."""
+    try:
+        call(value)
+    except error as exc:
+        return str(exc).split(": ", 1)[1]
+    return None
+
+
+@pytest.mark.parametrize("value", _SHARED_VALUES, ids=repr)
+@pytest.mark.parametrize("rule", sorted(_SHARED_RULES))
+def test_config_and_library_refuse_the_same_values_alike(rule, value):
+    configure, call = _SHARED_RULES[rule]
+    by_config = _refusal(lambda v: load_config(overrides=configure(v)), value, ConfigError)
+    by_library = _refusal(call, value, ContractViolationError)
+    assert (by_config is None) == (by_library is None)
+    assert by_config == by_library
 
 
 def test_config_file_problems(tmp_path):

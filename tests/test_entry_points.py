@@ -16,11 +16,13 @@ from ghzsim import (
     InfeasiblePulseError,
     Operator,
     PerturbationParams,
+    ProtocolOutcome,
     PulseSegment,
     Schedule,
     StateVector,
     UnphysicalNetworkError,
     build_hamiltonian,
+    effective_error_scan,
     evolve,
     ghz_state,
     h_eff_qubits13,
@@ -90,6 +92,9 @@ _GHZ = ghz_state("+")
     (h_eff_qubits13, (PerturbationParams((1.0, 1.0, 1.0)), True)),
     (pauli, (["x"], 2)),
     (project, (StateVector.basis("010"), 2.0, 1)),
+    (verify_ghz, (None, np.array(["ideal", "full"]))),
+    (effective_error_scan, ((0.1,), np.array(["middle", "outer"]))),
+    (ProtocolOutcome, (None, {"00": 1.0}, {}, 1.0, np.array(["ideal", "full"]))),
 ])
 def test_words_must_be_strings_and_indices_not_bools(call, args):
     with pytest.raises(ContractViolationError):
@@ -111,6 +116,11 @@ _NOT_TIMES = ("0.5", True, b"1", None)
     (solve_conditional_flip, (0.2, "5")),
     (readout_timing_margin, ("1", 1.0)),
     (readout_timing_margin, (0.2, True)),
+    (readout_timing_margin, (math.inf, 1.0)),
+    (readout_timing_margin, (math.nan, 1.0)),
+    (readout_timing_margin, (0.2, math.nan)),
+    (readout_timing_margin, (0.2, math.inf)),
+    (readout_timing_margin, (1e308, 1.0)),
     (verify_mixture_control, (None, "ideal", 2.5, 1)),
     (yyy_experiment, (_GHZ, "10", 1)),
     (lhv_prediction, (_assignment(1.7),)),

@@ -148,7 +148,7 @@ _SHOT_PROTOCOLS = {
 def test_protocols_take_no_falsy_non_integer_as_zero_shots(protocol, shots):
     run = _SHOT_PROTOCOLS[protocol]
     assert run(0, None).counts is None
-    with pytest.raises(ContractViolationError, match="^shots must be an integer"):
+    with pytest.raises(ContractViolationError, match="^shots: expected a non-negative integer"):
         run(shots, 7)
 
 
