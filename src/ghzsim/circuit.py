@@ -25,6 +25,7 @@ from .errors import (
     GateChargeRangeWarning,
     UnphysicalNetworkError,
     _duration,
+    _positive,
     _real,
     _reals,
 )
@@ -39,12 +40,6 @@ _E2_PER_AF_GHZ = ELEMENTARY_CHARGE**2 / 1e-18 / (PLANCK_CONSTANT * 1e9)
 
 _COND_LIMIT = 1e12
 _CROSSTALK_THRESHOLD = 0.05
-
-
-def _refused(name: str, values: tuple, ok, requirement: str) -> UnphysicalNetworkError:
-    """The error naming the first entry of ``values`` that fails ``ok``."""
-    i = next(i for i, v in enumerate(values) if not ok(v))
-    return UnphysicalNetworkError(f"{name}[{i}]: {requirement}, got {values[i]}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +60,11 @@ class CapacitanceNetwork:
             object.__setattr__(self, name, _reals(getattr(self, name), name, length,
                                                   UnphysicalNetworkError))
         for name in ("c_junction", "c_gate"):
-            if min(getattr(self, name)) <= 0.0:
-                raise _refused(name, getattr(self, name), lambda c: c > 0.0, "must be > 0")
-        if min(self.c_coupler) < 0.0:
-            raise _refused("c_coupler", self.c_coupler, lambda c: c >= 0.0, "must be >= 0")
+            for i, c in enumerate(getattr(self, name)):
+                _positive(c, f"{name}[{i}]", UnphysicalNetworkError)
+        for i, c in enumerate(self.c_coupler):
+            if c < 0.0:
+                raise UnphysicalNetworkError(f"c_coupler[{i}]: must be >= 0, got {c}")
 
 
 @dataclass(frozen=True)
@@ -108,14 +104,12 @@ class ControlSettings:
         for i, n in enumerate(self.gate_charge):
             if not 0.0 <= n <= 1.0:
                 raise UnphysicalNetworkError(f"gate_charge[{i}]: must lie in [0, 1], got {n}")
-        if min(self.epsilon_j) <= 0.0:
-            raise _refused("epsilon_j", self.epsilon_j, lambda e: e > 0.0, "must be > 0")
-        if not math.isfinite(math.pi * max(map(abs, self.flux))):  # the largest overflows first
-            raise _refused("flux", self.flux, lambda f: math.isfinite(math.pi * f),
-                           "must keep pi * flux finite")
-        if not math.isfinite(2.0 * max(self.epsilon_j)):
-            raise _refused("epsilon_j", self.epsilon_j, lambda e: math.isfinite(2.0 * e),
-                           "must keep 2 * eps_j finite")
+        for i, e in enumerate(self.epsilon_j):
+            _positive(e, f"epsilon_j[{i}]", UnphysicalNetworkError)
+        for name, scale, term in (("flux", math.pi, "pi * flux"), ("epsilon_j", 2.0, "2 * eps_j")):
+            for i, v in enumerate(getattr(self, name)):
+                if not math.isfinite(scale * v):
+                    raise UnphysicalNetworkError(f"{name}[{i}]: must keep {term} finite, got {v}")
 
 
 @dataclass(frozen=True)

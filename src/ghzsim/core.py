@@ -23,6 +23,7 @@ from .errors import (
     _choice,
     _count,
     _integer,
+    _member,
     _real,
     _reals,
 )
@@ -124,12 +125,11 @@ def _pair_amplitudes(index: int, coefficient: complex) -> np.ndarray:
 
 
 def _parse_sign(sign) -> int:
-    """+1 or -1 from '+'/'-' or the integers 1/-1; a bool is not a sign."""
-    if not isinstance(sign, (bool, np.bool_)):
-        if sign in ("+", 1):
-            return 1
-        if sign in ("-", -1):
-            return -1
+    """+1 or -1 from the str '+'/'-' or an ``_integer`` 1/-1, and nothing else."""
+    if isinstance(sign, str) and sign in ("+", "-"):
+        return 1 if sign == "+" else -1
+    if _integer(sign) and sign in (1, -1):
+        return int(sign)
     raise ContractViolationError(f"sign must be '+' or '-', got {sign!r}")
 
 
@@ -164,11 +164,6 @@ class Operator:
         return Operator(self.matrix @ other.matrix)
 
 
-def _check_qubit(qubit) -> None:
-    if not _integer(qubit) or qubit not in (1, 2, 3):
-        raise ContractViolationError(f"qubit index must be 1, 2 or 3, got {qubit}")
-
-
 def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """a (x) b (x) c: a acts on qubit 1, the leftmost."""
     return np.kron(np.kron(a, b), c)
@@ -176,7 +171,7 @@ def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _embed(single: np.ndarray, qubit: int) -> np.ndarray:
     """Place a 2x2 matrix on one qubit (1-based, qubit 1 leftmost)."""
-    _check_qubit(qubit)
+    qubit = _member(qubit, "qubit", (1, 2, 3))
     factors = [_I2, _I2, _I2]
     factors[qubit - 1] = single
     return _kron3(*factors)
@@ -208,7 +203,7 @@ _FLIP_INDEX = np.array(_FLIP_SLOTS).T
 def pauli(axis: str, qubit: int) -> Operator:
     """Single-qubit Pauli operator embedded in the 8-dimensional register."""
     _choice(axis, "axis", tuple(_PAULI_2X2))
-    _check_qubit(qubit)
+    qubit = _member(qubit, "qubit", (1, 2, 3))
     return Operator(_PAULI_8X8[axis, qubit])
 
 
@@ -353,9 +348,8 @@ def project(state: StateVector, qubit: int, outcome: int):
     an outcome whose probability is below 1e-12 is an error: the caller asked
     for a branch that does not exist.
     """
-    if not _integer(outcome) or outcome not in (0, 1):
-        raise ContractViolationError(f"outcome must be 0 or 1, got {outcome}")
-    _check_qubit(qubit)
+    outcome = _member(outcome, "outcome", (0, 1))
+    qubit = _member(qubit, "qubit", (1, 2, 3))
     amps, prob = _project(state.amplitudes, qubit, outcome)
     return StateVector(amps), prob
 

@@ -28,7 +28,8 @@ from .errors import (
     ContractViolationError,
     InfeasiblePulseError,
     _choice,
-    _integer,
+    _member,
+    _positive,
     _real,
     _reals,
     _zetas,
@@ -57,9 +58,8 @@ class PerturbationParams:
 
     def __post_init__(self):
         eps = _reals(self.epsilon_j, "epsilon_j", 3)
-        if not all(e > 0.0 for e in eps):
-            raise ContractViolationError(f"epsilon_j must be 3 finite positive energies, "
-                                         f"got {eps}")
+        for i, e in enumerate(eps):
+            _positive(e, f"epsilon_j[{i}]")
         object.__setattr__(self, "epsilon_j", eps)
         for name in ("zeta12", "zeta23", "zeta32"):
             z = _real(getattr(self, name), f"{name} must be a real number")
@@ -135,8 +135,7 @@ def _quarter_time(eight_rates: float, name: str) -> float:
 def _outer_rates(params: PerturbationParams, qubit2_z: int = +1) -> tuple:
     """Rotation rates eps_j * (1 + 2 * zeta_j2^2 * z) of qubits 1 and 3 on the
     sigma_z2 = z sector."""
-    if not _integer(qubit2_z) or qubit2_z not in (+1, -1):
-        raise ContractViolationError(f"qubit2_z must be +1 or -1, got {qubit2_z}")
+    qubit2_z = _member(qubit2_z, "qubit2_z", (1, -1))
     eps1, _, eps3 = params.epsilon_j
     return (eps1 * (1.0 + 2.0 * params.zeta12**2 * qubit2_z),
             eps3 * (1.0 + 2.0 * params.zeta32**2 * qubit2_z))

@@ -5,9 +5,10 @@ SimulationError.  The CLI maps these onto process exit codes, so the split
 between configuration problems, pulse-search failures and internal contract
 violations is part of the public interface.  The readers of caller-supplied
 values live here too, one rule each: a number, a list of numbers, a word,
-a count, the scan's zetas and a duration.  The config calls each rule with
-the field's YAML path and ConfigError, the library with its parameter name,
-so both accept the same values and say why alike.
+an integer choice (``_member``), a count, the scan's zetas, a duration and
+a positive number (``_positive``).  The config calls each rule with the
+field's YAML path and ConfigError, the library with its parameter name, so
+both accept the same values and say why alike.
 """
 
 import math
@@ -99,6 +100,14 @@ def _choice(value, name: str, allowed: tuple, error=ContractViolationError) -> s
     return value
 
 
+def _member(value, name: str, allowed: tuple, error=ContractViolationError) -> int:
+    """``value``, an ``_integer`` in ``allowed``, as an ``int``: the one check
+    of an index, an outcome or a sign value."""
+    if not _integer(value) or value not in allowed:
+        raise error(f"{name}: expected one of {allowed}, got {value!r}")
+    return int(value)
+
+
 def _count(value, name: str, error=ContractViolationError) -> int:
     """``value``, a non-negative ``_integer``, as an ``int``."""
     if not _integer(value) or value < 0:
@@ -116,9 +125,19 @@ def _zetas(values: tuple, name: str, error=ContractViolationError) -> tuple:
 
 def _duration(value, name: str, error=ContractViolationError) -> float:
     """``value`` as a float: a finite non-bool real >= 0."""
-    t = _real(value, f"{name}: expected a number", error)
+    t = value if type(value) is float else _real(value, f"{name}: expected a number", error)
     if not math.isfinite(t):
         raise error(f"{name}: must be finite, got {value!r}")
     if t < 0.0:
         raise error(f"{name}: must be >= 0.0, got {value!r}")
     return t
+
+
+def _positive(value, name: str, error=ContractViolationError) -> float:
+    """``value`` as a float: a finite non-bool real > 0."""
+    x = value if type(value) is float else _real(value, f"{name}: expected a number", error)
+    if not math.isfinite(x):
+        raise error(f"{name}: must be finite, got {value!r}")
+    if x <= 0.0:
+        raise error(f"{name}: must be > 0, got {x}")
+    return x

@@ -51,7 +51,7 @@ from .core import (
     expectation,
     pauli,
 )
-from .errors import _MODES, ContractViolationError, _choice, _count, _integer
+from .errors import _MODES, ContractViolationError, _choice, _count, _member
 from .pulses import _interference_pulses, ghz_prepare
 
 _PROB_SUM_TOL = 1e-9
@@ -84,9 +84,9 @@ class ProtocolOutcome:
     def __post_init__(self):
         _choice(self.mode, "mode", _MODES)
         total = sum(self.probabilities.values())
-        if abs(total - 1.0) > _PROB_SUM_TOL:
+        if not abs(total - 1.0) <= _PROB_SUM_TOL:  # which a nan probability fails
             raise ContractViolationError(f"probabilities sum to {total}, expected 1")
-        if min(self.probabilities.values(), default=0.0) < -1e-12:
+        if not min(self.probabilities.values(), default=0.0) >= -1e-12:
             raise ContractViolationError("probabilities must be non-negative")
         for name, value in self.expectations.items():
             if not -1.0 - 1e-12 <= value <= 1.0 + 1e-12:
@@ -256,10 +256,7 @@ def lhv_prediction(assignments) -> int:
             key = f"{axis}{qubit}"
             if key not in assignments:
                 raise ContractViolationError(f"assignment is missing {key}")
-            v = assignments[key]
-            if not _integer(v) or v not in (+1, -1):
-                raise ContractViolationError(f"assignment {key} must be +1 or -1, got {v!r}")
-            values[key] = int(v)
+            values[key] = _member(assignments[key], key, (1, -1))
     constraints = _certain_products(values)
     if constraints != (1, 1, 1):
         raise ContractViolationError(

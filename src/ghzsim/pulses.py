@@ -52,7 +52,7 @@ from .core import (
     build_hamiltonian,  # not called here; bench/test_bench.py reads pulses.build_hamiltonian
 )
 from .effective import _interference_drives, h_eff_qubit2, h_eff_qubits13
-from .errors import ContractViolationError, InfeasiblePulseError, _duration, _real, _reals
+from .errors import ContractViolationError, InfeasiblePulseError, _duration, _positive, _reals
 
 _RESIDUAL_TOL = 1e-9
 # The largest phase (rad) a pulse may accumulate (_check_resolution): a
@@ -150,9 +150,7 @@ def solve_superposition_pulse(e_j2: float, sign: str = "+") -> float:
     (t = 0.25 / e_j2) and '-' selects b = 3*pi/4 (t = 0.75 / e_j2), the two
     branches with |sin b| = 1/sqrt(2).
     """
-    e_j2 = _real(e_j2, "e_j2 must be a real number")
-    if e_j2 <= 0.0:
-        raise ContractViolationError(f"superposition pulse requires e_j2 > 0, got {e_j2}")
+    e_j2 = _positive(e_j2, "e_j2")
     t = 0.25 / e_j2 if _parse_sign(sign) == 1 else 0.75 / e_j2
     if not math.isfinite(t):
         raise InfeasiblePulseError(
@@ -171,12 +169,8 @@ def solve_conditional_flip(k: float, e_j_max: float, max_n: int = 64) -> FlipSol
     4 * max_n of m = 0, so it always needs a stronger drive.  A k too small
     or too large to time in floating point is infeasible as well.
     """
-    k = _real(k, "k must be a real number")
-    e_j_max = _real(e_j_max, "e_j_max must be a real number")
-    if k <= 0.0:
-        raise ContractViolationError(f"conditional flip requires k > 0, got {k}")
-    if e_j_max <= 0.0:
-        raise ContractViolationError(f"conditional flip requires e_j_max > 0, got {e_j_max}")
+    k = _positive(k, "k")
+    e_j_max = _positive(e_j_max, "e_j_max")
     a = 0.5 * math.pi
     for n in range(1, max_n + 1):
         ratio_sq = (2.0 * math.pi * n / a) ** 2 - 1.0

@@ -933,6 +933,46 @@ def test_cli_one_extreme_field_ends_in_a_documented_exit_code(fuzz_dir, command,
         assert "nan" not in out
 
 
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0 ** e)
+
+
+def _valid_devices():
+    """Device sections that pass validation, at the default idle point."""
+    def triple(element, size=3):
+        return st.lists(element, min_size=size, max_size=size)
+    return st.fixed_dictionaries({
+        "junction_capacitance_af": triple(_log_uniform(1e-3, 1e6)),
+        "gate_capacitance_af": triple(_log_uniform(1e-3, 1e6)),
+        "coupler_capacitance_af": triple(st.one_of(st.just(0.0), _log_uniform(1e-300, 1e6)), 2),
+        "josephson_energy_ghz": triple(_log_uniform(1e-6, 1e6)),
+    })
+
+
+# The commands that time and run pulses, each with the sections that select it.
+_PULSE_RUNS = {
+    "prepare": ("prepare", {}),
+    "verify-full": ("verify", {"protocol": {"mode": "full"}}),
+    "verify-effective": ("verify", {"protocol": {"mode": "effective"}}),
+    "mermin": ("mermin", {}),
+    "scan-coupler": ("scan", {"scan": {"parameter": "coupler"}}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_PULSE_RUNS))
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(device=_valid_devices())
+def test_cli_pulse_commands_on_valid_devices_end_in_a_documented_exit_code(fuzz_dir, run,
+                                                                           device):
+    # a valid device either runs or is refused as a config error or an
+    # infeasible pulse; a contract violation would be the program's fault
+    command, sections = _PULSE_RUNS[run]
+    code, out = _run_document(fuzz_dir, command, dict(sections, device=device))
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert "nan" not in out
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["teleport"])

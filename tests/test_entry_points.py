@@ -22,8 +22,10 @@ from ghzsim import (
     StateVector,
     UnphysicalNetworkError,
     build_hamiltonian,
+    derive_energies,
     effective_error_scan,
     evolve,
+    ghz_prepare,
     ghz_state,
     h_eff_qubits13,
     lhv_prediction,
@@ -74,6 +76,8 @@ def test_each_numeric_argument_rejects_non_numbers(entry, name):
 
 
 _GHZ = ghz_state("+")
+_ENERGIES = derive_energies(CapacitanceNetwork(**_VALID[CapacitanceNetwork][0]),
+                            ControlSettings(**_VALID[ControlSettings][0]))
 
 
 @pytest.mark.parametrize("call, args", [
@@ -95,6 +99,10 @@ _GHZ = ghz_state("+")
     (verify_ghz, (None, np.array(["ideal", "full"]))),
     (effective_error_scan, ((0.1,), np.array(["middle", "outer"]))),
     (ProtocolOutcome, (None, {"00": 1.0}, {}, 1.0, np.array(["ideal", "full"]))),
+    (ghz_state, (1.0,)),
+    (ghz_state, (1 + 0j,)),
+    (solve_superposition_pulse, (5.6, -1.0)),
+    (ghz_prepare, (_ENERGIES, np.float64(1.0))),
 ])
 def test_words_must_be_strings_and_indices_not_bools(call, args):
     with pytest.raises(ContractViolationError):
@@ -156,8 +164,41 @@ def test_numpy_integers_are_integers():
     (lambda: Schedule((object(),), 0.0, 0.0, 0.0),
      "schedule segments must be PulseSegment instances"),
     (lambda: FlipSolution(1.0, 1.0, 0, 1, (1e-3, 0.0)), "flip residuals (0.001, 0.0) exceed 1e-09"),
-    (lambda: solve_conditional_flip(1.0, 0.0), "conditional flip requires e_j_max > 0, got 0.0"),
+    (lambda: solve_conditional_flip(1.0, 0.0), "e_j_max: must be > 0, got 0.0"),
 ])
 def test_malformed_records_name_what_is_wrong(make, message):
     with pytest.raises(ContractViolationError, match=re.escape(message)):
         make()
+
+
+# The five readers of a positive drive energy or coupling: (name, call on one
+# value, the contract error it documents).
+_POSITIVE_READERS = (
+    ("epsilon_j[0]", lambda v: ControlSettings((0.5,) * 3, (0.5,) * 3, (v, 5.6, 5.6)),
+     UnphysicalNetworkError),
+    ("epsilon_j[0]", lambda v: PerturbationParams((v, 1.0, 1.0)), ContractViolationError),
+    ("e_j2", solve_superposition_pulse, ContractViolationError),
+    ("e_j_max", lambda v: solve_conditional_flip(1.0, v), ContractViolationError),
+    ("k", lambda v: solve_conditional_flip(v, 5.6), ContractViolationError),
+)
+
+
+@pytest.mark.parametrize("value, accepted", [
+    *[(v, False) for v in (0.0, -1.0, math.nan, math.inf, True, "5", None)],
+    *[(v, True) for v in (5.6, np.float64(5.6), np.int64(5), 1e-300)],
+], ids=repr)
+def test_the_readers_of_a_positive_energy_agree(value, accepted):
+    verdicts = []
+    for name, call, error in _POSITIVE_READERS:
+        try:
+            call(value)
+            verdicts.append("accepted")
+        except InfeasiblePulseError:  # the rule let it through: a 1e-300 cap leaves no flip
+            verdicts.append("accepted")
+        except error as raised:
+            assert type(raised) is error
+            prefix, reason = str(raised).split(": ", 1)
+            assert prefix == name
+            verdicts.append(reason)
+    assert len(set(verdicts)) == 1, verdicts
+    assert (verdicts[0] == "accepted") == accepted, verdicts

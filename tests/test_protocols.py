@@ -163,6 +163,10 @@ def test_protocol_outcome_validation():
         ProtocolOutcome(None, {"00": 1.2, "11": -0.2}, {}, 1.0, "ideal")
     with pytest.raises(ContractViolationError):
         ProtocolOutcome(None, good, {"corr": 1.5}, 1.0, "ideal")
+    with pytest.raises(ContractViolationError):
+        ProtocolOutcome(None, {"00": math.nan}, {}, 1.0, "ideal")
+    with pytest.raises(ContractViolationError):
+        ProtocolOutcome(None, {"00": 1.0, "01": math.nan}, {}, 1.0, "ideal")
 
 
 def test_mermin_expectations_on_target():
