@@ -25,6 +25,7 @@ from .errors import (
     GateChargeRangeWarning,
     UnphysicalNetworkError,
     _duration,
+    _entries,
     _positive,
     _real,
     _reals,
@@ -122,9 +123,10 @@ class DerivedEnergies:
     strengths, and ``zeta12``/``zeta23`` the perturbation ratios K/(2*eps_j)
     referred to the middle qubit's junction energy.
 
-    Every field is stored as a float (the triples as tuples of floats) with
-    -0.0 stored as 0.0, so a device is hashable, and two devices that compare
-    equal hold the same bits.
+    Every field is read as a non-bool real, infinities kept (a subnormal
+    eps_J makes zeta infinite), and stored as a float (the triples as tuples
+    of three floats) with -0.0 stored as 0.0, so a device is hashable, and
+    two devices that compare equal hold the same bits.
     """
 
     e_c: tuple
@@ -138,9 +140,12 @@ class DerivedEnergies:
 
     def __post_init__(self):
         for name in ("e_c", "e_j", "ej_max"):
-            object.__setattr__(self, name, tuple(float(v) + 0.0 for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple([
+                (v if type(v) is float else _real(v, f"{name}[{i}]")) + 0.0
+                for i, v in enumerate(_entries(getattr(self, name), name, 3))]))
         for name in ("k12", "k23", "k13", "zeta12", "zeta23"):
-            object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
+            v = getattr(self, name)
+            object.__setattr__(self, name, (v if type(v) is float else _real(v, name)) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -286,10 +291,10 @@ def readout_timing_margin(k_coupling: float, t_measure: float) -> TimingMargin:
     K in GHz, times in ns.  margin = t_measure / t_c must stay below 1 for
     the two-step readout argument to hold; the estimate is order-of-magnitude.
     """
-    k_coupling = _real(k_coupling, "k_coupling must be a real number")
+    k_coupling = _positive(k_coupling, "k_coupling")
     t_measure = _duration(t_measure, "t_measure")
-    if not 0.0 < 2.0 * math.pi * k_coupling < math.inf:
-        raise ContractViolationError(f"2 * pi * k_coupling must lie in (0, inf), got {k_coupling}")
+    if not 2.0 * math.pi * k_coupling < math.inf:
+        raise ContractViolationError(f"k_coupling: must keep 2 * pi * K finite, got {k_coupling}")
     t_c = 1.0 / (2.0 * math.pi * k_coupling)
     margin = t_measure / t_c
     return TimingMargin(k_coupling, t_c, margin, margin < 1.0)

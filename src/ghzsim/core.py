@@ -269,7 +269,7 @@ def _phases(w: np.ndarray, times) -> np.ndarray:
     largest phase, in the exponent's product order, is read off the ends in
     Python floats, where overflow gives inf without a warning: if it leaves
     float range the pulse cannot be timed, and the first such row is named."""
-    times = [_real(t, "t must be a real number") for t in times]
+    times = [_real(t, "t") for t in times]
     for t, (w_min, w_end) in zip(times, w[:, ::DIM - 1].tolist()):
         w_max = max(-w_min, w_end)
         if not math.isfinite(2.0 * math.pi * w_max * t):

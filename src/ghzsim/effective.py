@@ -30,7 +30,7 @@ from .errors import (
     _choice,
     _member,
     _positive,
-    _real,
+    _ratio,
     _reals,
     _zetas,
 )
@@ -62,10 +62,7 @@ class PerturbationParams:
             _positive(e, f"epsilon_j[{i}]")
         object.__setattr__(self, "epsilon_j", eps)
         for name in ("zeta12", "zeta23", "zeta32"):
-            z = _real(getattr(self, name), f"{name} must be a real number")
-            if not 0.0 <= z < 1.0:
-                raise ContractViolationError(f"{name} must satisfy 0 <= zeta < 1, got {z}")
-            object.__setattr__(self, name, z)
+            object.__setattr__(self, name, _ratio(getattr(self, name), name, 1.0))
 
     @classmethod
     def _for_device(cls, eps: tuple, **zetas) -> "PerturbationParams":
@@ -291,9 +288,9 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     except TypeError:
         zetas = None
     if zetas is None:
-        raise ContractViolationError(f"zeta_values must be an iterable of numbers, "
+        raise ContractViolationError(f"zeta_values: expected an iterable of numbers, "
                                      f"got {zeta_values!r}")
-    zetas = _zetas(_reals(zetas, "zeta_values", len(zetas)), "zeta_values")
+    zetas = _zetas(zetas, "zeta_values")
     table = []
     for start in range(0, len(zetas), _SCAN_BATCH):
         batch = zetas[start:start + _SCAN_BATCH]

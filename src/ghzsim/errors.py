@@ -4,11 +4,13 @@ Every failure mode that callers are expected to handle derives from
 SimulationError.  The CLI maps these onto process exit codes, so the split
 between configuration problems, pulse-search failures and internal contract
 violations is part of the public interface.  The readers of caller-supplied
-values live here too, one rule each: a number, a list of numbers, a word,
-an integer choice (``_member``), a count, the scan's zetas, a duration and
-a positive number (``_positive``).  The config calls each rule with the
-field's YAML path and ConfigError, the library with its parameter name, so
-both accept the same values and say why alike.
+values live here too, one rule each: a number, a finite number, a list of
+numbers, a word, an integer choice (``_member``), a count, a perturbation
+ratio (``_ratio``, which the scan's zetas map at _SCAN_ZETA_LIMIT and
+PerturbationParams reads at 1), a duration and a positive number
+(``_positive``).  The config calls each rule with the field's YAML path and
+ConfigError, the library with its parameter name, so both accept the same
+values and say why alike.
 """
 
 import math
@@ -58,12 +60,12 @@ class GateChargeRangeWarning(UserWarning):
     """Solved gate charges fall outside the physical window [0, 1]."""
 
 
-def _real(value, requirement: str, error=ContractViolationError) -> float:
+def _real(value, name: str, error=ContractViolationError) -> float:
     """``value`` as a float: the package's one non-bool real-number check.
-    A bool or a non-number raises ``error`` stating ``requirement``; an
-    integer beyond float range reads as an infinity of its sign."""
+    A bool or a non-number raises ``error`` as ``{name}: expected a number``;
+    an integer beyond float range reads as an infinity of its sign."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise error(f"{requirement}, got {value!r}")
+        raise error(f"{name}: expected a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -76,19 +78,31 @@ def _integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
+def _finite(value, name: str, error=ContractViolationError) -> float:
+    """``value`` as a float: a finite non-bool real."""
+    x = value if type(value) is float else _real(value, name, error)
+    if not math.isfinite(x):
+        raise error(f"{name}: must be finite, got {value!r}")
+    return x
+
+
+def _entries(values, name: str, length: int, error=ContractViolationError):
+    """``values``, a list, tuple or 1-D array of ``length`` entries, as a
+    list or tuple."""
+    entries = values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1 else values
+    if not isinstance(entries, (list, tuple)) or len(entries) != length:
+        raise error(f"{name}: expected a list of {length} numbers, got {values!r}")
+    return entries
+
+
 def _reals(values, name: str, length: int, error=ContractViolationError) -> tuple:
     """``values`` as a tuple of ``length`` floats: a list, tuple or 1-D array
     of finite non-bool reals.  Anything else raises ``error`` naming the
     first bad entry, as ``{name}[{i}]``."""
-    entries = values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1 else values
-    if not isinstance(entries, (list, tuple)) or len(entries) != length:
-        raise error(f"{name}: expected a list of {length} numbers, got {values!r}")
     reals = []
-    for i, v in enumerate(entries):
-        if type(v) is not float:
-            v = _real(v, f"{name}[{i}]: expected a number", error)
-        if not math.isfinite(v):
-            raise error(f"{name}[{i}]: must be finite, got {entries[i]!r}")
+    for i, v in enumerate(_entries(values, name, length, error)):
+        if type(v) is not float or not math.isfinite(v):
+            v = _finite(v, f"{name}[{i}]", error)
         reals.append(v)
     return tuple(reals)
 
@@ -115,19 +129,23 @@ def _count(value, name: str, error=ContractViolationError) -> int:
     return int(value)
 
 
-def _zetas(values: tuple, name: str, error=ContractViolationError) -> tuple:
-    """``values``, floats that each lie in [0, _SCAN_ZETA_LIMIT)."""
-    for i, z in enumerate(values):
-        if not 0.0 <= z < _SCAN_ZETA_LIMIT:
-            raise error(f"{name}[{i}]: zeta must lie in [0, {_SCAN_ZETA_LIMIT}), got {z}")
-    return values
+def _ratio(value, name: str, limit: float, error=ContractViolationError) -> float:
+    """``value`` as a float: a perturbation ratio zeta, a finite non-bool
+    real in [0, limit)."""
+    z = _finite(value, name, error)
+    if not 0.0 <= z < limit:
+        raise error(f"{name}: zeta must lie in [0, {limit}), got {z}")
+    return z
+
+
+def _zetas(values, name: str, error=ContractViolationError) -> tuple:
+    """``values``, each a ``_ratio`` below _SCAN_ZETA_LIMIT, as a tuple."""
+    return tuple(_ratio(z, f"{name}[{i}]", _SCAN_ZETA_LIMIT, error) for i, z in enumerate(values))
 
 
 def _duration(value, name: str, error=ContractViolationError) -> float:
     """``value`` as a float: a finite non-bool real >= 0."""
-    t = value if type(value) is float else _real(value, f"{name}: expected a number", error)
-    if not math.isfinite(t):
-        raise error(f"{name}: must be finite, got {value!r}")
+    t = _finite(value, name, error)
     if t < 0.0:
         raise error(f"{name}: must be >= 0.0, got {value!r}")
     return t
@@ -135,9 +153,7 @@ def _duration(value, name: str, error=ContractViolationError) -> float:
 
 def _positive(value, name: str, error=ContractViolationError) -> float:
     """``value`` as a float: a finite non-bool real > 0."""
-    x = value if type(value) is float else _real(value, f"{name}: expected a number", error)
-    if not math.isfinite(x):
-        raise error(f"{name}: must be finite, got {value!r}")
+    x = _finite(value, name, error)
     if x <= 0.0:
         raise error(f"{name}: must be > 0, got {x}")
     return x

@@ -23,6 +23,8 @@ the exact chain Hamiltonian timed by the second-order formulas, as a timed
 experiment would.  The device's pulses come timed and propagated from
 ghzsim.pulses, and a refused device raises a fresh InfeasiblePulseError on
 every call; this module only runs the experiments and remembers no device.
+It imports ghzsim.pulses (and with it ghzsim.effective) only when a device
+is driven, so the y-basis experiment and ideal mode never load them.
 """
 
 import itertools
@@ -52,7 +54,6 @@ from .core import (
     pauli,
 )
 from .errors import _MODES, ContractViolationError, _choice, _count, _member
-from .pulses import _interference_pulses, ghz_prepare
 
 _PROB_SUM_TOL = 1e-9
 # sigma_x on qubit 2 resets the postselected middle qubit; one Operator, so
@@ -157,6 +158,8 @@ def _interference_experiment(name: str, energies, mode: str, shots: int, seed: i
     elif energies is None:
         raise ContractViolationError(f"mode {mode!r} needs device energies")
     else:
+        from .pulses import _interference_pulses, ghz_prepare
+
         components = _MIXTURE if name == "mixture" else (
             (1.0, ghz_prepare(energies, "+", include_k13=include_k13)[0].amplitudes),)
         pulses = _interference_pulses(mode, energies, bool(include_k13))

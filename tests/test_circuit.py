@@ -6,6 +6,7 @@ from scratch rather than trusting the module under test.
 """
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from ghzsim import (
     readout_timing_margin,
     solve_gate_charges,
 )
+from ghzsim.circuit import _COND_LIMIT
 
 E_COULOMB = 1.602176634e-19
 H_JS = 6.62607015e-34
@@ -251,8 +253,11 @@ def test_settings_validation():
 # matrix's condition number to 3.0e12, past the 1e12 limit; 1e11 aF to 3.0e11.
 def test_gate_charges_of_a_singular_charging_matrix_are_refused():
     net = CapacitanceNetwork((1.0,) * 3, (1e-3,) * 3, (1e12, 1e12))
-    with pytest.raises(DegenerateControlError, match=r"condition number 2\.997e\+12"):
+    with pytest.raises(DegenerateControlError, match="condition number") as raised:
         solve_gate_charges(net, (0.0, 0.0, 0.0))
+    # the printed digits depend on the BLAS kernel; that they exceed the limit does not
+    cond = re.search(r"condition number (\S+)\)$", str(raised.value))[1]
+    assert float(cond) > _COND_LIMIT
 
 
 def test_gate_charges_just_inside_the_condition_limit_are_solved():

@@ -10,8 +10,10 @@ import pytest
 
 from ghzsim import (
     CapacitanceNetwork,
+    ConfigError,
     ContractViolationError,
     ControlSettings,
+    DerivedEnergies,
     FlipSolution,
     InfeasiblePulseError,
     Operator,
@@ -29,6 +31,7 @@ from ghzsim import (
     ghz_state,
     h_eff_qubits13,
     lhv_prediction,
+    load_config,
     mermin_operator,
     pauli,
     project,
@@ -158,6 +161,11 @@ def test_numpy_integers_are_integers():
     assert lhv_prediction(_assignment(np.int8(1))) == 1
 
 
+def _device(**fields):
+    """The reference device's energies with ``fields`` replaced."""
+    return DerivedEnergies(**dict(vars(_ENERGIES), **fields))
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: StateVector(np.zeros(7)), "state must have 8 amplitudes, got (7,)"),
     (lambda: Operator(np.eye(4)), "operator must be 8x8, got (4, 4)"),
@@ -165,6 +173,11 @@ def test_numpy_integers_are_integers():
      "schedule segments must be PulseSegment instances"),
     (lambda: FlipSolution(1.0, 1.0, 0, 1, (1e-3, 0.0)), "flip residuals (0.001, 0.0) exceed 1e-09"),
     (lambda: solve_conditional_flip(1.0, 0.0), "e_j_max: must be > 0, got 0.0"),
+    (lambda: _device(ej_max=(11.2, 11.2)),
+     "ej_max: expected a list of 3 numbers, got (11.2, 11.2)"),
+    (lambda: _device(ej_max=("11.2", 11.2, 11.2)), "ej_max[0]: expected a number, got '11.2'"),
+    (lambda: _device(ej_max=(11.2, True, 11.2)), "ej_max[1]: expected a number, got True"),
+    (lambda: _device(k12=None), "k12: expected a number, got None"),
 ])
 def test_malformed_records_name_what_is_wrong(make, message):
     with pytest.raises(ContractViolationError, match=re.escape(message)):
@@ -202,3 +215,32 @@ def test_the_readers_of_a_positive_energy_agree(value, accepted):
             verdicts.append(reason)
     assert len(set(verdicts)) == 1, verdicts
     assert (verdicts[0] == "accepted") == accepted, verdicts
+
+
+# The three readers of a perturbation ratio: (name, call on one value, the
+# contract error it documents, the bound the ratio must stay below).
+_RATIO_READERS = (
+    ("zeta12", lambda v: PerturbationParams((1.0, 1.0, 1.0), zeta12=v), ContractViolationError,
+     1.0),
+    ("zeta_values[0]", lambda v: effective_error_scan((v,)), ContractViolationError, 0.5),
+    ("scan.values[0]", lambda v: load_config(overrides={"scan": {"values": [v]}}), ConfigError,
+     0.5),
+)
+
+
+@pytest.mark.parametrize("value", [-0.1, 0.0, 0.3, 0.5, 0.99, 1.0, math.nan, math.inf, True, "0.1",
+                                   None, np.float64(0.3), np.int64(0)], ids=repr)
+def test_the_readers_of_a_perturbation_ratio_agree(value):
+    number = not isinstance(value, (bool, str)) and value is not None
+    reasons = set()
+    for name, call, error, limit in _RATIO_READERS:
+        try:
+            call(value)
+            refused = None
+        except error as raised:
+            assert type(raised) is error
+            prefix, refused = str(raised).split(": ", 1)
+            assert prefix == name
+            reasons.add(refused.replace(f"[0, {limit})", "[0, limit)"))
+        assert (refused is None) == (number and 0.0 <= value < limit), (name, refused)
+    assert len(reasons) <= 1, reasons

@@ -34,12 +34,8 @@ from ghzsim import (
     verify_ghz,
     verify_mixture_control,
 )
-from ghzsim.protocols import (
-    _IDEAL,
-    _IDEAL_PULSES,
-    _MERMIN_OPERATORS,
-    _interference_pulses,
-)
+from ghzsim.protocols import _IDEAL, _IDEAL_PULSES, _MERMIN_OPERATORS
+from ghzsim.pulses import _interference_pulses
 
 _MODES = ("ideal", "effective", "full")
 

@@ -85,7 +85,7 @@ def _with_unused_column_doubled(op):
 
 def _use_pulses(monkeypatch, pulses):
     """Make every device's interference pulses ``pulses``."""
-    monkeypatch.setattr(protocols, "_interference_pulses", lambda *args: pulses)
+    monkeypatch.setattr("ghzsim.pulses._interference_pulses", lambda *args: pulses)
 
 
 @pytest.mark.parametrize("broken", [0, 1], ids=["u2", "u13"])
