@@ -21,6 +21,7 @@ from .errors import (
     ContractViolationError,
     InfeasiblePulseError,
     _choice,
+    _complex_array,
     _count,
     _integer,
     _member,
@@ -73,7 +74,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=complex, copy=True).reshape(-1)
+        arr = _complex_array(self.amplitudes, "amplitudes").reshape(-1)
         if arr.shape != (DIM,):
             raise ContractViolationError(f"state must have {DIM} amplitudes, got {arr.shape}")
         _check_norm(arr)
@@ -145,7 +146,7 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex, copy=True)
+        mat = _complex_array(self.matrix, "matrix")
         if mat.shape != (DIM, DIM):
             raise ContractViolationError(f"operator must be {DIM}x{DIM}, got {mat.shape}")
         mat.flags.writeable = False

@@ -28,6 +28,7 @@ from .errors import (
     ContractViolationError,
     InfeasiblePulseError,
     _choice,
+    _items,
     _member,
     _positive,
     _ratio,
@@ -283,14 +284,7 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     (not a string) of real, non-bool numbers.
     """
     _choice(which, "which", _SCAN_TARGETS)
-    try:
-        zetas = None if isinstance(zeta_values, (str, bytes)) else tuple(zeta_values)
-    except TypeError:
-        zetas = None
-    if zetas is None:
-        raise ContractViolationError(f"zeta_values: expected an iterable of numbers, "
-                                     f"got {zeta_values!r}")
-    zetas = _zetas(zetas, "zeta_values")
+    zetas = _zetas(_items(zeta_values, "zeta_values", "numbers"), "zeta_values")
     table = []
     for start in range(0, len(zetas), _SCAN_BATCH):
         batch = zetas[start:start + _SCAN_BATCH]
@@ -322,7 +316,8 @@ def fitted_loglog_slope(table) -> float:
     usable pairs must span at least two distinct zeta values, since a line
     through points at one zeta has no defined slope.
     """
-    pairs = [_reals(pair, f"table[{i}]", 2) for i, pair in enumerate(table)]
+    pairs = [_reals(pair, f"table[{i}]", 2)
+             for i, pair in enumerate(_items(table, "table", "(zeta, error) pairs"))]
     pts = [(z, e) for z, e in pairs if z > 0.0 and e > 0.0]
     if len({z for z, _ in pts}) < 2:
         raise ContractViolationError("slope fit needs nonzero errors at two or more distinct "

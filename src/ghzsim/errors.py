@@ -5,12 +5,13 @@ SimulationError.  The CLI maps these onto process exit codes, so the split
 between configuration problems, pulse-search failures and internal contract
 violations is part of the public interface.  The readers of caller-supplied
 values live here too, one rule each: a number, a finite number, a list of
-numbers, a word, an integer choice (``_member``), a count, a perturbation
-ratio (``_ratio``, which the scan's zetas map at _SCAN_ZETA_LIMIT and
-PerturbationParams reads at 1), a duration and a positive number
-(``_positive``).  The config calls each rule with the field's YAML path and
-ConfigError, the library with its parameter name, so both accept the same
-values and say why alike.
+numbers, an iterable (``_items``), an array of numbers, a word, an integer
+choice (``_member``), a count, a perturbation ratio (``_ratio``, which the
+scan's zetas map at _SCAN_ZETA_LIMIT and PerturbationParams reads at 1), a
+duration and a positive number (``_positive``).  The config calls each
+rule with the field's YAML path and ConfigError, the library with its
+parameter name, so both accept the same values and say why alike; the
+iterable and array readers serve the library alone.
 """
 
 import math
@@ -105,6 +106,29 @@ def _reals(values, name: str, length: int, error=ContractViolationError) -> tupl
             v = _finite(v, f"{name}[{i}]", error)
         reals.append(v)
     return tuple(reals)
+
+
+def _items(values, name: str, what: str) -> tuple:
+    """``values``, an iterable other than a string, as a tuple."""
+    try:
+        items = None if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:
+        items = None
+    if items is None:
+        raise ContractViolationError(f"{name}: expected an iterable of {what}, got {values!r}")
+    return items
+
+
+def _complex_array(values, name: str) -> np.ndarray:
+    """``values``, an array or nested list of numbers (not bools, text or
+    other objects), as a fresh complex array."""
+    try:
+        arr = np.array(values, copy=True)
+    except (TypeError, ValueError):  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iufc":
+        raise ContractViolationError(f"{name}: expected an array of numbers, got {values!r}")
+    return arr.astype(complex, copy=False)
 
 
 def _choice(value, name: str, allowed: tuple, error=ContractViolationError) -> str:

@@ -29,6 +29,7 @@ is driven, so the y-basis experiment and ideal mode never load them.
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,6 +254,8 @@ def lhv_prediction(assignments) -> int:
     ContractViolationError.  Multiplying the constraints shows the product
     y1*y2*y3 is always +1, the opposite of the quantum value.
     """
+    if not isinstance(assignments, Mapping):
+        raise ContractViolationError(f"assignments: expected a mapping, got {assignments!r}")
     values = {}
     for axis in "xy":
         for qubit in (1, 2, 3):

@@ -21,12 +21,12 @@ charging energy of the middle qubit is biased during qubit 1's flip to cancel
 the spectator coupling phase between the two branches; both details are
 handled internally so only the requested target sign matters to callers.
 
-This module times and propagates every pulse of a device, the three
-segments above and the interference quarter rotations of ghzsim.protocols
-(_interference_pulses), and remembers the last device: its flip timings,
-one diagonalization of all five generators, the full-mode interference
-pulses and the last preparation.  Effective-mode pulses are rebuilt on each
-call.
+This module times every pulse of a device as a labelled PulseSegment, the
+three above and the interference quarter rotations of ghzsim.protocols,
+and remembers the last device: its segments, one diagonalization of all
+five, the interference pulses, the last preparation, and the refusal of a
+part it cannot time, which _accepted raises anew.  Effective-mode pulses
+are rebuilt on each call.
 """
 
 import cmath
@@ -52,7 +52,14 @@ from .core import (
     build_hamiltonian,  # not called here; bench/test_bench.py reads pulses.build_hamiltonian
 )
 from .effective import _interference_drives, h_eff_qubit2, h_eff_qubits13
-from .errors import ContractViolationError, InfeasiblePulseError, _duration, _positive, _reals
+from .errors import (
+    ContractViolationError,
+    InfeasiblePulseError,
+    _duration,
+    _items,
+    _positive,
+    _reals,
+)
 
 _RESIDUAL_TOL = 1e-9
 # The largest phase (rad) a pulse may accumulate (_check_resolution): a
@@ -89,7 +96,7 @@ class Schedule:
     k13: float
 
     def __post_init__(self):
-        segs = tuple(self.segments)
+        segs = _items(self.segments, "segments", "PulseSegment instances")
         if not segs:
             raise ContractViolationError("schedule needs at least one segment")
         if not all(isinstance(s, PulseSegment) for s in segs):
@@ -216,13 +223,9 @@ def _flip_segment(energies: DerivedEnergies, qubit: int):
         raise InfeasiblePulseError(f"conditional flip of qubit {qubit} needs coupling {name} "
                                    f"to the middle qubit, but {name} = {k_target} GHz")
     sol = solve_conditional_flip(k_target, energies.ej_max[qubit - 1])
-    e_c = [0.0, middle_bias, 0.0]
-    e_c[qubit - 1] = 2.0 * k_target
-    e_j = [0.0, 0.0, 0.0]
-    e_j[qubit - 1] = sol.e_j
-    seg = PulseSegment(sol.t, e_c=tuple(e_c), e_j=tuple(e_j),
-                       label=f"conditional-flip-q{qubit}")
-    return seg, sol
+    e_c, e_j = [0.0, middle_bias, 0.0], [0.0, 0.0, 0.0]
+    e_c[qubit - 1], e_j[qubit - 1] = 2.0 * k_target, sol.e_j
+    return PulseSegment(sol.t, tuple(e_c), tuple(e_j), f"conditional-flip-q{qubit}"), sol
 
 
 def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = False):
@@ -241,78 +244,80 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     records the realized relative phase.
 
     The last result is kept: a repeat call on the same device (equal
-    energies, sign and ``include_k13``) returns it again instead of rerunning
-    the sequence.  The state, schedule and report are immutable, so the
-    objects are shared between such calls.  The sign sets only the
-    superposition pulse's duration, so the last device's flip timings and
-    its one stacked diagonalization are kept as well: the other sign on the
-    same device (equal energies and ``include_k13``) reuses them and only
-    propagates again.  The same memo holds the two full-mode interference
-    pulses of verify_ghz and verify_mixture_control, propagated from that
-    diagonalization, so verifying the device builds nothing more.
+    energies, sign and ``include_k13``) returns the same immutable objects.
+    The device memo keeps every pulse as a labelled PulseSegment, the three
+    above and the full-mode interference pulses of verify_ghz and
+    verify_mixture_control, with one stacked diagonalization of all five:
+    the other sign only propagates again, and verifying builds nothing
+    more.  A part that cannot be timed is kept as its refusal, which
+    _accepted raises anew, as a fresh InfeasiblePulseError, on each call.
     """
     return _prepare(energies, _parse_sign(sign), bool(include_k13))
 
 
-def _check_resolution(label: str, energies: tuple, t: float) -> None:
-    """Refuse a pulse held for ``t`` ns whose largest phase, bounded by
-    2*pi*sum(|E|)*t over its generator's ``energies`` (e_c, e_j and the
-    couplings), exceeds _PHASE_LIMIT: floating point cannot resolve the
-    phases that are meant to cancel."""
-    phase = 2.0 * math.pi * (sum(map(abs, energies)) * t)
+def _check_resolution(seg: PulseSegment, couplings: tuple) -> None:
+    """Refuse a segment whose largest phase, bounded by 2*pi*sum(|E|)*t over
+    its e_c, e_j and ``couplings`` and its duration t, exceeds _PHASE_LIMIT:
+    floating point cannot resolve the phases that are meant to cancel."""
+    t = seg.duration
+    phase = 2.0 * math.pi * (sum(map(abs, seg.e_c + seg.e_j + couplings)) * t)
     if not phase <= _PHASE_LIMIT:
-        raise InfeasiblePulseError(f"the {label} pulse accumulates phases up to {phase!r} rad "
-                                   f"in {t!r} ns, which cannot be resolved in floating point")
+        raise InfeasiblePulseError(f"the {seg.label} pulse accumulates phases up to {phase!r} "
+                                   f"rad in {t!r} ns, which cannot be resolved in floating point")
+
+
+def _accepted(part: tuple):
+    """A device-memo part's value, or a fresh InfeasiblePulseError of its refusal."""
+    refusal, value = part
+    if refusal is not None:
+        raise InfeasiblePulseError(refusal)
+    return value
 
 
 @functools.lru_cache(maxsize=1)
 def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     """What the sign does not change, one device remembered: (preparation,
-    pulses, couplings, w, v).  ``preparation`` holds the untimed
-    superposition segment, both flip segments and their FlipSolutions, and
-    ``pulses`` the read-only full-mode interference pulses (u2, u13).  All
-    five generators share the couplings: one assembly and one eigh give the
-    read-only ``w``, ``v`` of the (5, 8, 8) stack, segments first; the
-    pulses propagate its last two slices.  A part that cannot be timed
-    holds its refusal's message, and its rows stay out; the caller that
-    needs it raises a fresh InfeasiblePulseError, so no error object, and
-    no caller's frame, outlives its call: a device without interference
-    timing still prepares, and one without flips still runs the mixture
-    control."""
-    rows = []
+    pulses, couplings, w, v), each part a (refusal, value) pair read by
+    _accepted.  ``preparation`` holds the superposition segment at its longer
+    ('-') duration, its energies read before the flips are timed, both flip
+    segments and their FlipSolutions; ``pulses`` the read-only full-mode
+    interference pulses (u2, u13).  One assembly and one eigh of the
+    accepted segments, preparation first, give the read-only ``w``, ``v`` of
+    the (5, 8, 8) stack.  A refused part keeps only its message, so no error
+    object or caller's frame outlives its call: a device without interference
+    timing still prepares, and one without flips runs the mixture control."""
     ks = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
+    e_c = _reals((0.0, -2.0 * (energies.k12 + energies.k23), 0.0), "e_c", 3)
+    e_j = _reals((0.0, energies.ej_max[1], 0.0), "e_j", 3)
     try:
-        untimed = PulseSegment(0.0, e_c=(0.0, -2.0 * (energies.k12 + energies.k23), 0.0),
-                               e_j=(0.0, energies.ej_max[1], 0.0), label="superposition")
-        seg_f1, sol1 = _flip_segment(energies, 1)
-        seg_f3, sol3 = _flip_segment(energies, 3)
+        (seg_f1, sol1), (seg_f3, sol3) = _flip_segment(energies, 1), _flip_segment(energies, 3)
         t_longest = solve_superposition_pulse(energies.ej_max[1], "-")
-        for seg, t in ((untimed, t_longest), (seg_f1, sol1.t), (seg_f3, sol3.t)):
-            _check_resolution(seg.label, seg.e_c + seg.e_j + ks, t)
-        preparation = untimed, (seg_f1, seg_f3), (sol1, sol3)
-        rows += [(s.e_c, s.e_j) for s in (untimed, seg_f1, seg_f3)]
+        prepared = (PulseSegment(t_longest, e_c, e_j, "superposition"), seg_f1, seg_f3)
+        for seg in prepared:
+            _check_resolution(seg, ks)
+        preparation = None, (prepared, (sol1, sol3))
     except InfeasiblePulseError as exc:
-        preparation = str(exc)
+        prepared, preparation = (), (str(exc), None)
     try:
-        _, _, drives, pulse_times = _interference_drives(energies)
-        for label, (e_c, e_j), t in zip(("interference-q2", "interference-q13"), drives,
-                                        pulse_times):
-            _check_resolution(label, e_c + e_j + ks, t)
-        rows += drives
+        drives, times = _interference_drives(energies)[2:]
+        interference = tuple(PulseSegment(t, *drive, label) for drive, t, label
+                             in zip(drives, times, ("interference-q2", "interference-q13")))
+        for seg in interference:
+            _check_resolution(seg, ks)
     except InfeasiblePulseError as exc:
-        pulse_times = str(exc)
+        interference, pulses = (), (str(exc), None)
+    segments = prepared + interference
     couplings = w = v = None
-    if rows:
+    if segments:
         couplings = _reals(ks, "(k12, k23, k13)", 3)
-        w, v = _diagonalize(_assemble([(e_c, e_j, couplings) for e_c, e_j in rows]),
+        w, v = _diagonalize(_assemble([(s.e_c, s.e_j, couplings) for s in segments]),
                             "evolve requires a Hermitian Hamiltonian")
         w.flags.writeable = v.flags.writeable = False
-    pulses = pulse_times
-    if not isinstance(pulse_times, str):
+    if interference:
         try:
-            pulses = tuple(map(Operator, _spectral_propagators(w[-2:], v[-2:], pulse_times)))
+            pulses = None, tuple(map(Operator, _spectral_propagators(w[-2:], v[-2:], times)))
         except InfeasiblePulseError as exc:
-            pulses = str(exc)
+            pulses = str(exc), None
     return preparation, pulses, couplings, w, v
 
 
@@ -326,10 +331,7 @@ def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool
         middle, matched, _, times = _interference_drives(energies)
         stack = np.array([h_eff_qubit2(middle).matrix, h_eff_qubits13(matched, +1).matrix])
         return tuple(map(Operator, _propagators(stack, times)))
-    pulses = _device_sequence(energies, include_k13)[1]
-    if isinstance(pulses, str):
-        raise InfeasiblePulseError(pulses)
-    return pulses
+    return _accepted(_device_sequence(energies, include_k13)[1])
 
 
 @functools.lru_cache(maxsize=1)
@@ -337,11 +339,10 @@ def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
     """ghz_prepare for a parsed sign s (+1 or -1), one device remembered."""
     t_sup = solve_superposition_pulse(energies.ej_max[1], -s)
     preparation, _, couplings, w, v = _device_sequence(energies, include_k13)
-    if isinstance(preparation, str):
-        raise InfeasiblePulseError(preparation)
-    untimed, flips, solutions = preparation
-    schedule = Schedule((PulseSegment(t_sup, untimed.e_c, untimed.e_j, untimed.label), *flips),
-                        *couplings)
+    (sup, *flips), solutions = _accepted(preparation)
+    if sup.duration != t_sup:  # sign '-' opens with the shorter rotation
+        sup = PulseSegment(t_sup, sup.e_c, sup.e_j, sup.label)
+    schedule = Schedule((sup, *flips), *couplings)
     trajectory = _evolve_spectral(w[:3], v[:3], [seg.duration for seg in schedule.segments],
                                   _KET_000)
     final = trajectory[-1]
@@ -351,8 +352,7 @@ def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
         _fidelity(trajectory[0], _pair_amplitudes(0b010, 1j * -s)),
         _fidelity(trajectory[1], _pair_amplitudes(0b110, s)),
     )
-    phase = cmath.phase(final[7]) - cmath.phase(final[0])
-    phase = math.remainder(phase, 2.0 * math.pi)
+    phase = math.remainder(cmath.phase(final[7]) - cmath.phase(final[0]), 2.0 * math.pi)
     report = PreparationReport(
         sign="+" if s == 1 else "-",
         fidelity=fid,

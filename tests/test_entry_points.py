@@ -27,6 +27,7 @@ from ghzsim import (
     derive_energies,
     effective_error_scan,
     evolve,
+    fitted_loglog_slope,
     ghz_prepare,
     ghz_state,
     h_eff_qubits13,
@@ -178,6 +179,19 @@ def _device(**fields):
     (lambda: _device(ej_max=("11.2", 11.2, 11.2)), "ej_max[0]: expected a number, got '11.2'"),
     (lambda: _device(ej_max=(11.2, True, 11.2)), "ej_max[1]: expected a number, got True"),
     (lambda: _device(k12=None), "k12: expected a number, got None"),
+    *[(lambda bad=bad: Schedule(bad, 0.1, 0.1, 0.0),
+       f"segments: expected an iterable of PulseSegment instances, got {bad!r}")
+      for bad in (None, 5)],
+    *[(lambda bad=bad: fitted_loglog_slope(bad),
+       f"table: expected an iterable of (zeta, error) pairs, got {bad!r}") for bad in (None, 5)],
+    (lambda: effective_error_scan(5), "zeta_values: expected an iterable of numbers, got 5"),
+    *[(lambda bad=bad: lhv_prediction(bad), f"assignments: expected a mapping, got {bad!r}")
+      for bad in ("x1x2x3y1y2y3", None)],
+    *[(lambda bad=bad: StateVector(bad), f"amplitudes: expected an array of numbers, got {bad!r}")
+      for bad in ("abc", [1, "a", 0, 0, 0, 0, 0, 0], [1, None, 0, 0, 0, 0, 0, 0],
+                  [True, False, False, False, False, False, False, False])],
+    (lambda: Operator("abc"), "matrix: expected an array of numbers, got 'abc'"),
+    (lambda: Operator([[None] * 8] * 8), "matrix: expected an array of numbers, got [[None"),
 ])
 def test_malformed_records_name_what_is_wrong(make, message):
     with pytest.raises(ContractViolationError, match=re.escape(message)):

@@ -268,8 +268,9 @@ def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch, cle
     clear_memos()
     verified = (verify_ghz(energies, "full"), verify_mixture_control(energies, "full"))
     clear_memos()
-    shapes, flips, operators = [], [], []
+    shapes, flips, operators, segments = [], [], [], []
     eigh, solve, construct = np.linalg.eigh, pulses.solve_conditional_flip, Operator.__init__
+    construct_segment = PulseSegment.__init__
 
     def counted(a):
         shapes.append(np.shape(a))
@@ -283,18 +284,27 @@ def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch, cle
         operators.append(args)
         construct(self, *args)
 
+    def counted_segment(self, *args, **kwargs):
+        construct_segment(self, *args, **kwargs)
+        segments.append(self.label)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(pulses, "solve_conditional_flip", counted_flip)
     monkeypatch.setattr(Operator, "__init__", counted_operator)
+    monkeypatch.setattr(PulseSegment, "__init__", counted_segment)
     # the signs differ only in the superposition pulse's duration, and the
     # full-mode interference pulses are the stack's last two slices, built
-    # into two Operators once for both protocols
+    # into two Operators once for both protocols; the memo times the five
+    # pulses as segments once, at the longer superposition that sign '+'
+    # uses, and only sign '-' builds its shorter superposition anew
     runs = {sign: ghz_prepare(energies, sign) for sign in ("-", "+")}
     again = (verify_ghz(energies, "full"), verify_mixture_control(energies, "full"))
     *_, w, v = pulses._device_sequence(energies, False)
     assert shapes == [(5, 8, 8)]
     assert len(flips) == 2
     assert len(operators) == 2
+    assert segments == ["conditional-flip-q1", "conditional-flip-q3", "superposition",
+                        "interference-q2", "interference-q13", "superposition"]
     assert [repr(out) for out in again] == [repr(out) for out in verified]
     assert not w.flags.writeable and not v.flags.writeable
     for sign, (state, schedule, report) in runs.items():
