@@ -15,7 +15,6 @@ confined to this module.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .errors import (
     _positive,
     _real,
     _reals,
+    _record,
 )
 
 # CODATA exact values (SI).
@@ -43,7 +43,7 @@ _COND_LIMIT = 1e12
 _CROSSTALK_THRESHOLD = 0.05
 
 
-@dataclass(frozen=True)
+@_record
 class CapacitanceNetwork:
     """Capacitance values of the three-box chain, all in aF.
 
@@ -68,7 +68,7 @@ class CapacitanceNetwork:
                 raise UnphysicalNetworkError(f"c_coupler[{i}]: must be >= 0, got {c}")
 
 
-@dataclass(frozen=True)
+@_record
 class EffectiveCapacitances:
     """Screened capacitances of the coupled network.
 
@@ -85,7 +85,7 @@ class EffectiveCapacitances:
     c_pair_13: float
 
 
-@dataclass(frozen=True)
+@_record
 class ControlSettings:
     """External controls: reduced gate charges, reduced fluxes, and the
     maximum single-junction Josephson energies eps_j in GHz.
@@ -113,7 +113,7 @@ class ControlSettings:
                     raise UnphysicalNetworkError(f"{name}[{i}]: must keep {term} finite, got {v}")
 
 
-@dataclass(frozen=True)
+@_record
 class DerivedEnergies:
     """All energies (GHz) needed to assemble the three-qubit Hamiltonian.
 
@@ -148,7 +148,7 @@ class DerivedEnergies:
             object.__setattr__(self, name, (v if type(v) is float else _real(v, name)) + 0.0)
 
 
-@dataclass(frozen=True)
+@_record
 class CrosstalkReport:
     """Size of the next-nearest-neighbour coupling relative to the chain
     couplings, and whether neglecting it is justified (both ratios < 5%)."""
@@ -160,7 +160,7 @@ class CrosstalkReport:
     uncoupled: bool
 
 
-@dataclass(frozen=True)
+@_record
 class TimingMargin:
     """Readout-timing check: measurement must finish well inside the
     characteristic coupling time t_c = 1/(2*pi*K)."""

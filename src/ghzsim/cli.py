@@ -45,7 +45,6 @@ import io
 import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .circuit import (
@@ -135,10 +134,11 @@ def _idle_energies(cfg: RunConfig) -> DerivedEnergies:
 
 def _cmd_derive(cfg: RunConfig) -> dict:
     energies = derive_energies(cfg.network, cfg.settings)
+    caps = effective_capacitances(cfg.network)
     cross = crosstalk_ratio(energies)
     return {
-        "capacitance_af": asdict(effective_capacitances(cfg.network)),
-        "energies_ghz": asdict(energies),
+        "capacitance_af": {f: getattr(caps, f) for f in caps._fields},
+        "energies_ghz": {f: getattr(energies, f) for f in energies._fields},
         "crosstalk": {
             "ratio_13_over_12": cross.ratio_12,
             "ratio_13_over_23": cross.ratio_23,

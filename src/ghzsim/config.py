@@ -17,7 +17,6 @@ which must be non-negative and is required whenever shots > 0.
 
 import copy
 import re
-from dataclasses import dataclass
 
 import yaml
 
@@ -31,6 +30,7 @@ from .errors import (
     _count,
     _duration,
     _reals,
+    _record,
     _zetas,
 )
 
@@ -84,7 +84,7 @@ _SCAN_PARAMETERS = ("zeta", "coupler")
 _MAX_SHOTS = 10**7
 
 
-@dataclass(frozen=True)
+@_record
 class ProtocolConfig:
     mode: str
     shots: int
@@ -93,20 +93,20 @@ class ProtocolConfig:
     include_k13: bool
 
 
-@dataclass(frozen=True)
+@_record
 class ScanConfig:
     parameter: str
     target: str
     values: tuple
 
 
-@dataclass(frozen=True)
+@_record
 class OutputConfig:
     format: str
     path: str
 
 
-@dataclass(frozen=True)
+@_record
 class RunConfig:
     """Validated configuration plus the source it was loaded from."""
 
@@ -178,7 +178,7 @@ def _require_idle_point(settings: ControlSettings) -> None:
 def _build(raw: dict, source: str) -> RunConfig:
     dev = raw["device"]
     values = [dev[key] for key in _DEVICE_KEYS.values()]
-    try:  # the dataclasses validate these; each message starts with the field's name
+    try:  # the records validate these; each message starts with the field's name
         network, settings = CapacitanceNetwork(*values[:3]), ControlSettings(*values[3:])
     except UnphysicalNetworkError as exc:
         name = re.match(r"\w+", str(exc)).group()

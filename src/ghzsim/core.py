@@ -12,7 +12,6 @@ Conventions fixed here and relied on everywhere else:
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     _member,
     _real,
     _reals,
+    _record,
 )
 
 N_QUBITS = 3
@@ -60,7 +60,7 @@ _S_Y = ((1.0 + 1.0j) * _I2 + (1.0 - 1.0j) * (_SIGMA_X + _SIGMA_Y + _SIGMA_Z)) / 
 _ROTATION_2X2 = {"x": _S_X, "y": _S_Y, "z": _I2}
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class StateVector:
     """Normalized 8-component complex amplitude vector.
 
@@ -134,7 +134,7 @@ def _parse_sign(sign) -> int:
     raise ContractViolationError(f"sign must be '+' or '-', got {sign!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class Operator:
     """Read-only 8x8 complex matrix.
 
@@ -355,7 +355,7 @@ def project(state: StateVector, qubit: int, outcome: int):
     return StateVector(amps), prob
 
 
-@dataclass(frozen=True)
+@_record
 class MeasurementRecord:
     """Histogram of a sampled measurement, with its shots replayable in order.
 

@@ -17,7 +17,6 @@ the intended context.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .errors import (
     _positive,
     _ratio,
     _reals,
+    _record,
     _zetas,
 )
 
@@ -43,7 +43,7 @@ _NO_BIAS = (0.0, 0.0, 0.0)
 _SCAN_DRIVES = {"middle": (0.0, 2.0, 0.0), "outer": (2.0, 0.0, 2.0)}
 
 
-@dataclass(frozen=True)
+@_record
 class PerturbationParams:
     """Perturbation ratios and junction energies for one pulse context.
 

@@ -11,10 +11,12 @@ scan's zetas map at _SCAN_ZETA_LIMIT and PerturbationParams reads at 1), a
 duration and a positive number (``_positive``).  The config calls each
 rule with the field's YAML path and ConfigError, the library with its
 parameter name, so both accept the same values and say why alike; the
-iterable and array readers serve the library alone.
+iterable and array readers serve the library alone.  Every record class
+is a frozen ``_record``: one generated ``__init__`` each, all else shared.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -59,6 +61,48 @@ class ContractViolationError(SimulationError):
 
 class GateChargeRangeWarning(UserWarning):
     """Solved gate charges fall outside the physical window [0, 1]."""
+
+
+def _record(cls=None, *, eq=True):
+    """``cls`` as a frozen record of its annotated fields, in order: one
+    generated ``__init__`` (a class attribute named after a field is its
+    default; ``__post_init__`` runs last), the shared repr and refusal to
+    assign or delete, and ``==`` and hash on the field tuple, or identity
+    without ``eq``.  ``cls._fields`` names the fields."""
+    if cls is None:
+        return lambda cls: _record(cls, eq=eq)
+    cls._fields = fields = tuple(cls.__annotations__)
+    defaults = {f: vars(cls)[f] for f in fields if f in vars(cls)}
+    params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+    body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    scope = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(f"def __init__(self, {params}):{body}{post}", scope)
+    cls.__init__, cls.__repr__ = scope["__init__"], _record_repr
+    cls.__setattr__ = cls.__delattr__ = _record_frozen
+    if eq:  # every such record has two or more fields, so _values gives a tuple
+        cls._values = operator.attrgetter(*fields)
+        cls.__eq__, cls.__hash__ = _record_eq, _record_hash
+    return cls
+
+
+def _record_repr(self) -> str:
+    values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+    return f"{type(self).__qualname__}({values})"
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return self._values(self) == other._values(other)
+    return NotImplemented
+
+
+def _record_hash(self) -> int:
+    return hash(self._values(self))
+
+
+def _record_frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
 
 
 def _real(value, name: str, error=ContractViolationError) -> float:

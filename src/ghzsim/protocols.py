@@ -27,10 +27,10 @@ It imports ghzsim.pulses (and with it ghzsim.effective) only when a device
 is driven, so the y-basis experiment and ideal mode never load them.
 """
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .core import (
     expectation,
     pauli,
 )
-from .errors import _MODES, ContractViolationError, _choice, _count, _member
+from .errors import _MODES, ContractViolationError, _choice, _count, _member, _record
 
 _PROB_SUM_TOL = 1e-9
 # sigma_x on qubit 2 resets the postselected middle qubit; one Operator, so
@@ -66,7 +66,7 @@ _GHZ_PLUS = _pair_amplitudes(0b111, 1.0j)
 _MIXTURE = tuple((0.5, _basis_amplitudes(label)) for label in ("000", "111"))
 
 
-@dataclass(frozen=True)
+@_record
 class ProtocolOutcome:
     """Uniform result record of a protocol run.
 
@@ -146,6 +146,13 @@ _IDEAL = {name: (distribution, _cumulative(distribution[0])) for name, distribut
 }.items()}
 
 
+@functools.cache
+def _pulses():
+    """ghzsim.pulses, imported once, when a device is first driven."""
+    from . import pulses
+    return pulses
+
+
 def _interference_experiment(name: str, energies, mode: str, shots: int, seed: int,
                              include_k13) -> ProtocolOutcome:
     """The interference experiment of verify_ghz (``name`` "ghz") or of
@@ -159,12 +166,11 @@ def _interference_experiment(name: str, energies, mode: str, shots: int, seed: i
     elif energies is None:
         raise ContractViolationError(f"mode {mode!r} needs device energies")
     else:
-        from .pulses import _interference_pulses, ghz_prepare
-
+        pulses = _pulses()
         components = _MIXTURE if name == "mixture" else (
-            (1.0, ghz_prepare(energies, "+", include_k13=include_k13)[0].amplitudes),)
-        pulses = _interference_pulses(mode, energies, bool(include_k13))
-        distribution, table = _interference_distribution(*pulses, components), None
+            (1.0, pulses.ghz_prepare(energies, "+", include_k13=include_k13)[0].amplitudes),)
+        u2, u13 = pulses._interference_pulses(mode, energies, bool(include_k13))
+        distribution, table = _interference_distribution(u2, u13, components), None
     full_probs, probs, pair_sums, total_weight = distribution
     counts = None
     if _count(shots, "shots"):

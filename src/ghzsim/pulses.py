@@ -32,7 +32,6 @@ are rebuilt on each call.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +55,11 @@ from .errors import (
     ContractViolationError,
     InfeasiblePulseError,
     _duration,
+    _finite,
     _items,
     _positive,
     _reals,
+    _record,
 )
 
 _RESIDUAL_TOL = 1e-9
@@ -68,7 +69,7 @@ _PHASE_LIMIT = 1e6
 _KET_000 = _basis_amplitudes("000")
 
 
-@dataclass(frozen=True)
+@_record
 class PulseSegment:
     """One piecewise-constant slice of a schedule: charging and Josephson
     energies ``e_c``/``e_j`` (GHz, 3 entries each) held for ``duration`` ns.
@@ -85,7 +86,7 @@ class PulseSegment:
             object.__setattr__(self, name, _reals(getattr(self, name), name, 3))
 
 
-@dataclass(frozen=True)
+@_record
 class Schedule:
     """Ordered pulse segments plus the coupling energies (GHz) held for the
     whole run."""
@@ -107,7 +108,7 @@ class Schedule:
         return sum(s.duration for s in self.segments)
 
 
-@dataclass(frozen=True)
+@_record
 class FlipSolution:
     """Closed-form conditional-flip timing.
 
@@ -130,7 +131,7 @@ class FlipSolution:
         object.__setattr__(self, "residuals", r)
 
 
-@dataclass(frozen=True)
+@_record
 class PreparationReport:
     """Diagnostics of one entangling run.
 
@@ -274,6 +275,14 @@ def _accepted(part: tuple):
     return value
 
 
+def _device_couplings(energies: DerivedEnergies, include_k13: bool) -> tuple:
+    """The couplings (k12, k23, k13 or 0.0) that the pulses hold, read as finite
+    after every ``ej_max`` entry: a driven entry point reads these first."""
+    _reals(energies.ej_max, "ej_max", 3)
+    return (_finite(energies.k12, "k12"), _finite(energies.k23, "k23"),
+            _finite(energies.k13, "k13") if include_k13 else 0.0)
+
+
 @functools.lru_cache(maxsize=1)
 def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     """What the sign does not change, one device remembered: (preparation,
@@ -286,9 +295,9 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     the (5, 8, 8) stack.  A refused part keeps only its message, so no error
     object or caller's frame outlives its call: a device without interference
     timing still prepares, and one without flips runs the mixture control."""
-    ks = (energies.k12, energies.k23, energies.k13 if include_k13 else 0.0)
-    e_c = _reals((0.0, -2.0 * (energies.k12 + energies.k23), 0.0), "e_c", 3)
-    e_j = _reals((0.0, energies.ej_max[1], 0.0), "e_j", 3)
+    ks = _device_couplings(energies, include_k13)
+    e_c = _reals((0.0, -2.0 * (ks[0] + ks[1]), 0.0), "e_c", 3)
+    e_j = (0.0, energies.ej_max[1], 0.0)
     try:
         (seg_f1, sol1), (seg_f3, sol3) = _flip_segment(energies, 1), _flip_segment(energies, 3)
         t_longest = solve_superposition_pulse(energies.ej_max[1], "-")
@@ -307,10 +316,9 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     except InfeasiblePulseError as exc:
         interference, pulses = (), (str(exc), None)
     segments = prepared + interference
-    couplings = w = v = None
+    w = v = None
     if segments:
-        couplings = _reals(ks, "(k12, k23, k13)", 3)
-        w, v = _diagonalize(_assemble([(s.e_c, s.e_j, couplings) for s in segments]),
+        w, v = _diagonalize(_assemble([(s.e_c, s.e_j, ks) for s in segments]),
                             "evolve requires a Hermitian Hamiltonian")
         w.flags.writeable = v.flags.writeable = False
     if interference:
@@ -318,7 +326,7 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
             pulses = None, tuple(map(Operator, _spectral_propagators(w[-2:], v[-2:], times)))
         except InfeasiblePulseError as exc:
             pulses = str(exc), None
-    return preparation, pulses, couplings, w, v
+    return preparation, pulses, ks, w, v
 
 
 def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool) -> tuple:
@@ -328,6 +336,7 @@ def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool
     stored refusal anew; effective mode diagonalizes and propagates its two
     generators on each call."""
     if mode == "effective":
+        _device_couplings(energies, False)  # the effective pulses hold no k13
         middle, matched, _, times = _interference_drives(energies)
         stack = np.array([h_eff_qubit2(middle).matrix, h_eff_qubits13(matched, +1).matrix])
         return tuple(map(Operator, _propagators(stack, times)))
@@ -337,6 +346,7 @@ def _interference_pulses(mode: str, energies: DerivedEnergies, include_k13: bool
 @functools.lru_cache(maxsize=1)
 def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
     """ghz_prepare for a parsed sign s (+1 or -1), one device remembered."""
+    _device_couplings(energies, include_k13)
     t_sup = solve_superposition_pulse(energies.ej_max[1], -s)
     preparation, _, couplings, w, v = _device_sequence(energies, include_k13)
     (sup, *flips), solutions = _accepted(preparation)

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import gc
 import importlib
 import io
@@ -163,9 +162,8 @@ def test_config_validation_errors(tmp_path, capsys, text, fragment):
 
 
 def test_device_keys_name_every_dataclass_field():
-    # one table maps each field of the two device dataclasses to its YAML key
-    fields = [f.name for cls in (CapacitanceNetwork, ControlSettings)
-              for f in dataclasses.fields(cls)]
+    # one table maps each field of the two device records to its YAML key
+    fields = [name for cls in (CapacitanceNetwork, ControlSettings) for name in cls._fields]
     assert list(config._DEVICE_KEYS) == fields
     assert sorted(config._DEVICE_KEYS.values()) == sorted(set(DEFAULT_CONFIG["device"])
                                                          - {"readout_time_ns"})
@@ -553,13 +551,14 @@ def _imports(*args):
     # no device is driven, so protocols leaves pulses and effective unloaded
     (["yyy", "--shots", "1000", "--seed", "3"], ("effective", "pulses")),
     (["verify", "--mode", "ideal"], ("effective", "pulses")),
+    (["prepare"], ("protocols",)),
 ])
 def test_each_command_imports_only_the_layers_it_runs(argv, unused):
     imported = _imports("-m", "ghzsim", *argv)
     assert {"ghzsim.circuit", "ghzsim.config", "ghzsim.cli"} <= imported
     assert {f"ghzsim.{layer}" for layer in unused} & imported == set()
-    # a table needs neither renderer's module
-    assert {"json", "csv"} & imported == set()
+    # a table needs neither renderer's module, and the records no dataclasses
+    assert {"json", "csv", "dataclasses"} & imported == set()
     if argv == ["scan"]:
         assert {"ghzsim.core", "ghzsim.effective"} <= imported
 

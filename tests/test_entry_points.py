@@ -258,3 +258,35 @@ def test_the_readers_of_a_perturbation_ratio_agree(value):
             reasons.add(refused.replace(f"[0, {limit})", "[0, limit)"))
         assert (refused is None) == (number and 0.0 <= value < limit), (name, refused)
     assert len(reasons) <= 1, reasons
+
+
+# Each entry point that drives a device's pulses, called as (energies, include_k13).
+_DRIVEN = {
+    "ghz_prepare": lambda energies, k13: ghz_prepare(energies, include_k13=k13),
+    **{f"{protocol.__name__}-{mode}":
+       lambda energies, k13, protocol=protocol, mode=mode: protocol(energies, mode,
+                                                                    include_k13=k13)
+       for protocol in (verify_ghz, verify_mixture_control) for mode in ("effective", "full")},
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("field", ["k12", "k23", "k13", "ej_max[0]", "ej_max[1]", "ej_max[2]"])
+@pytest.mark.parametrize("entry", _DRIVEN)
+def test_a_non_finite_device_field_is_refused_under_its_own_name(entry, field, value):
+    if field.startswith("ej_max"):
+        ej_max = list(_ENERGIES.ej_max)
+        ej_max[int(field[-2])] = value
+        device = _device(ej_max=tuple(ej_max))
+    else:
+        device = _device(**{field: value})
+    # k13 is held only with include_k13, and never by effective mode's pulses
+    if field == "k13":
+        _DRIVEN[entry](device, False)
+    if field == "k13" and entry == "verify_mixture_control-effective":
+        _DRIVEN[entry](device, True)
+        return
+    with pytest.raises(ContractViolationError) as raised:
+        _DRIVEN[entry](device, True)
+    assert raised.type is ContractViolationError
+    assert str(raised.value) == f"{field}: must be finite, got {value!r}"
