@@ -13,7 +13,10 @@ sequence and each defines its own perturbation ratios:
   junction energy, and the rates depend on the middle qubit's sigma_z.
 
 Use the ``middle_qubit`` / ``outer_pair`` builders to populate the ratios for
-the intended context.
+the intended context.  Each generator's coefficients are one rule in Python
+floats and its matrices one numpy combination of the Pauli matrices over a
+stack: the public builders take one row, and the error scan builds each
+batch's generators once, as one stack, with no params or Operator per zeta.
 """
 
 import math
@@ -37,9 +40,11 @@ from .errors import (
 )
 
 _SCAN_BATCH = 64  # zetas per stacked eigh and lock-step phase search, so memory stays bounded
-# The charging energies of every interference pulse and scanned pulse, and
-# the scan's drives: unit junction energies, with k12 = k23 = 2 * zeta.
+# The charging energies of every interference pulse and scanned pulse, the
+# scan's junction energies eps_j, and its drives: unit junction energies,
+# with k12 = k23 = 2 * zeta.
 _NO_BIAS = (0.0, 0.0, 0.0)
+_UNIT = (1.0, 1.0, 1.0)
 _SCAN_DRIVES = {"middle": (0.0, 2.0, 0.0), "outer": (2.0, 0.0, 2.0)}
 
 
@@ -48,8 +53,9 @@ class PerturbationParams:
     """Perturbation ratios and junction energies for one pulse context.
 
     Every provided zeta must satisfy zeta < 1 or the expansion is
-    meaningless; the scan additionally restricts to zeta < 0.5.  Ratios not
-    used by a context default to zero.
+    meaningless; the scan, which builds its generators without params,
+    reads its zetas below 0.5.  Ratios not used by a context default to
+    zero.
     """
 
     epsilon_j: tuple
@@ -66,9 +72,25 @@ class PerturbationParams:
             object.__setattr__(self, name, _ratio(getattr(self, name), name, 1.0))
 
     @classmethod
-    def _for_device(cls, eps: tuple, **zetas) -> "PerturbationParams":
-        """Built from a device, a ratio >= 1 leaves no second-order pulse
-        timing: an infeasible pulse, not a broken contract."""
+    def _for_device(cls, energies: DerivedEnergies, outer: bool) -> "PerturbationParams":
+        """A device's params: eps_j = ej_max / 2, and the ratios of the outer
+        pair's drive, each referred to its own junction energy, or of the
+        middle drive, the device's own zeta12/zeta23 (both referred to
+        eps_j2).  An ej_max entry that is not a finite positive number is
+        refused under its own name.  A positive one whose half underflows to
+        0.0, or a ratio >= 1, leaves no second-order pulse timing: an
+        infeasible pulse, not a broken contract."""
+        eps = tuple(e / 2.0 for e in energies.ej_max)
+        for i, half in enumerate(eps):
+            if not 0.0 < half < math.inf:
+                e = _positive(energies.ej_max[i], f"ej_max[{i}]")
+                raise InfeasiblePulseError(f"the second-order pulse timing needs eps_j > 0, but "
+                                           f"ej_max[{i}] = {e!r} halves to {half!r}")
+        if outer:
+            zetas = {"zeta12": energies.k12 / (2.0 * eps[0]),
+                     "zeta32": energies.k23 / (2.0 * eps[2])}
+        else:
+            zetas = {"zeta12": energies.zeta12, "zeta23": energies.zeta23}
         for name, z in zetas.items():
             if z >= 1.0:
                 raise InfeasiblePulseError(f"the second-order pulse timing needs {name} < 1, "
@@ -79,21 +101,37 @@ class PerturbationParams:
     def middle_qubit(cls, energies: DerivedEnergies) -> "PerturbationParams":
         """Ratios for the middle-qubit drive: both referred to eps_j2, as
         the device's own zeta12/zeta23 are."""
-        eps = tuple(e / 2.0 for e in energies.ej_max)
-        return cls._for_device(eps, zeta12=energies.zeta12, zeta23=energies.zeta23)
+        return cls._for_device(energies, outer=False)
 
     @classmethod
     def outer_pair(cls, energies: DerivedEnergies) -> "PerturbationParams":
         """Ratios for the simultaneous outer drive: each referred to its own
         junction energy."""
-        eps = tuple(e / 2.0 for e in energies.ej_max)
-        return cls._for_device(eps, zeta12=energies.k12 / (2.0 * eps[0]),
-                               zeta32=energies.k23 / (2.0 * eps[2]))
+        return cls._for_device(energies, outer=True)
 
 
 # sigma_z1 sigma_x2 sigma_z3, the state-dependent term of the middle drive
 _SZ1_SX2_SZ3 = _PAULI_8X8["z", 1] @ _PAULI_8X8["x", 2] @ _PAULI_8X8["z", 3]
 _SZ1_SX2_SZ3.flags.writeable = False
+
+
+def _middle_terms(eps: tuple, z12: float, z23: float) -> tuple:
+    """eps_j2 and the coefficients 1 + 2*zeta12^2 + 2*zeta23^2 of sigma_x2
+    and 4*zeta12*zeta23 of sigma_z1 sigma_x2 sigma_z3 in the middle drive."""
+    return eps[1], 1.0 + 2.0 * z12**2 + 2.0 * z23**2, 4.0 * z12 * z23
+
+
+def _middle_stack(terms: list) -> np.ndarray:
+    """The (n, 8, 8) stack of h_eff_qubit2's matrices, one per row of
+    _middle_terms."""
+    eps2, x2, zxz = np.array(terms).T[:, :, None, None]
+    return -eps2 * (x2 * _PAULI_8X8["x", 2] + zxz * _SZ1_SX2_SZ3)
+
+
+def _middle_time(terms: tuple) -> float:
+    """tau2 of one row of _middle_terms."""
+    eps2, x2, zxz = terms
+    return _quarter_time(8.0 * eps2 * (x2 + zxz), "tau2")
 
 
 def h_eff_qubit2(params: PerturbationParams) -> Operator:
@@ -102,11 +140,8 @@ def h_eff_qubit2(params: PerturbationParams) -> Operator:
     -eps_j2 * [(1 + 2*zeta12^2 + 2*zeta23^2) * sigma_x2
                + 4*zeta12*zeta23 * sigma_z1 sigma_x2 sigma_z3]
     """
-    eps2 = params.epsilon_j[1]
-    z12, z23 = params.zeta12, params.zeta23
-    h = -eps2 * ((1.0 + 2.0 * z12**2 + 2.0 * z23**2) * _PAULI_8X8["x", 2]
-                 + 4.0 * z12 * z23 * _SZ1_SX2_SZ3)
-    return Operator(h)
+    return Operator(_middle_stack([_middle_terms(params.epsilon_j, params.zeta12,
+                                                 params.zeta23)])[0])
 
 
 def tau2(params: PerturbationParams) -> float:
@@ -116,10 +151,7 @@ def tau2(params: PerturbationParams) -> float:
     2*eps_j2*(1 + 2*zeta12^2 + 2*zeta23^2 + 4*zeta12*zeta23) and the pulse
     exp(i * pi * sigma_x2 / 4) takes one eighth of its period.
     """
-    eps2 = params.epsilon_j[1]
-    rate = 1.0 + 2.0 * params.zeta12**2 + 2.0 * params.zeta23**2 \
-        + 4.0 * params.zeta12 * params.zeta23
-    return _quarter_time(8.0 * eps2 * rate, "tau2")
+    return _middle_time(_middle_terms(params.epsilon_j, params.zeta12, params.zeta23))
 
 
 def _quarter_time(eight_rates: float, name: str) -> float:
@@ -130,13 +162,22 @@ def _quarter_time(eight_rates: float, name: str) -> float:
     return t
 
 
-def _outer_rates(params: PerturbationParams, qubit2_z: int = +1) -> tuple:
+def _outer_rates(eps: tuple, z12: float, z32: float, qubit2_z: int = +1) -> tuple:
     """Rotation rates eps_j * (1 + 2 * zeta_j2^2 * z) of qubits 1 and 3 on the
     sigma_z2 = z sector."""
-    qubit2_z = _member(qubit2_z, "qubit2_z", (1, -1))
-    eps1, _, eps3 = params.epsilon_j
-    return (eps1 * (1.0 + 2.0 * params.zeta12**2 * qubit2_z),
-            eps3 * (1.0 + 2.0 * params.zeta32**2 * qubit2_z))
+    return eps[0] * (1.0 + 2.0 * z12**2 * qubit2_z), eps[2] * (1.0 + 2.0 * z32**2 * qubit2_z)
+
+
+def _outer_stack(rates: list) -> np.ndarray:
+    """The (n, 8, 8) stack of h_eff_qubits13's matrices, one per row of
+    _outer_rates."""
+    rate1, rate3 = np.array(rates).T[:, :, None, None]
+    return -(rate1 * _PAULI_8X8["x", 1] + rate3 * _PAULI_8X8["x", 3])
+
+
+def _outer_time(rates: tuple) -> float:
+    """tau13 of one row of _outer_rates, on sigma_z2 = +1."""
+    return _quarter_time(8.0 * rates[0], "tau13")
 
 
 def h_eff_qubits13(params: PerturbationParams, qubit2_z: int = +1) -> Operator:
@@ -145,8 +186,9 @@ def h_eff_qubits13(params: PerturbationParams, qubit2_z: int = +1) -> Operator:
 
     -sum_j eps_j * (1 + 2 * zeta_j2^2 * z) * sigma_xj   for j in {1, 3}
     """
-    rate1, rate3 = _outer_rates(params, qubit2_z)
-    return Operator(-(rate1 * _PAULI_8X8["x", 1] + rate3 * _PAULI_8X8["x", 3]))
+    qubit2_z = _member(qubit2_z, "qubit2_z", (1, -1))
+    return Operator(_outer_stack([_outer_rates(params.epsilon_j, params.zeta12, params.zeta32,
+                                               qubit2_z)])[0])
 
 
 def tau13(params: PerturbationParams) -> float:
@@ -155,14 +197,14 @@ def tau13(params: PerturbationParams) -> float:
     Qubit 1's rate eps_j1 * (1 + 2*zeta12^2) sets the time;
     matched_outer_params gives qubit 3 the same rate.
     """
-    return _quarter_time(8.0 * _outer_rates(params)[0], "tau13")
+    return _outer_time(_outer_rates(params.epsilon_j, params.zeta12, params.zeta32))
 
 
 def matched_outer_params(params: PerturbationParams) -> PerturbationParams:
     """Params with eps_j3 rescaled (zeta32 held fixed) so that qubit 3's rate
     eps_j3 * (1 + 2*zeta32^2) equals qubit 1's and both qubits complete the
     quarter rotation together; params whose rates already agree pass through."""
-    rate1, rate3 = _outer_rates(params)
+    rate1, rate3 = _outer_rates(params.epsilon_j, params.zeta12, params.zeta32)
     if abs(rate1 - rate3) <= 1e-12 * max(rate1, rate3):
         return params
     eps1, eps2, _ = params.epsilon_j
@@ -189,8 +231,8 @@ _GRID = np.linspace(-math.pi, math.pi, 721)
 _PHASES = np.exp(1j * _GRID)
 # Distances from the 7 phases inside each 8-step grid cell to the cell's left edge.
 _CELL_STEPS = np.arange(1, 8) * (_GRID[1] - _GRID[0])
-# Rows with sigma_z2 = +1: the scan's outer generator takes each row from the
-# h_eff_qubits13 sector of that row's sigma_z2.
+# Rows with sigma_z2 = +1: the scan's outer generators take each row from the
+# h_eff_qubits13 sector of that row's sigma_z2, in one np.where per batch.
 _QUBIT2_UP = (_Z_SIGNS[1] > 0)[:, None]
 
 
@@ -278,8 +320,9 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     propagated for the quarter-rotation time, and the max-entry norm of their
     difference, minimized over a global phase, is recorded.  The zetas are
     taken _SCAN_BATCH at a time: a batch's exact generators are assembled in
-    one call, and its exact and effective generators are propagated in one
-    stacked call, then phase-searched in lock-step.
+    one call and its effective generators built once, as one stack
+    (_scan_generators); both are propagated in one stacked call, then
+    phase-searched in lock-step.
     Returns a tuple of (zeta, error) pairs.  ``zeta_values`` is an iterable
     (not a string) of real, non-bool numbers.
     """
@@ -288,7 +331,7 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     table = []
     for start in range(0, len(zetas), _SCAN_BATCH):
         batch = zetas[start:start + _SCAN_BATCH]
-        model, times = zip(*(_scan_model(z, which) for z in batch))
+        model, times = _scan_generators(batch, which)
         exact = _assemble([(_NO_BIAS, _SCAN_DRIVES[which], (2.0 * z, 2.0 * z, 0.0))
                            for z in batch])
         u = _propagators(np.concatenate((exact, model)), times + times)
@@ -296,16 +339,19 @@ def effective_error_scan(zeta_values, which: str = "middle"):
     return tuple(table)
 
 
-def _scan_model(z: float, which: str) -> tuple:
-    """The effective generator matrix of the scanned pulse at zeta z, and
-    its duration."""
+def _scan_generators(zetas: tuple, which: str) -> tuple:
+    """The effective generators of the scanned pulse at each zeta, as one
+    (n, 8, 8) stack, and their durations: h_eff_qubit2 and tau2, or
+    h_eff_qubits13 and tau13, on unit junction energies with both ratios
+    zeta.  The outer generator takes each row from the sector of that row's
+    sigma_z2."""
     if which == "middle":
-        params = PerturbationParams((1.0, 1.0, 1.0), zeta12=z, zeta23=z)
-        return h_eff_qubit2(params).matrix, tau2(params)
-    params = PerturbationParams((1.0, 1.0, 1.0), zeta12=z, zeta32=z)
-    h_eff = np.where(_QUBIT2_UP, h_eff_qubits13(params, +1).matrix,
-                     h_eff_qubits13(params, -1).matrix)
-    return h_eff, tau13(params)
+        terms = [_middle_terms(_UNIT, z, z) for z in zetas]
+        return _middle_stack(terms), [_middle_time(row) for row in terms]
+    up = [_outer_rates(_UNIT, z, z, +1) for z in zetas]
+    sectors = _outer_stack(up + [_outer_rates(_UNIT, z, z, -1) for z in zetas])
+    return (np.where(_QUBIT2_UP, sectors[:len(zetas)], sectors[len(zetas):]),
+            [_outer_time(row) for row in up])
 
 
 def fitted_loglog_slope(table) -> float:

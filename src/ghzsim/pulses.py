@@ -277,8 +277,10 @@ def _accepted(part: tuple):
 
 def _device_couplings(energies: DerivedEnergies, include_k13: bool) -> tuple:
     """The couplings (k12, k23, k13 or 0.0) that the pulses hold, read as finite
-    after every ``ej_max`` entry: a driven entry point reads these first."""
-    _reals(energies.ej_max, "ej_max", 3)
+    after every ``ej_max`` entry is read as positive: a driven entry point
+    reads these first."""
+    for i, e in enumerate(energies.ej_max):
+        _positive(e, f"ej_max[{i}]")
     return (_finite(energies.k12, "k12"), _finite(energies.k23, "k23"),
             _finite(energies.k13, "k13") if include_k13 else 0.0)
 

@@ -48,7 +48,7 @@ from ghzsim.core import (
     _readout_probabilities,
     _tally,
 )
-from ghzsim.effective import _NO_BIAS, _QUBIT2_UP, _SCAN_DRIVES, _scan_model
+from ghzsim.effective import _NO_BIAS, _QUBIT2_UP, _SCAN_DRIVES, _scan_generators
 
 
 def taylor_propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -343,7 +343,7 @@ def _hermitian_stack(seed: int):
     times = rng.uniform(0.0, 10.0, 40).tolist()
     for z in (0.0, 0.05, 0.2, 0.45):
         for which in ("middle", "outer"):
-            h_eff, t = _scan_model(z, which)
+            (h_eff,), (t,) = _scan_generators((z,), which)
             (h_full,) = _assemble([(_NO_BIAS, _SCAN_DRIVES[which], (2.0 * z, 2.0 * z, 0.0))])
             matrices += [h_full, h_eff]
             times += [t, t]

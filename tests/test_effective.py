@@ -28,7 +28,15 @@ from ghzsim import (
     tau13,
     tau2,
 )
-from ghzsim.effective import _phase_minimized_distances
+from ghzsim.effective import (
+    _QUBIT2_UP,
+    _middle_stack,
+    _middle_terms,
+    _outer_rates,
+    _outer_stack,
+    _phase_minimized_distances,
+    _scan_generators,
+)
 
 UNIT = (1.0, 1.0, 1.0)
 
@@ -222,6 +230,47 @@ def test_error_scan_accepts_real_number_types():
     assert effective_error_scan([0, 0.1]) == reference
     assert effective_error_scan(np.array([0.0, 0.1])) == reference
     assert effective_error_scan(z for z in (np.int64(0), np.float64(0.1))) == reference
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+@pytest.mark.parametrize("which", ["middle", "outer"])
+def test_scan_generators_equal_the_one_row_builders(which, n):
+    # the scan's batch stack holds, byte for byte, the public builders' matrices
+    zetas = np.random.default_rng(n).uniform(0.0, 0.45, n).tolist()
+    stack, times = _scan_generators(tuple(zetas), which)
+    assert stack.shape == (n, 8, 8) and len(times) == n
+    for z, h, t in zip(zetas, stack, times):
+        if which == "middle":
+            p = PerturbationParams(UNIT, zeta12=z, zeta23=z)
+            row, t_row = h_eff_qubit2(p).matrix, tau2(p)
+        else:
+            p = PerturbationParams(UNIT, zeta12=z, zeta32=z)
+            row = np.where(_QUBIT2_UP, h_eff_qubits13(p, +1).matrix, h_eff_qubits13(p, -1).matrix)
+            t_row = tau13(p)
+        assert h.tobytes() == row.tobytes()
+        assert type(t) is float and t == t_row
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_generator_stacks_equal_their_rows(n):
+    # junction energies over six decades: a stack row is the one-row builder's
+    # matrix, and both are the docstring formula summed on one 8x8 matrix
+    rng = np.random.default_rng([n, 7])
+    params = [PerturbationParams(tuple(10.0 ** rng.uniform(-3.0, 3.0, 3)),
+                                 *rng.uniform(0.0, 0.99, 3).tolist()) for _ in range(n)]
+    x1, x2, x3 = (pauli("x", q).matrix for q in (1, 2, 3))
+    string = (pauli("z", 1) @ pauli("x", 2) @ pauli("z", 3)).matrix
+    middle = _middle_stack([_middle_terms(p.epsilon_j, p.zeta12, p.zeta23) for p in params])
+    for p, h in zip(params, middle):
+        (_, eps2, _), z12, z23 = p.epsilon_j, p.zeta12, p.zeta23
+        summed = -eps2 * ((1.0 + 2.0 * z12**2 + 2.0 * z23**2) * x2 + 4.0 * z12 * z23 * string)
+        assert h.tobytes() == h_eff_qubit2(p).matrix.tobytes() == summed.tobytes()
+    for s in (+1, -1):
+        outer = _outer_stack([_outer_rates(p.epsilon_j, p.zeta12, p.zeta32, s) for p in params])
+        for p, h in zip(params, outer):
+            (eps1, _, eps3), z12, z32 = p.epsilon_j, p.zeta12, p.zeta32
+            summed = -(eps1 * (1.0 + 2.0 * z12**2 * s) * x1 + eps3 * (1.0 + 2.0 * z32**2 * s) * x3)
+            assert h.tobytes() == h_eff_qubits13(p, s).matrix.tobytes() == summed.tobytes()
 
 
 # The CLI prints scan errors with repr, so a faster minimizer must reproduce

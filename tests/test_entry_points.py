@@ -290,3 +290,25 @@ def test_a_non_finite_device_field_is_refused_under_its_own_name(entry, field, v
         _DRIVEN[entry](device, True)
     assert raised.type is ContractViolationError
     assert str(raised.value) == f"{field}: must be finite, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, 5e-324, math.inf], ids=repr)
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("entry", _DRIVEN)
+def test_each_ej_max_entry_is_read_as_positive(entry, index, value):
+    ej_max = list(_ENERGIES.ej_max)
+    ej_max[index] = value
+    device = _device(ej_max=tuple(ej_max))
+    calls = [lambda k13=k13: _DRIVEN[entry](device, k13) for k13 in (False, True)]
+    calls += [lambda: PerturbationParams.middle_qubit(device),
+              lambda: PerturbationParams.outer_pair(device)]
+    for call in calls:
+        if 0.0 < value < math.inf:  # positive, but eps_J = ej_max / 2 underflows to 0.0
+            with pytest.raises(InfeasiblePulseError):
+                call()
+            continue
+        with pytest.raises(ContractViolationError) as raised:
+            call()
+        assert raised.type is ContractViolationError
+        reason = "must be finite" if value == math.inf else "must be > 0"
+        assert str(raised.value) == f"ej_max[{index}]: {reason}, got {value!r}"
