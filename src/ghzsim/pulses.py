@@ -21,12 +21,12 @@ charging energy of the middle qubit is biased during qubit 1's flip to cancel
 the spectator coupling phase between the two branches; both details are
 handled internally so only the requested target sign matters to callers.
 
-This module times every pulse of a device as a labelled PulseSegment, the
-three above and the interference quarter rotations of ghzsim.protocols,
-and remembers the last device: its segments, one diagonalization of all
-five, the interference pulses, the last preparation, and the refusal of a
-part it cannot time, which _accepted raises anew.  Effective-mode pulses
-are rebuilt on each call.
+This module times every pulse of a device, the three above and the
+interference quarter rotations of ghzsim.protocols; _segment builds each as
+a labelled PulseSegment once it passes the phase check.  The last device is
+remembered: its segments, one diagonalization of all five, the interference
+pulses, the last preparation, and the refusal of a part it cannot time,
+which _accepted raises anew.  Effective-mode pulses are rebuilt on each call.
 """
 
 import cmath
@@ -63,7 +63,7 @@ from .errors import (
 )
 
 _RESIDUAL_TOL = 1e-9
-# The largest phase (rad) a pulse may accumulate (_check_resolution): a
+# The largest phase (rad) a pulse may accumulate (_segment): a
 # double resolves 1e6 rad to about 1e-10 rad, below _RESIDUAL_TOL.
 _PHASE_LIMIT = 1e6
 _KET_000 = _basis_amplitudes("000")
@@ -206,8 +206,8 @@ def solve_conditional_flip(k: float, e_j_max: float, max_n: int = 64) -> FlipSol
 
 
 def _flip_segment(energies: DerivedEnergies, qubit: int):
-    """Assemble the conditional-flip segment of qubit 1 or 3 plus its
-    closed-form timing.
+    """The conditional-flip pulse of qubit 1 or 3 as _segment's parts (label,
+    duration, e_c, e_j), plus its closed-form timing.
 
     The flipped qubit's charging energy is biased to 2*K (K = its coupling to
     the middle qubit) so the driven branch rotates resonantly.  Qubit 1 flips
@@ -226,7 +226,7 @@ def _flip_segment(energies: DerivedEnergies, qubit: int):
     sol = solve_conditional_flip(k_target, energies.ej_max[qubit - 1])
     e_c, e_j = [0.0, middle_bias, 0.0], [0.0, 0.0, 0.0]
     e_c[qubit - 1], e_j[qubit - 1] = 2.0 * k_target, sol.e_j
-    return PulseSegment(sol.t, tuple(e_c), tuple(e_j), f"conditional-flip-q{qubit}"), sol
+    return (f"conditional-flip-q{qubit}", sol.t, tuple(e_c), tuple(e_j)), sol
 
 
 def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = False):
@@ -256,15 +256,16 @@ def ghz_prepare(energies: DerivedEnergies, sign: str = "+", include_k13: bool = 
     return _prepare(energies, _parse_sign(sign), bool(include_k13))
 
 
-def _check_resolution(seg: PulseSegment, couplings: tuple) -> None:
-    """Refuse a segment whose largest phase, bounded by 2*pi*sum(|E|)*t over
-    its e_c, e_j and ``couplings`` and its duration t, exceeds _PHASE_LIMIT:
-    floating point cannot resolve the phases that are meant to cancel."""
-    t = seg.duration
-    phase = 2.0 * math.pi * (sum(map(abs, seg.e_c + seg.e_j + couplings)) * t)
+def _segment(label: str, t: float, e_c: tuple, e_j: tuple, couplings: tuple) -> PulseSegment:
+    """The PulseSegment of a device pulse, built only after its largest
+    phase, 2*pi*sum(|E|)*t over e_c, e_j and ``couplings``, is checked: one
+    beyond _PHASE_LIMIT (an infinite energy too) cannot be resolved in
+    floating point and is refused."""
+    phase = 2.0 * math.pi * (sum(map(abs, e_c + e_j + couplings)) * t)
     if not phase <= _PHASE_LIMIT:
-        raise InfeasiblePulseError(f"the {seg.label} pulse accumulates phases up to {phase!r} "
+        raise InfeasiblePulseError(f"the {label} pulse accumulates phases up to {phase!r} "
                                    f"rad in {t!r} ns, which cannot be resolved in floating point")
+    return PulseSegment(t, e_c, e_j, label)
 
 
 def _accepted(part: tuple):
@@ -290,31 +291,26 @@ def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     """What the sign does not change, one device remembered: (preparation,
     pulses, couplings, w, v), each part a (refusal, value) pair read by
     _accepted.  ``preparation`` holds the superposition segment at its longer
-    ('-') duration, its energies read before the flips are timed, both flip
-    segments and their FlipSolutions; ``pulses`` the read-only full-mode
-    interference pulses (u2, u13).  One assembly and one eigh of the
-    accepted segments, preparation first, give the read-only ``w``, ``v`` of
-    the (5, 8, 8) stack.  A refused part keeps only its message, so no error
-    object or caller's frame outlives its call: a device without interference
-    timing still prepares, and one without flips runs the mixture control."""
+    ('-') duration, both flip segments and their FlipSolutions; ``pulses``
+    the read-only full-mode interference pulses (u2, u13).  Flips 1 and 3 and
+    the superposition are timed, then _segment builds all five in order; one
+    assembly and one eigh of the accepted ones give the read-only ``w``, ``v``
+    of the (5, 8, 8) stack.  A refused part keeps only its message, so no
+    error object or caller's frame outlives its call: a device without
+    interference timing still prepares, and one without flips runs the mixture control."""
     ks = _device_couplings(energies, include_k13)
-    e_c = _reals((0.0, -2.0 * (ks[0] + ks[1]), 0.0), "e_c", 3)
-    e_j = (0.0, energies.ej_max[1], 0.0)
     try:
-        (seg_f1, sol1), (seg_f3, sol3) = _flip_segment(energies, 1), _flip_segment(energies, 3)
-        t_longest = solve_superposition_pulse(energies.ej_max[1], "-")
-        prepared = (PulseSegment(t_longest, e_c, e_j, "superposition"), seg_f1, seg_f3)
-        for seg in prepared:
-            _check_resolution(seg, ks)
+        (flip1, sol1), (flip3, sol3) = _flip_segment(energies, 1), _flip_segment(energies, 3)
+        superposition = ("superposition", solve_superposition_pulse(energies.ej_max[1], "-"),
+                         (0.0, -2.0 * (ks[0] + ks[1]), 0.0), (0.0, energies.ej_max[1], 0.0))
+        prepared = tuple(_segment(*parts, ks) for parts in (superposition, flip1, flip3))
         preparation = None, (prepared, (sol1, sol3))
     except InfeasiblePulseError as exc:
         prepared, preparation = (), (str(exc), None)
     try:
         drives, times = _interference_drives(energies)[2:]
-        interference = tuple(PulseSegment(t, *drive, label) for drive, t, label
+        interference = tuple(_segment(label, t, *drive, ks) for drive, t, label
                              in zip(drives, times, ("interference-q2", "interference-q13")))
-        for seg in interference:
-            _check_resolution(seg, ks)
     except InfeasiblePulseError as exc:
         interference, pulses = (), (str(exc), None)
     segments = prepared + interference
@@ -353,7 +349,7 @@ def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
     preparation, _, couplings, w, v = _device_sequence(energies, include_k13)
     (sup, *flips), solutions = _accepted(preparation)
     if sup.duration != t_sup:  # sign '-' opens with the shorter rotation
-        sup = PulseSegment(t_sup, sup.e_c, sup.e_j, sup.label)
+        sup = _segment(sup.label, t_sup, sup.e_c, sup.e_j, couplings)
     schedule = Schedule((sup, *flips), *couplings)
     trajectory = _evolve_spectral(w[:3], v[:3], [seg.duration for seg in schedule.segments],
                                   _KET_000)

@@ -2,6 +2,7 @@
 each malformed one raises the documented error class, never a stray
 TypeError or a plausible-looking conversion."""
 
+import itertools
 import math
 import re
 
@@ -312,3 +313,41 @@ def test_each_ej_max_entry_is_read_as_positive(entry, index, value):
         assert raised.type is ContractViolationError
         reason = "must be finite" if value == math.inf else "must be > 0"
         assert str(raised.value) == f"ej_max[{index}]: {reason}, got {value!r}"
+
+
+# Finite extremes for a device field: the smallest subnormal, a coupling whose
+# square overflows, and values whose doubles or sums overflow.
+_EXTREMES = (5e-324, 1e154, 1e308, 1.7e308)
+_DEVICE_FIELDS = ("k12", "k23", "k13", "ej_max[0]", "ej_max[1]", "ej_max[2]")
+
+
+def _extreme_device(assignment):
+    """The reference device with each (field, value) of ``assignment`` set."""
+    fields, ej_max = {}, list(_ENERGIES.ej_max)
+    for field, value in assignment:
+        if field.startswith("ej_max"):
+            ej_max[int(field[-2])] = value
+        else:
+            fields[field] = value
+    return _device(ej_max=tuple(ej_max), **fields)
+
+
+def test_no_finite_device_breaks_a_contract_at_a_driven_entry_point():
+    # every field at each extreme, alone and in pairs: 264 devices, 12 calls each
+    assignments = [((field, value),) for field in _DEVICE_FIELDS for value in _EXTREMES]
+    assignments += [((f, v), (g, u)) for f, g in itertools.combinations(_DEVICE_FIELDS, 2)
+                    for v in _EXTREMES for u in _EXTREMES]
+    calls = {**_DRIVEN, "ghz_prepare-minus":
+             lambda energies, k13: ghz_prepare(energies, "-", include_k13=k13)}
+    broken = []
+    for assignment in assignments:
+        device = _extreme_device(assignment)
+        for (entry, call), k13 in itertools.product(calls.items(), (False, True)):
+            try:
+                call(device, k13)
+            except InfeasiblePulseError:
+                pass
+            except ContractViolationError as raised:  # any other class fails the test too
+                broken.append((assignment, entry, k13, str(raised)))
+    assert len(assignments) == 264
+    assert not broken, (len(broken), broken[:3])

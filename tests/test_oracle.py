@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import oracle
-from ghzsim import build_hamiltonian, propagator
-from ghzsim.core import _assemble, _propagators
-from ghzsim.effective import _NO_BIAS, _SCAN_DRIVES, _scan_generators
+from ghzsim import (CapacitanceNetwork, ControlSettings, build_hamiltonian, derive_energies,
+                    ghz_prepare, propagator)
+from ghzsim.core import _assemble, _propagators, _spectral_propagators
+from ghzsim.effective import _NO_BIAS, _SCAN_DRIVES, _interference_drives, _scan_generators
+from ghzsim.pulses import _device_sequence, _interference_pulses
 
 
 def _random_pulse(rng, driven):
@@ -60,3 +62,42 @@ def test_oracle_sector_blocks():
     assert math.isclose(abs(np.linalg.det(u)), 1.0, abs_tol=1e-15)
     with pytest.raises(ValueError, match="coupled"):
         oracle.pulse_propagator((0.0,) * 3, (1.0, 0.0, 1.0), 0.1, 0.1, 1.0, k13=0.05)
+
+
+def _device_draws(seed, n):
+    """``n`` seeded devices of the benchmark's range (junctions 400-800 aF,
+    couplers 10-60 aF, eps_J 4-8 GHz), redrawn until every driven pair has
+    K / ej_max < 1, the second-order theory's zeta < 1."""
+    rng, devices = np.random.default_rng(seed), []
+    while len(devices) < n:
+        network = CapacitanceNetwork(tuple(rng.uniform(400.0, 800.0, 3)), (0.6, 0.6, 0.6),
+                                     tuple(rng.uniform(10.0, 60.0, 2)))
+        settings = ControlSettings((0.5, 0.5, 0.5), (0.5, 0.5, 0.5),
+                                   tuple(rng.uniform(4.0, 8.0, 3)))
+        energies = derive_energies(network, settings)
+        e1, e2, e3 = energies.ej_max
+        if max(energies.k12 / e1, energies.k12 / e2, energies.k23 / e2, energies.k23 / e3) < 1.0:
+            devices.append(energies)
+    return devices
+
+
+@pytest.mark.parametrize("include_k13", [False, True])
+def test_oracle_reproduces_every_pulse_of_random_devices(include_k13):
+    # the device memo's one eigendecomposition, as both preparations and
+    # full-mode verification propagate it; the outer pulse with k13 on
+    # couples its two driven qubits and has no closed form
+    for energies in _device_draws(20261022, 50):
+        k13 = energies.k13 if include_k13 else 0.0
+        for sign in ("+", "-"):
+            schedule = ghz_prepare(energies, sign, include_k13=include_k13)[1]
+            *_, w, v = _device_sequence(energies, include_k13)
+            times = [seg.duration for seg in schedule.segments]
+            for seg, u in zip(schedule.segments, _spectral_propagators(w[:3], v[:3], times)):
+                expected = oracle.pulse_propagator(seg.e_c, seg.e_j, energies.k12, energies.k23,
+                                                   seg.duration, k13)
+                assert np.abs(u - expected).max() < 1e-12, (energies, sign, seg.label)
+        drives, times = _interference_drives(energies)[2:]
+        pulses = _interference_pulses("full", energies, include_k13)
+        for (e_c, e_j), t, u in list(zip(drives, times, pulses))[:1 if include_k13 else 2]:
+            expected = oracle.pulse_propagator(e_c, e_j, energies.k12, energies.k23, t, k13)
+            assert np.abs(u.matrix - expected).max() < 1e-12, (energies, e_j)

@@ -294,16 +294,17 @@ def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch, cle
     monkeypatch.setattr(PulseSegment, "__init__", counted_segment)
     # the signs differ only in the superposition pulse's duration, and the
     # full-mode interference pulses are the stack's last two slices, built
-    # into two Operators once for both protocols; the memo times the five
-    # pulses as segments once, at the longer superposition that sign '+'
-    # uses, and only sign '-' builds its shorter superposition anew
+    # into two Operators once for both protocols; the memo builds the five
+    # pulses as segments once, each after its phase check and in segment
+    # order, at the longer superposition that sign '+' uses, and only sign
+    # '-' builds its shorter superposition anew
     runs = {sign: ghz_prepare(energies, sign) for sign in ("-", "+")}
     again = (verify_ghz(energies, "full"), verify_mixture_control(energies, "full"))
     *_, w, v = pulses._device_sequence(energies, False)
     assert shapes == [(5, 8, 8)]
     assert len(flips) == 2
     assert len(operators) == 2
-    assert segments == ["conditional-flip-q1", "conditional-flip-q3", "superposition",
+    assert segments == ["superposition", "conditional-flip-q1", "conditional-flip-q3",
                         "interference-q2", "interference-q13", "superposition"]
     assert [repr(out) for out in again] == [repr(out) for out in verified]
     assert not w.flags.writeable and not v.flags.writeable
