@@ -119,14 +119,14 @@ class DerivedEnergies:
 
     ``e_c`` are the effective charging energies multiplying sigma_z/2,
     ``e_j`` the current Josephson energies multiplying sigma_x/2, ``ej_max``
-    the flux-off maxima 2*eps_j, ``k12``/``k23``/``k13`` the ZZ coupling
-    strengths, and ``zeta12``/``zeta23`` the perturbation ratios K/(2*eps_j)
-    referred to the middle qubit's junction energy.
+    the flux-off maxima 2*eps_j, and ``k12``/``k23``/``k13`` the ZZ coupling
+    strengths.  The perturbation ratios ``zeta12``/``zeta23`` are read off
+    the couplings, never stored beside them.
 
-    Every field is read as a non-bool real, infinities kept (a subnormal
-    eps_J makes zeta infinite), and stored as a float (the triples as tuples
-    of three floats) with -0.0 stored as 0.0, so a device is hashable, and
-    two devices that compare equal hold the same bits.
+    Every field is read as a non-bool real, infinities kept (a driven entry
+    point refuses them under the field's name), and stored as a float (the
+    triples as tuples of three floats) with -0.0 stored as 0.0, so a device
+    is hashable, and two devices that compare equal hold the same bits.
     """
 
     e_c: tuple
@@ -135,17 +135,25 @@ class DerivedEnergies:
     k12: float
     k23: float
     k13: float
-    zeta12: float
-    zeta23: float
 
     def __post_init__(self):
         for name in ("e_c", "e_j", "ej_max"):
             object.__setattr__(self, name, tuple([
                 (v if type(v) is float else _real(v, f"{name}[{i}]")) + 0.0
                 for i, v in enumerate(_entries(getattr(self, name), name, 3))]))
-        for name in ("k12", "k23", "k13", "zeta12", "zeta23"):
+        for name in ("k12", "k23", "k13"):
             v = getattr(self, name)
             object.__setattr__(self, name, (v if type(v) is float else _real(v, name)) + 0.0)
+
+    @property
+    def zeta12(self) -> float:
+        """The perturbation ratio K12/(2*eps_j2) = k12 / ej_max[1]."""
+        return self.k12 / _positive(self.ej_max[1], "ej_max[1]")
+
+    @property
+    def zeta23(self) -> float:
+        """The perturbation ratio K23/(2*eps_j2) = k23 / ej_max[1]."""
+        return self.k23 / _positive(self.ej_max[1], "ej_max[1]")
 
 
 @_record
@@ -245,9 +253,7 @@ def derive_energies(network: CapacitanceNetwork, settings: ControlSettings) -> D
         for eps, phi in zip(settings.epsilon_j, settings.flux)
     )
     ej_max = tuple(2.0 * eps for eps in settings.epsilon_j)
-    zeta12 = k12 / ej_max[1]
-    zeta23 = k23 / ej_max[1]
-    return DerivedEnergies(e_c, e_j, ej_max, k12, k23, k13, zeta12, zeta23)
+    return DerivedEnergies(e_c, e_j, ej_max, k12, k23, k13)
 
 
 def crosstalk_ratio(energies: DerivedEnergies) -> CrosstalkReport:

@@ -138,7 +138,8 @@ def _cmd_derive(cfg: RunConfig) -> dict:
     cross = crosstalk_ratio(energies)
     return {
         "capacitance_af": {f: getattr(caps, f) for f in caps._fields},
-        "energies_ghz": {f: getattr(energies, f) for f in energies._fields},
+        "energies_ghz": {f: getattr(energies, f)
+                         for f in (*energies._fields, "zeta12", "zeta23")},
         "crosstalk": {
             "ratio_13_over_12": cross.ratio_12,
             "ratio_13_over_23": cross.ratio_23,

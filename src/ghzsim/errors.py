@@ -212,7 +212,8 @@ def _zetas(values, name: str, error=ContractViolationError) -> tuple:
 
 
 def _duration(value, name: str, error=ContractViolationError) -> float:
-    """``value`` as a float: a finite non-bool real >= 0."""
+    """``value`` as a float: a finite non-bool real >= 0, as a duration or
+    a driven device's k12 and k23 must be."""
     t = _finite(value, name, error)
     if t < 0.0:
         raise error(f"{name}: must be >= 0.0, got {value!r}")

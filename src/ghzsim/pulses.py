@@ -277,12 +277,12 @@ def _accepted(part: tuple):
 
 
 def _device_couplings(energies: DerivedEnergies, include_k13: bool) -> tuple:
-    """The couplings (k12, k23, k13 or 0.0) that the pulses hold, read as finite
-    after every ``ej_max`` entry is read as positive: a driven entry point
-    reads these first."""
+    """The couplings (k12, k23, k13 or 0.0) that the pulses hold, after every
+    ``ej_max`` entry is read as positive: k12 and k23 as finite and >= 0,
+    k13 as finite.  A driven entry point reads these first."""
     for i, e in enumerate(energies.ej_max):
         _positive(e, f"ej_max[{i}]")
-    return (_finite(energies.k12, "k12"), _finite(energies.k23, "k23"),
+    return (_duration(energies.k12, "k12"), _duration(energies.k23, "k23"),
             _finite(energies.k13, "k13") if include_k13 else 0.0)
 
 
@@ -290,18 +290,19 @@ def _device_couplings(energies: DerivedEnergies, include_k13: bool) -> tuple:
 def _device_sequence(energies: DerivedEnergies, include_k13: bool) -> tuple:
     """What the sign does not change, one device remembered: (preparation,
     pulses, couplings, w, v), each part a (refusal, value) pair read by
-    _accepted.  ``preparation`` holds the superposition segment at its longer
-    ('-') duration, both flip segments and their FlipSolutions; ``pulses``
-    the read-only full-mode interference pulses (u2, u13).  Flips 1 and 3 and
-    the superposition are timed, then _segment builds all five in order; one
-    assembly and one eigh of the accepted ones give the read-only ``w``, ``v``
-    of the (5, 8, 8) stack.  A refused part keeps only its message, so no
+    _accepted.  ``preparation`` holds the superposition segment at its shorter
+    duration, which sign '-' opens with and both signs need resolved, both
+    flip segments and their FlipSolutions; ``pulses`` the read-only full-mode
+    interference pulses (u2, u13).  Flips 1 and 3 and the superposition are
+    timed, then _segment builds all five in order; one assembly and one eigh
+    of the accepted ones give the read-only ``w``, ``v`` of the (5, 8, 8)
+    stack.  A refused part keeps only its message, so no
     error object or caller's frame outlives its call: a device without
     interference timing still prepares, and one without flips runs the mixture control."""
     ks = _device_couplings(energies, include_k13)
     try:
         (flip1, sol1), (flip3, sol3) = _flip_segment(energies, 1), _flip_segment(energies, 3)
-        superposition = ("superposition", solve_superposition_pulse(energies.ej_max[1], "-"),
+        superposition = ("superposition", solve_superposition_pulse(energies.ej_max[1], "+"),
                          (0.0, -2.0 * (ks[0] + ks[1]), 0.0), (0.0, energies.ej_max[1], 0.0))
         prepared = tuple(_segment(*parts, ks) for parts in (superposition, flip1, flip3))
         preparation = None, (prepared, (sol1, sol3))
@@ -348,7 +349,7 @@ def _prepare(energies: DerivedEnergies, s: int, include_k13: bool):
     t_sup = solve_superposition_pulse(energies.ej_max[1], -s)
     preparation, _, couplings, w, v = _device_sequence(energies, include_k13)
     (sup, *flips), solutions = _accepted(preparation)
-    if sup.duration != t_sup:  # sign '-' opens with the shorter rotation
+    if sup.duration != t_sup:  # sign '+' opens with the longer rotation
         sup = _segment(sup.label, t_sup, sup.e_c, sup.e_j, couplings)
     schedule = Schedule((sup, *flips), *couplings)
     trajectory = _evolve_spectral(w[:3], v[:3], [seg.duration for seg in schedule.segments],

@@ -15,6 +15,7 @@ import pytest
 
 from ghzsim import (
     CapacitanceNetwork,
+    ContractViolationError,
     ControlSettings,
     DegenerateControlError,
     DerivedEnergies,
@@ -153,16 +154,40 @@ def test_mirror_symmetry():
 
 def test_derived_energies_store_floats_and_compare_by_value(energies):
     raw = DerivedEnergies([0, -0.0, np.float64(0.5)], np.zeros(3), [11, 11.2, 12],
-                          np.float64(0.3), 1, -0.0, 0.25, 0.0)
+                          np.float64(0.3), 1, -0.0)
     assert raw.e_c == (0.0, 0.0, 0.5) and raw.e_j == (0.0, 0.0, 0.0)
     assert raw.ej_max == (11.0, 11.2, 12.0)
     assert [type(v) for v in (raw.k12, raw.k23, raw.k13, *raw.e_c)] == [float] * 6
     # -0.0 is stored as 0.0, so equal devices also print alike
     assert math.copysign(1.0, raw.k13) == 1.0 and math.copysign(1.0, raw.e_c[1]) == 1.0
     again = DerivedEnergies((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), (11.0, 11.2, 12.0),
-                            0.3, 1.0, 0.0, 0.25, 0.0)
+                            0.3, 1.0, 0.0)
     assert raw == again and hash(raw) == hash(again) and repr(raw) == repr(again)
     assert DerivedEnergies(*vars(energies).values()) == energies
+
+
+def test_derived_energies_read_their_ratios_off_the_couplings(energies):
+    # six stored values: the perturbation ratios are no seventh and eighth
+    assert DerivedEnergies._fields == ("e_c", "e_j", "ej_max", "k12", "k23", "k13")
+    with pytest.raises(TypeError):
+        DerivedEnergies(**dict(vars(energies), zeta12=0.7))
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        net = CapacitanceNetwork(tuple(rng.uniform(400.0, 800.0, 3)), (0.6, 0.6, 0.6),
+                                 tuple(rng.uniform(10.0, 60.0, 2)))
+        s = ControlSettings((0.5, 0.5, 0.5), (0.5, 0.5, 0.5), tuple(rng.uniform(4.0, 8.0, 3)))
+        e = derive_energies(net, s)
+        assert e.zeta12 == e.k12 / e.ej_max[1] == e.k12 / (2.0 * s.epsilon_j[1])
+        assert e.zeta23 == e.k23 / e.ej_max[1] == e.k23 / (2.0 * s.epsilon_j[1])
+    replaced = DerivedEnergies(**dict(vars(energies), k12=1.5, k23=0.0))
+    assert (replaced.zeta12, replaced.zeta23) == (1.5 / energies.ej_max[1], 0.0)
+    # a middle junction energy the pulses would refuse is refused under its name
+    for bad, reason in ((0.0, "must be > 0, got 0.0"), (-1.0, "must be > 0, got -1.0"),
+                        (math.inf, "must be finite, got inf")):
+        device = DerivedEnergies(**dict(vars(energies), ej_max=(11.2, bad, 11.2)))
+        for ratio in ("zeta12", "zeta23"):
+            with pytest.raises(ContractViolationError, match=re.escape(f"ej_max[1]: {reason}")):
+                getattr(device, ratio)
 
 
 def test_crosstalk_reference_ratio(energies):

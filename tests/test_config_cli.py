@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -771,6 +772,23 @@ def test_cli_device_without_interference_timing_prepares_but_is_not_verified(tmp
     assert capsys.readouterr() == ("", "infeasible pulse: the second-order pulse timing needs "
                                        "zeta12 < 1, but the device gives "
                                        "zeta12 = 1.4010192909218728\n")
+
+
+def test_cli_sign_minus_is_not_refused_for_sign_plus_pulse(tmp_path, capsys):
+    # eps_j2 = 2e-5 GHz: sign '-' opens with a 6250 ns rotation, about 6.6e5
+    # rad and under the phase limit, and sign '+' with an 18750 ns one beyond
+    # it.  No golden: the last bits of such an evolution depend on the BLAS.
+    path = tmp_path / "weak_middle.yaml"
+    path.write_text("device: {josephson_energy_ghz: [5.6, 2.0e-5, 5.6]}\n")
+    assert main(["prepare", "--sign", "minus", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    fidelity = float(re.search(r"^fidelity: (\S+)$", out, re.M).group(1))
+    assert fidelity == pytest.approx(1.0, abs=1e-12)
+    assert main(["prepare", "--sign", "plus", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infeasible pulse: the superposition pulse accumulates ")
+    assert " rad in 18750.0 ns, which cannot be resolved" in captured.err
 
 
 @pytest.mark.parametrize("command", [["prepare"], ["mermin"], ["verify", "--mode", "full"],

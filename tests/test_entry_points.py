@@ -293,6 +293,26 @@ def test_a_non_finite_device_field_is_refused_under_its_own_name(entry, field, v
     assert str(raised.value) == f"{field}: must be finite, got {value!r}"
 
 
+@pytest.mark.parametrize("value", [-1.0, -5e-324, -1.7e308], ids=repr)
+@pytest.mark.parametrize("field", ["k12", "k23", "k13"])
+@pytest.mark.parametrize("entry", _DRIVEN)
+def test_a_negative_k12_or_k23_is_refused_under_its_own_name(entry, field, value):
+    # k12 and k23 are read as >= 0 before any pulse is timed from them; a
+    # negative k13 is a coupling the pulses hold, and it runs
+    device = _device(**{field: value})
+    for k13 in (False, True):
+        if field == "k13":
+            try:
+                _DRIVEN[entry](device, k13)
+            except InfeasiblePulseError:
+                pass
+            continue
+        with pytest.raises(ContractViolationError) as raised:
+            _DRIVEN[entry](device, k13)
+        assert raised.type is ContractViolationError
+        assert str(raised.value) == f"{field}: must be >= 0.0, got {value!r}"
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, 5e-324, math.inf], ids=repr)
 @pytest.mark.parametrize("index", [0, 1, 2])
 @pytest.mark.parametrize("entry", _DRIVEN)

@@ -12,6 +12,7 @@ from ghzsim import (
     DerivedEnergies,
     InfeasiblePulseError,
     Operator,
+    PerturbationParams,
     PulseSegment,
     Schedule,
     StateVector,
@@ -21,12 +22,16 @@ from ghzsim import (
     fidelity,
     ghz_prepare,
     ghz_state,
+    h_eff_qubit2,
+    propagator,
     solve_conditional_flip,
     solve_superposition_pulse,
+    tau2,
     verify_ghz,
     verify_mixture_control,
 )
 from ghzsim import pulses
+from ghzsim.effective import _interference_drives
 
 
 def test_superposition_pulse_durations():
@@ -296,8 +301,8 @@ def test_both_signs_share_one_stacked_diagonalization(energies, monkeypatch, cle
     # full-mode interference pulses are the stack's last two slices, built
     # into two Operators once for both protocols; the memo builds the five
     # pulses as segments once, each after its phase check and in segment
-    # order, at the longer superposition that sign '+' uses, and only sign
-    # '-' builds its shorter superposition anew
+    # order, at the shorter superposition that sign '-' uses, and only sign
+    # '+' builds its longer superposition anew
     runs = {sign: ghz_prepare(energies, sign) for sign in ("-", "+")}
     again = (verify_ghz(energies, "full"), verify_mixture_control(energies, "full"))
     *_, w, v = pulses._device_sequence(energies, False)
@@ -331,6 +336,41 @@ def test_hamiltonian_reports_a_diagonal_overflow():
 def _reference_device_with(josephson=(5.6, 5.6, 5.6), couplers=(30.0, 30.0)):
     network = CapacitanceNetwork((600.0, 600.0, 600.0), (0.6, 0.6, 0.6), couplers)
     return derive_energies(network, ControlSettings((0.5,) * 3, (0.5,) * 3, josephson))
+
+
+def test_a_replaced_k12_times_the_middle_interference_pulse(energies, clear_memos):
+    # the middle drive's ratios are read off the device's couplings, so a
+    # device with another k12 is timed from that k12, in both modes
+    k12 = 0.7 * energies.k12
+    device = DerivedEnergies(**dict(vars(energies), k12=k12))
+    eps = tuple(e / 2.0 for e in energies.ej_max)
+    params = PerturbationParams(eps, zeta12=k12 / energies.ej_max[1],
+                                zeta23=energies.k23 / energies.ej_max[1])
+    assert PerturbationParams.middle_qubit(device) == params
+    _, _, (drive, _), (t2, _) = _interference_drives(device)
+    assert t2 == tau2(params) != tau2(PerturbationParams.middle_qubit(energies))
+    clear_memos()
+    expected = {"effective": propagator(h_eff_qubit2(params), t2),
+                "full": propagator(build_hamiltonian(*drive, k12, energies.k23), t2)}
+    for mode, u in expected.items():
+        u2 = pulses._interference_pulses(mode, device, False)[0]
+        assert np.max(np.abs(u2.matrix - u.matrix)) < 1e-12
+
+
+def test_a_weak_middle_junction_leaves_no_interference_timing(energies, clear_memos):
+    # ej_max[1] = 1e-5 GHz gives zeta12 = k12 / 1e-5, far beyond 1: the
+    # interference pulses are refused, not run with a ratio of another device
+    device = DerivedEnergies(**dict(vars(energies), ej_max=(11.2, 1e-5, 11.2)))
+    zeta = energies.k12 / 1e-5
+    refusal = (f"the second-order pulse timing needs zeta12 < 1, "
+               f"but the device gives zeta12 = {zeta}")
+    clear_memos()
+    for mode in ("effective", "full"):
+        for protocol in (verify_ghz, verify_mixture_control):
+            with pytest.raises(InfeasiblePulseError) as raised:
+                protocol(device, mode)
+            if protocol is verify_mixture_control:
+                assert str(raised.value) == refusal
 
 
 def test_a_device_whose_pulses_cannot_be_timed_still_prepares(clear_memos):
@@ -382,8 +422,7 @@ def test_a_device_that_cannot_be_prepared_still_runs_the_mixture_control(clear_m
 def test_a_device_whose_couplings_overflow_the_flip_timing_is_infeasible(clear_memos):
     # k12 = k23 = 1e306 GHz: the flips' (2k)^2 overflows, and the interference
     # pulses that the mixture control alone needs time tau2 at 0.0 ns
-    energies = DerivedEnergies((0.0,) * 3, (0.0,) * 3, (1.7e308,) * 3, 1e306, 1e306, 0.0,
-                               1e306 / 1.7e308, 1e306 / 1.7e308)
+    energies = DerivedEnergies((0.0,) * 3, (0.0,) * 3, (1.7e308,) * 3, 1e306, 1e306, 0.0)
     flip = r"^conditional flip for k = 1e\+306 GHz cannot be timed in floating point$"
     clear_memos()
     with pytest.raises(InfeasiblePulseError, match=flip):
